@@ -9,7 +9,7 @@ import argparse
 from pathlib import Path
 
 from vclab import BoundQuery, bound_report
-from vclab.cli import BOUNDS_COLUMNS, emit_plot_data, write_csv
+from vclab.cli import BOUNDS_COLUMNS, bounds_rows, emit_plot_data, write_csv
 
 
 def main():
@@ -21,17 +21,7 @@ def main():
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for m in (1, 2, 4, 8):
-        for eps in (0.05, 0.1, 0.2):
-            for delta in (0.05, 0.1, 0.2):
-                r = bound_report(BoundQuery(m=m, eps=eps, delta=delta))
-                rows.append([
-                    m, eps, delta,
-                    r.k_elementary, r.k_rademacher,
-                    r.k_solver_elementary, r.k_solver_rademacher,
-                    r.classical_m2, r.classical_m4, r.classical_mlogm,
-                ])
+    rows = bounds_rows((1, 2, 4, 8), (0.05, 0.1, 0.2), (0.05, 0.1, 0.2))
     write_csv(out / "bounds_grid.csv", BOUNDS_COLUMNS, rows)
 
     deltas = [10 ** (-e / 2.0) for e in range(1, 13)]

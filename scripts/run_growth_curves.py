@@ -9,7 +9,14 @@ import argparse
 from pathlib import Path
 
 from vclab import LinearThreshold, UnionOfMPoints, estimate_vc_density
-from vclab.cli import DENSITY_COLUMNS, GROWTH_COLUMNS, emit_plot_data, write_csv
+from vclab.cli import (
+    DENSITY_COLUMNS,
+    GROWTH_COLUMNS,
+    density_row,
+    emit_plot_data,
+    growth_rows,
+    write_csv,
+)
 from vclab.dichotomy import growth_samples
 from vclab.hypotheses import load_class_spec
 
@@ -34,10 +41,9 @@ def main():
     density_rows = []
     for name, cls, method in classes:
         g = growth_samples(cls, n_values, method=method, budget=args.budget, seed=args.seed)
-        rows = [[s.n, s.count, s.exactness, g.seed, g.class_id] for s in g.samples]
-        write_csv(out / f"growth_{name}.csv", GROWTH_COLUMNS, rows)
+        write_csv(out / f"growth_{name}.csv", GROWTH_COLUMNS, growth_rows(g))
         d = estimate_vc_density(g)
-        density_rows.append([g.class_id, d.slope, d.fit_range[0], d.fit_range[1], d.residual])
+        density_rows.append(density_row(g.class_id, d))
         series.append(([s.n for s in g.samples], [s.count for s in g.samples], name))
         print(f"{name}: slope = {d.slope:.3f} (fit on n in {d.fit_range})")
     write_csv(out / "density_summary.csv", DENSITY_COLUMNS, density_rows)

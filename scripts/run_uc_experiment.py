@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from vclab import BoundQuery, LinearThreshold, k_elementary, load_distribution, run_uc_experiment
-from vclab.cli import UC_COLUMNS, write_csv
+from vclab.cli import UC_COLUMNS, uc_row, write_csv
 
 
 def main():
@@ -30,12 +30,7 @@ def main():
     res = run_uc_experiment(
         LinearThreshold(dim=2), dist, eps=args.eps, k=k, trials=args.trials, seed=args.seed
     )
-    write_csv(
-        out / "uc_result.csv",
-        UC_COLUMNS,
-        [[res.k, args.eps, args.delta, res.trials, res.failures,
-          res.empirical_rate, res.sup_method, res.seed]],
-    )
+    write_csv(out / "uc_result.csv", UC_COLUMNS, [uc_row(res, args.eps, args.delta)])
     print(
         f"k={res.k} trials={res.trials} failures={res.failures} "
         f"rate={res.empirical_rate:.4f} (target delta={args.delta}) "

@@ -28,6 +28,7 @@ from .dichotomy import (
     is_shattered,
     sauer_shelah_cap,
     trace,
+    trace_set,
     vc_dim_bruteforce,
 )
 from .errors import CapExceededError, ConfigError, IndeterminateLabelingError, VclabError

@@ -92,7 +92,7 @@ def solve_k_log_inequality(a: float, b: float) -> tuple[int, int]:
     starts at max(1, ceil(a)) and doubles until satisfied.
     """
     if a < 0 or b < 0:
-        raise ValueError("need a > 0 is not required, but a, b must be >= 0")
+        raise ValueError("a and b must be >= 0")
 
     def ok(k: int) -> bool:
         return k >= a * math.log(k) + b

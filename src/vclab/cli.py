@@ -77,21 +77,55 @@ def emit_plot_data(series, path) -> None:
             raise ValueError(f"series {label!r}: x/y length mismatch")
         header += [f"{label}_x", f"{label}_y"]
     depth = max(len(xs) for xs, _, _ in series)
+    rows = [
+        [v for xs, ys, _ in series for v in ((xs[i], ys[i]) if i < len(xs) else ("", ""))]
+        for i in range(depth)
+    ]
+    write_csv(path, header, rows)
+
+
+# --------------------------------------------------------------------------
+# Row builders, one per CSV schema (shared with scripts/)
+# --------------------------------------------------------------------------
+
+
+def bounds_rows(ms, epss, deltas, constants=bnd.BoundConstants()) -> list[list]:
+    """BOUNDS_COLUMNS rows over the (m, eps, delta) grid."""
     rows = []
-    for i in range(depth):
-        row = []
-        for xs, ys, _ in series:
-            if i < len(xs):
-                row += [_fmt(xs[i]), _fmt(ys[i])]
-            else:
-                row += ["", ""]
-        rows.append(row)
-    p = _resolve_output(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    for m in ms:
+        for eps in epss:
+            for delta in deltas:
+                q = bnd.BoundQuery(m=m, eps=eps, delta=delta, constants=constants)
+                r = bnd.bound_report(q)
+                rows.append([
+                    m, eps, delta,
+                    r.k_elementary, r.k_rademacher,
+                    r.k_solver_elementary, r.k_solver_rademacher,
+                    r.classical_m2, r.classical_m4, r.classical_mlogm,
+                ])
+    return rows
+
+
+def growth_rows(estimate: dch.GrowthEstimate) -> list[list]:
+    """GROWTH_COLUMNS rows, one per growth sample."""
+    return [
+        [s.n, s.count, s.exactness, estimate.seed, estimate.class_id]
+        for s in estimate.samples
+    ]
+
+
+def density_row(class_id: str, density: dch.DensityEstimate) -> list:
+    """The DENSITY_COLUMNS row of one fitted slope."""
+    return [class_id, density.slope, density.fit_range[0], density.fit_range[1],
+            density.residual]
+
+
+def uc_row(result: uc.UCExperimentResult, eps: float, delta: float) -> list:
+    """The UC_COLUMNS row of one Monte Carlo experiment."""
+    return [
+        result.k, eps, delta, result.trials, result.failures,
+        result.empirical_rate, result.sup_method, result.seed,
+    ]
 
 
 def _print_table(columns, rows) -> None:
@@ -120,18 +154,7 @@ def _ints(text: str) -> list[int]:
 
 def cmd_bounds(args) -> int:
     constants = bnd.BoundConstants(C=args.c, C_prime=args.c_prime, C_hat=args.c_hat)
-    rows = []
-    for m in _ints(args.m):
-        for eps in _floats(args.eps):
-            for delta in _floats(args.delta):
-                q = bnd.BoundQuery(m=m, eps=eps, delta=delta, constants=constants)
-                r = bnd.bound_report(q)
-                rows.append([
-                    m, eps, delta,
-                    r.k_elementary, r.k_rademacher,
-                    r.k_solver_elementary, r.k_solver_rademacher,
-                    r.classical_m2, r.classical_m4, r.classical_mlogm,
-                ])
+    rows = bounds_rows(_ints(args.m), _floats(args.eps), _floats(args.delta), constants)
     _print_table(BOUNDS_COLUMNS, rows)
     if args.output:
         write_csv(args.output, BOUNDS_COLUMNS, rows)
@@ -148,10 +171,7 @@ def cmd_growth(args) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    rows = [
-        [s.n, s.count, s.exactness, estimate.seed, estimate.class_id]
-        for s in estimate.samples
-    ]
+    rows = growth_rows(estimate)
     _print_table(GROWTH_COLUMNS, rows)
     if args.output:
         write_csv(args.output, GROWTH_COLUMNS, rows)
@@ -199,10 +219,7 @@ def cmd_density(args) -> int:
     estimate = read_growth_csv(args.input)
     policy = dch.FitPolicy(upper_fraction=args.fit_fraction)
     density = dch.estimate_vc_density(estimate, policy)
-    rows = [[
-        estimate.class_id, density.slope,
-        density.fit_range[0], density.fit_range[1], density.residual,
-    ]]
+    rows = [density_row(estimate.class_id, density)]
     _print_table(DENSITY_COLUMNS, rows)
     if args.output:
         write_csv(args.output, DENSITY_COLUMNS, rows)
@@ -222,10 +239,7 @@ def cmd_ucheck(args) -> int:
         cls, dist, eps=args.eps, k=k, trials=args.trials, seed=args.seed,
         budget=args.budget,
     )
-    rows = [[
-        result.k, args.eps, args.delta, result.trials, result.failures,
-        result.empirical_rate, result.sup_method, result.seed,
-    ]]
+    rows = [uc_row(result, args.eps, args.delta)]
     _print_table(UC_COLUMNS, rows)
     if args.output:
         write_csv(args.output, UC_COLUMNS, rows)

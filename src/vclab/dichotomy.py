@@ -31,9 +31,11 @@ from .hypotheses import (
 )
 from .pointsets import PointSet, random_general_position, simplex_vertices
 
-DEFAULT_EXACT_POINT_CAP = 20
-DEFAULT_EXACT_DIM_CAP = 4
-DEFAULT_SHATTER_CAP = 16
+# exact LTF enumeration solves 2^(n-1) margin LPs, so n and d are capped
+EXACT_LTF_POINT_CAP = 20
+EXACT_LTF_DIM_CAP = 4
+SHATTER_CAP = 16
+TRACE_CAP = 200000
 
 
 @dataclass(frozen=True)
@@ -72,26 +74,69 @@ def as_network(cls) -> NetworkSpec:
     if isinstance(cls, LinearThreshold):
         act = ActivationSpec(kind="threshold")
         return NetworkSpec(input_dim=cls.dim, layers=(LayerSpec(activations=(act,)),))
-    raise TypeError(f"no network view for {cls!r}")
+    raise ConfigError(
+        f"sampled counting needs a network or linear_threshold class, not {class_id(cls)}"
+    )
 
 
 # --------------------------------------------------------------------------
-# Counting
+# Trace sets and counting
 # --------------------------------------------------------------------------
 
 
-def count_dichotomies_exact_ltf(
-    B: PointSet,
-    max_points: int = DEFAULT_EXACT_POINT_CAP,
-    max_dim: int = DEFAULT_EXACT_DIM_CAP,
-) -> int:
+def _packed(bits) -> np.ndarray:
+    """Distinct rows of a 0/1 matrix as sorted np.packbits rows."""
+    return np.unique(np.packbits(np.asarray(bits, dtype=bool), axis=1), axis=0)
+
+
+def trace_set(
+    cls, B: PointSet, budget: int = 20000, seed: int = 0
+) -> tuple[np.ndarray, bool]:
+    """Distinct traces of the class on B, as sorted np.packbits rows (unpack
+    with count=len(B)), and whether the set is exact.
+
+    Exact for the baselines: LTF traces by margin LP, union-of-points traces
+    as the subsets of B's in-domain points, explicit-finite traces by
+    projection. For networks the set comes from weight sampling and is a
+    subset of the true trace set (exact=False).
+    """
+    k = len(B)
+    if isinstance(cls, LinearThreshold):
+        if k > EXACT_LTF_POINT_CAP:
+            raise CapExceededError(f"|B| = {k} exceeds exact LTF cap {EXACT_LTF_POINT_CAP}")
+        if k and B.dim != cls.dim:
+            raise ValueError(f"point dim {B.dim} != class dim {cls.dim}")
+        if cls.dim > EXACT_LTF_DIM_CAP:
+            raise CapExceededError(f"dimension {cls.dim} exceeds exact LTF cap {EXACT_LTF_DIM_CAP}")
+        traces = linsep.enumerate_ltf_traces(B.as_array())
+        return _packed(np.reshape(traces, (len(traces), k))), True
+    if isinstance(cls, UnionOfMPoints):
+        in_dom = [i for i, p in enumerate(B.points) if p in cls.domain]
+        sizes = range(min(cls.capacity, len(in_dom)) + 1)
+        total = sum(math.comb(len(in_dom), r) for r in sizes)
+        if total > TRACE_CAP:
+            raise CapExceededError(f"{total} traces exceed trace cap {TRACE_CAP}")
+        bits = np.zeros((total, k), dtype=bool)
+        subsets = (c for r in sizes for c in itertools.combinations(in_dom, r))
+        for row, subset in zip(bits, subsets):
+            row[list(subset)] = True
+        return _packed(bits), True
+    if isinstance(cls, ExplicitFinite):
+        for p in B.points:
+            if p not in cls.domain:
+                raise ConfigError(f"point {p} outside the declared domain")
+        idx = [cls.domain.index(p) for p in B.points]
+        traces = np.reshape(cls.traces, (len(cls.traces), len(cls.domain)))
+        return _packed(traces[:, idx]), True
+    if isinstance(cls, NetworkSpec):
+        return sampled_trace_set(cls, B, budget, seed), False
+    raise TypeError(f"no trace set for {cls!r}")
+
+
+def count_dichotomies_exact_ltf(B: PointSet) -> int:
     """Exact number of affine-threshold dichotomies of B, by testing every
     labeling with the maximum-margin LP."""
-    if len(B) > max_points:
-        raise CapExceededError(f"|B| = {len(B)} exceeds cap {max_points}")
-    if len(B) and B.dim > max_dim:
-        raise CapExceededError(f"dimension {B.dim} exceeds cap {max_dim}")
-    return len(linsep.enumerate_ltf_traces(B.as_array()))
+    return len(trace_set(LinearThreshold(dim=B.dim or 1), B)[0])
 
 
 def default_weight_box(B: PointSet) -> tuple[float, float]:
@@ -104,10 +149,10 @@ def default_weight_box(B: PointSet) -> tuple[float, float]:
 
 def sampled_trace_set(
     cls, B: PointSet, budget: int, seed: int, box: tuple[float, float] | None = None
-) -> set[tuple[int, ...]]:
+) -> np.ndarray:
     """Distinct traces found by drawing `budget` weight vectors componentwise
-    uniform on `box`. A subset of the true trace set: every returned trace is
-    realized by an explicit weight vector."""
+    uniform on `box`, as sorted np.packbits rows. A subset of the true trace
+    set: every returned trace is realized by an explicit weight vector."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     net = as_network(cls)
@@ -115,18 +160,16 @@ def sampled_trace_set(
         raise ValueError(f"point dim {B.dim} != network input_dim {net.input_dim}")
     lo, hi = box if box is not None else default_weight_box(B)
     rng = np.random.default_rng(seed)
-    X = B.as_array()
-    found: set[tuple[int, ...]] = set()
+    X = B.as_array().reshape(len(B), net.input_dim)
+    found = []
     chunk = 8192
     drawn = 0
     while drawn < budget:
         take = min(chunk, budget - drawn)
         W = rng.uniform(lo, hi, size=(take, net.weight_count))
         drawn += take
-        out = forward_batch(net, W, X) > 0
-        for row in np.unique(out, axis=0):
-            found.add(tuple(int(v) for v in row))
-    return found
+        found.append(_packed(forward_batch(net, W, X) > 0))
+    return np.unique(np.concatenate(found), axis=0)
 
 
 def count_dichotomies_sampled(
@@ -164,7 +207,7 @@ def growth_function_oracle(c: BaselineClass, n: int):
                 raise CapExceededError("too many subsets for exhaustive growth count")
             best = max(best, len({tuple(t[i] for i in idx) for t in c.traces}))
         return best
-    raise TypeError(f"not a baseline class: {c!r}")
+    raise ConfigError(f"oracle growth needs a baseline class, not {class_id(c)}")
 
 
 def sauer_shelah_cap(d: int, n: int):
@@ -192,57 +235,15 @@ class ShatterResult:
         return self.shattered
 
 
-def _domain_indices(c, B: PointSet) -> list[int] | None:
-    """Positions of B's points inside the class's declared domain, or None if
-    some point lies outside it."""
-    out = []
-    for p in B.points:
-        try:
-            out.append(c.domain.index(p))
-        except ValueError:
-            return None
-    return out
-
-
-def is_shattered(
-    cls,
-    B: PointSet,
-    budget: int = 20000,
-    seed: int = 0,
-    cap: int = DEFAULT_SHATTER_CAP,
-) -> ShatterResult:
+def is_shattered(cls, B: PointSet, budget: int = 20000, seed: int = 0) -> ShatterResult:
     """Whether the class realizes all 2^|B| labelings of B."""
     k = len(B)
-    if k > cap:
-        raise CapExceededError(f"|B| = {k} exceeds shattering cap {cap}")
-    if k == 0:
-        return ShatterResult(shattered=True, exact=True)
-    if isinstance(cls, LinearThreshold):
-        if B.dim != cls.dim:
-            raise ValueError("dimension mismatch")
-        pts = B.as_array()
-        for rest in itertools.product((0, 1), repeat=k - 1):
-            # complement symmetry: checking first-bit-1 labelings suffices
-            if not linsep.is_realizable(pts, (1,) + rest):
-                return ShatterResult(shattered=False, exact=True)
-        return ShatterResult(shattered=True, exact=True)
-    if isinstance(cls, UnionOfMPoints):
-        idx = _domain_indices(cls, B)
-        ok = idx is not None and k <= cls.capacity
-        return ShatterResult(shattered=ok, exact=True)
-    if isinstance(cls, ExplicitFinite):
-        idx = _domain_indices(cls, B)
-        if idx is None:
-            return ShatterResult(shattered=False, exact=True)
-        distinct = {tuple(t[i] for i in idx) for t in cls.traces}
-        return ShatterResult(shattered=len(distinct) == 2**k, exact=True)
-    if isinstance(cls, NetworkSpec):
-        found = sampled_trace_set(cls, B, budget=budget, seed=seed)
-        if len(found) == 2**k:
-            # every found trace carries a witness, so a positive is exact
-            return ShatterResult(shattered=True, exact=True)
-        return ShatterResult(shattered=False, exact=False)
-    raise TypeError(f"cannot test shattering for {cls!r}")
+    if k > SHATTER_CAP:
+        raise CapExceededError(f"|B| = {k} exceeds shattering cap {SHATTER_CAP}")
+    rows, exact = trace_set(cls, B, budget, seed)
+    shattered = len(rows) == 2**k
+    # every sampled trace carries a witness, so a positive is exact
+    return ShatterResult(shattered=shattered, exact=exact or shattered)
 
 
 @dataclass(frozen=True)
@@ -273,11 +274,7 @@ def _candidate_sets(cls, size: int, rng: np.random.Generator, tries: int):
         yield simplex_vertices(dim)
     n_random = max(tries - (1 if size == dim + 1 else 0), 1)
     for _ in range(n_random):
-        if dim <= 3:
-            yield random_general_position(size, dim, rng)
-        else:
-            pts = rng.uniform(-1.0, 1.0, size=(size, dim))
-            yield PointSet(points=tuple(tuple(map(float, p)) for p in pts))
+        yield random_general_position(size, dim, rng)
 
 
 def vc_dim_bruteforce(
@@ -286,19 +283,23 @@ def vc_dim_bruteforce(
     seed: int = 0,
     tries: int = 12,
     budget: int = 20000,
-    cap: int = DEFAULT_SHATTER_CAP,
 ) -> VcDimResult:
     """Largest set size <= max_d for which some candidate point set is
     shattered. Failure to find a shattered set is a lower-bound failure, not
     a proof, except where shattering checks are exact and the class geometry
     makes candidates exhaustive (the combinatorial baselines)."""
-    if max_d > cap:
-        raise CapExceededError(f"max_d {max_d} exceeds shattering cap {cap}")
+    if max_d > SHATTER_CAP:
+        raise CapExceededError(f"max_d {max_d} exceeds shattering cap {SHATTER_CAP}")
     rng = np.random.default_rng(seed)
     best = 0
     for size in range(1, max_d + 1):
+        # once the closed-form growth falls below 2^size no set of this size
+        # is shattered, nor any larger one (growth at most doubles per point)
+        closed_form = isinstance(cls, (LinearThreshold, UnionOfMPoints))
+        if closed_form and growth_function_oracle(cls, size) < 2**size:
+            break
         for B in _candidate_sets(cls, size, rng, tries):
-            if is_shattered(cls, B, budget=budget, seed=seed, cap=cap):
+            if is_shattered(cls, B, budget=budget, seed=seed):
                 best = size
                 break
     return VcDimResult(value=best, saturated=(best == max_d))
@@ -386,11 +387,7 @@ def growth_samples(
             net = as_network(cls)
             best = 0
             for j in range(draws):
-                if net.input_dim <= 3:
-                    B = random_general_position(n, net.input_dim, rng)
-                else:
-                    pts = rng.uniform(-1.0, 1.0, size=(n, net.input_dim))
-                    B = PointSet(points=tuple(tuple(map(float, p)) for p in pts))
+                B = random_general_position(n, net.input_dim, rng)
                 best = max(best, count_dichotomies_sampled(cls, B, budget, seed=seed + j))
             samples.append(GrowthSample(n=n, count=best, exactness="lower_bound"))
         else:

@@ -8,9 +8,10 @@ Everything here is immutable and pure, so evaluation can be parallelized freely.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -45,37 +46,12 @@ class ActivationSpec:
 
 
 def apply_activation(act: ActivationSpec, t: float) -> float:
-    """Evaluate the activation at t.
+    """Evaluate the activation at t (a 1-element batch).
 
     Outside the restriction interval a clamped activation returns exactly 0.
     The threshold kind breaks the tie at 0 downward: threshold(0) = 0.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"activation input must be finite, got {t}")
-    if act.restriction is not None and act.clamp_outside:
-        a, b = act.restriction
-        if not (a <= t <= b):
-            return 0.0
-    if act.kind == "threshold":
-        return 1.0 if t > 0 else 0.0
-    if act.kind == "logistic":
-        # split to avoid overflow in exp for large |t|
-        if t >= 0:
-            return 1.0 / (1.0 + math.exp(-t))
-        e = math.exp(t)
-        return e / (1.0 + e)
-    if act.kind == "tanh":
-        return math.tanh(t)
-    if act.kind == "relu":
-        return t if t > 0 else 0.0
-    if act.kind == "polynomial":
-        acc = 0.0
-        for c in reversed(act.coefficients):
-            acc = acc * t + c
-        return acc
-    if act.kind == "identity":
-        return t
-    raise AssertionError(act.kind)
+    return float(_apply_activation_batch(act, np.array([t], dtype=float))[0])
 
 
 @dataclass(frozen=True)
@@ -140,21 +116,9 @@ class Hypothesis:
 
 
 def forward(network: NetworkSpec, weights, x) -> float:
-    """Real-valued forward pass; `weights` is a flat sequence in layer order,
-    within each node [w_1..w_fanin, bias]."""
-    values = list(x)
-    pos = 0
-    for i, layer in enumerate(network.layers):
-        fan_in = network.fan_in(i)
-        out = []
-        for act in layer.activations:
-            w = weights[pos : pos + fan_in]
-            bias = weights[pos + fan_in]
-            pos += fan_in + 1
-            pre = sum(wi * vi for wi, vi in zip(w, values)) + bias
-            out.append(apply_activation(act, pre))
-        values = out
-    return values[0]
+    """Real-valued forward pass at one point (a 1x1 batch); `weights` is a
+    flat sequence in layer order, within each node [w_1..w_fanin, bias]."""
+    return float(forward_batch(network, [weights], [x])[0, 0])
 
 
 def evaluate(h: Hypothesis, x) -> int:
@@ -167,9 +131,10 @@ def evaluate(h: Hypothesis, x) -> int:
 
 
 def _apply_activation_batch(act: ActivationSpec, t):
-    """Vectorized apply_activation for numpy arrays."""
-    import numpy as np
-
+    """Evaluate the activation elementwise on a float array; raises
+    ValueError if any input is not finite."""
+    if not np.isfinite(t).all():
+        raise ValueError("activation input must be finite")
     if act.kind == "threshold":
         out = (t > 0).astype(float)
     elif act.kind == "logistic":
@@ -202,8 +167,6 @@ def forward_batch(network: NetworkSpec, W, X):
     W: (n_samples, m) weight matrix, X: (n_points, input_dim).
     Returns (n_samples, n_points) real outputs of the single output node.
     """
-    import numpy as np
-
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
     s, m = W.shape

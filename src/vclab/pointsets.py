@@ -73,8 +73,10 @@ def random_general_position(k: int, d: int, rng: np.random.Generator,
     degenerate draws there have probability 0)."""
     for _ in range(max_tries):
         pts = rng.uniform(-1.0, 1.0, size=(k, d))
-        if d > 3 or k <= 1 or in_general_position(pts):
-            return from_array(pts, general_position=(d <= 3))
+        try:
+            return from_array(pts, general_position=d <= 3)
+        except ConfigError:
+            continue
     raise RuntimeError("failed to draw a general-position point set")
 
 
@@ -82,12 +84,3 @@ def simplex_vertices(d: int) -> PointSet:
     """The d+1 vertices of the standard simplex in R^d (origin + unit basis)."""
     pts = np.vstack([np.zeros(d), np.eye(d)])
     return from_array(pts)
-
-
-def grid_points(k: int, d: int) -> PointSet:
-    """First k points of an integer grid in R^d (not in general position for
-    d >= 2 in general; useful as a structured shattering candidate)."""
-    side = int(np.ceil(k ** (1.0 / d)))
-    coords = itertools.product(range(side), repeat=d)
-    pts = [tuple(float(c) for c in p) for p in itertools.islice(coords, k)]
-    return PointSet(points=tuple(pts))

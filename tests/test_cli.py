@@ -72,6 +72,16 @@ class TestGrowthCommand:
         rc = main(["growth", "--class", LTF2_JSON, "--n", "25", "--method", "exact"])
         assert rc == 3
 
+    def test_sampled_on_union_exits_2(self, capsys):
+        rc = main(["growth", "--class", UNION2_JSON, "--n", "4", "--method", "sampled"])
+        assert rc == 2
+        assert "union_of_points_m2" in capsys.readouterr().err
+
+    def test_oracle_on_network_exits_2(self, capsys):
+        rc = main(["growth", "--class", NET_JSON, "--n", "4", "--method", "oracle"])
+        assert rc == 2
+        assert "baseline" in capsys.readouterr().err
+
 
 class TestVcdimCommand:
     def test_ltf(self, tmp_path):
