@@ -14,18 +14,17 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """C caps the trace-set growth (|A| <= C * k^m), C_prime = 2C absorbs the
-    2^m factor at the default, and C_hat is the outer multiplicative constant
-    of the closed-form tighter bound. C_hat is not derivable from first
-    principles here; the default is chosen so the back-verification
-    invariant holds on the standard test grid."""
+    """C_prime = 2C absorbs the 2^m factor, where C caps the trace-set growth
+    (|A| <= C * k^m; C = 1 at the default), and C_hat is the outer
+    multiplicative constant of the closed-form tighter bound. C_hat is not
+    derivable from first principles here; the default is chosen so the
+    back-verification invariant holds on the standard test grid."""
 
-    C: float = 1.0
     C_prime: float = 2.0
     C_hat: float = 64.0
 
     def __post_init__(self):
-        if self.C <= 0 or self.C_prime <= 0 or self.C_hat <= 0:
+        if self.C_prime <= 0 or self.C_hat <= 0:
             raise ValueError("constants must be positive")
 
 
@@ -84,6 +83,21 @@ def k_elementary(q: BoundQuery) -> int:
     return math.ceil(a * math.log(a))
 
 
+def _least_k(ok, lo: int) -> int:
+    """Least k > lo with ok(k), given not ok(lo) and ok monotone above lo:
+    double until ok holds, then bisect."""
+    hi = 2 * lo
+    while not ok(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def solve_k_log_inequality(a: float, b: float) -> tuple[int, int]:
     """Minimal integer k on the increasing branch with k >= a*ln(k) + b,
     plus a closed-form sufficient k for cross-checking (solver <= closed form).
@@ -104,17 +118,7 @@ def solve_k_log_inequality(a: float, b: float) -> tuple[int, int]:
         while k_min > 1 and ok(k_min - 1):
             k_min -= 1
     else:
-        hi = lo
-        while not ok(hi):
-            hi *= 2
-        # invariant: not ok(lo), ok(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        k_min = hi
+        k_min = _least_k(ok, lo)
 
     if a >= 1.0:
         sufficient = math.ceil(4.0 * a * math.log(2.0 * a) + 2.0 * b)
@@ -181,19 +185,7 @@ def solve_k_rademacher(q: BoundQuery) -> int:
     def ok(k: int) -> bool:
         return deviation_bound_rademacher(k, q.m, q.delta, q.constants) <= q.eps
 
-    hi = 2
-    while not ok(hi):
-        hi *= 2
-    if hi == 2:
-        return 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return 2 if ok(2) else _least_k(ok, 2)
 
 
 def solve_k_elementary(q: BoundQuery) -> int:

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import bounds as bnd
 from . import dichotomy as dch
 from . import ucheck as uc
-from .errors import CapExceededError, ConfigError
+from .errors import CapExceededError, ConfigError, IndeterminateLabelingError
 from .hypotheses import load_class_spec
 
 DEFAULT_SEED = 1729
@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_CAP = 3
 EXIT_IO = 4
+EXIT_INDETERMINATE = 5
 
 GROWTH_COLUMNS = ["n", "count", "exactness", "seed", "class_id"]
 BOUNDS_COLUMNS = [
@@ -148,20 +149,18 @@ def _ints(text: str) -> list[int]:
 
 
 # --------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (columns, rows); main prints and writes them
 # --------------------------------------------------------------------------
 
 
-def cmd_bounds(args) -> int:
-    constants = bnd.BoundConstants(C=args.c, C_prime=args.c_prime, C_hat=args.c_hat)
-    rows = bounds_rows(_ints(args.m), _floats(args.eps), _floats(args.delta), constants)
-    _print_table(BOUNDS_COLUMNS, rows)
-    if args.output:
-        write_csv(args.output, BOUNDS_COLUMNS, rows)
-    return EXIT_OK
+def cmd_bounds(args):
+    constants = bnd.BoundConstants(C_prime=args.c_prime, C_hat=args.c_hat)
+    return BOUNDS_COLUMNS, bounds_rows(
+        _ints(args.m), _floats(args.eps), _floats(args.delta), constants
+    )
 
 
-def cmd_growth(args) -> int:
+def cmd_growth(args):
     cls = load_class_spec(args.class_spec)
     estimate = dch.growth_samples(
         cls,
@@ -171,24 +170,16 @@ def cmd_growth(args) -> int:
         budget=args.budget,
         seed=args.seed,
     )
-    rows = growth_rows(estimate)
-    _print_table(GROWTH_COLUMNS, rows)
-    if args.output:
-        write_csv(args.output, GROWTH_COLUMNS, rows)
-    return EXIT_OK
+    return GROWTH_COLUMNS, growth_rows(estimate)
 
 
-def cmd_vcdim(args) -> int:
+def cmd_vcdim(args):
     cls = load_class_spec(args.class_spec)
     result = dch.vc_dim_bruteforce(
         cls, max_d=args.max_d, seed=args.seed, tries=args.tries, budget=args.budget
     )
     columns = ["class_id", "vc_dim", "saturated", "seed"]
-    rows = [[dch.class_id(cls), result.value, int(result.saturated), args.seed]]
-    _print_table(columns, rows)
-    if args.output:
-        write_csv(args.output, columns, rows)
-    return EXIT_OK
+    return columns, [[dch.class_id(cls), result.value, int(result.saturated), args.seed]]
 
 
 def read_growth_csv(path) -> dch.GrowthEstimate:
@@ -215,18 +206,14 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
     )
 
 
-def cmd_density(args) -> int:
+def cmd_density(args):
     estimate = read_growth_csv(args.input)
     policy = dch.FitPolicy(upper_fraction=args.fit_fraction)
     density = dch.estimate_vc_density(estimate, policy)
-    rows = [density_row(estimate.class_id, density)]
-    _print_table(DENSITY_COLUMNS, rows)
-    if args.output:
-        write_csv(args.output, DENSITY_COLUMNS, rows)
-    return EXIT_OK
+    return DENSITY_COLUMNS, [density_row(estimate.class_id, density)]
 
 
-def cmd_ucheck(args) -> int:
+def cmd_ucheck(args):
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
     if args.k is not None:
@@ -239,11 +226,7 @@ def cmd_ucheck(args) -> int:
         cls, dist, eps=args.eps, k=k, trials=args.trials, seed=args.seed,
         budget=args.budget,
     )
-    rows = [uc_row(result, args.eps, args.delta)]
-    _print_table(UC_COLUMNS, rows)
-    if args.output:
-        write_csv(args.output, UC_COLUMNS, rows)
-    return EXIT_OK
+    return UC_COLUMNS, [uc_row(result, args.eps, args.delta)]
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="weight count(s), comma separated")
     p.add_argument("--eps", required=True, help="accuracy value(s), comma separated")
     p.add_argument("--delta", required=True, help="confidence value(s), comma separated")
-    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--c-prime", type=float, default=2.0)
     p.add_argument("--c-hat", type=float, default=64.0)
     p.add_argument("--output")
@@ -313,7 +295,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        columns, rows = args.func(args)
+        _print_table(columns, rows)
+        if args.output:
+            write_csv(args.output, columns, rows)
     except (ConfigError, ValueError) as e:
         print(f"vclab: invalid configuration: {e}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -323,6 +308,10 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"vclab: I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except IndeterminateLabelingError as e:
+        print(f"vclab: {e}", file=sys.stderr)
+        return EXIT_INDETERMINATE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ EXACT_LTF_POINT_CAP = 20
 EXACT_LTF_DIM_CAP = 4
 SHATTER_CAP = 16
 TRACE_CAP = 200000
+FIT_MIN_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -51,16 +52,13 @@ class Trace:
 def trace(h, B: PointSet) -> Trace:
     """Trace of a hypothesis on B: bit i = h(B[i]).
 
-    `h` may be a Hypothesis, a (baseline_class, parameter) pair, or a
-    callable point -> bit.
+    `h` may be a Hypothesis or a (baseline_class, parameter) pair.
     """
     if isinstance(h, Hypothesis):
         bits = tuple(evaluate(h, p) for p in B.points)
     elif isinstance(h, tuple) and len(h) == 2 and isinstance(h[0], BaselineClass):
         cls, param = h
         bits = tuple(baseline_membership(cls, param, p) for p in B.points)
-    elif callable(h):
-        bits = tuple(int(h(p)) for p in B.points)
     else:
         raise TypeError(f"cannot trace {h!r}")
     return Trace(bits=bits)
@@ -191,12 +189,10 @@ def growth_function_oracle(c: BaselineClass, n: int):
     if n < 0:
         raise ValueError("n must be >= 0")
     if isinstance(c, UnionOfMPoints):
-        return sum(math.comb(n, i) for i in range(min(c.capacity, n) + 1))
+        return sauer_shelah_cap(c.capacity, n)
     if isinstance(c, LinearThreshold):
-        if n <= c.dim + 1:
-            return 2**n
-        # Cover's count for n points in general position in R^d
-        return 2 * sum(math.comb(n - 1, i) for i in range(c.dim + 1))
+        # Cover's count for n points in general position in R^d (2^n for n <= d+1)
+        return 2 * sauer_shelah_cap(c.dim, n - 1) if n else 1
     if isinstance(c, ExplicitFinite):
         if n >= len(c.domain):
             return len(set(c.traces))
@@ -360,38 +356,39 @@ def growth_samples(
 ) -> GrowthEstimate:
     """Growth-function samples for a class over the given set sizes.
 
-    Per set size the count is maximized over several random point-set draws,
-    mirroring the max over configurations in the growth function's
-    definition. Methods: 'oracle' (closed form, baselines), 'exact' (LP
-    enumeration, LinearThreshold, small n), 'sampled' (weight sampling,
-    lower bounds). 'auto' picks oracle for baselines, sampled for networks.
+    Methods: 'oracle' (closed form, baselines), 'exact' (LP enumeration,
+    LinearThreshold, small n), 'sampled' (weight sampling, lower bounds).
+    'auto' picks oracle for baselines, sampled for networks.
+
+    'exact' and 'sampled' take the largest trace count over `draws` random
+    point sets per size, mirroring the max over configurations in the growth
+    function's definition, and tag it with trace_set's exactness. 'exact' is
+    exact because Cover's count is the same for every set in general
+    position: draws are checked for d <= 3 and are in general position
+    almost surely for d = 4.
     """
     if method == "auto":
         method = "sampled" if isinstance(cls, NetworkSpec) else "oracle"
-    samples = []
-    rng = np.random.default_rng(seed)
-    for n in sorted(set(int(n) for n in n_values)):
-        if method == "oracle":
-            samples.append(
-                GrowthSample(n=n, count=growth_function_oracle(cls, n), exactness="exact")
-            )
-        elif method == "exact":
-            if not isinstance(cls, LinearThreshold):
-                raise ConfigError("exact growth counting is only available for linear_threshold")
-            best = 0
-            for _ in range(draws):
-                B = random_general_position(n, cls.dim, rng)
-                best = max(best, count_dichotomies_exact_ltf(B))
-            samples.append(GrowthSample(n=n, count=best, exactness="exact"))
-        elif method == "sampled":
-            net = as_network(cls)
-            best = 0
+    ns = sorted(set(int(n) for n in n_values))
+    if method == "oracle":
+        samples = [GrowthSample(n, growth_function_oracle(cls, n), "exact") for n in ns]
+    elif method in ("exact", "sampled"):
+        if method == "exact" and not isinstance(cls, LinearThreshold):
+            raise ConfigError("exact growth counting is only available for linear_threshold")
+        net = as_network(cls)
+        view = cls if method == "exact" else net
+        rng = np.random.default_rng(seed)
+        samples = []
+        for n in ns:
+            best, exact = 0, True
             for j in range(draws):
                 B = random_general_position(n, net.input_dim, rng)
-                best = max(best, count_dichotomies_sampled(cls, B, budget, seed=seed + j))
-            samples.append(GrowthSample(n=n, count=best, exactness="lower_bound"))
-        else:
-            raise ConfigError(f"unknown growth method {method!r}")
+                rows, exact = trace_set(view, B, budget, seed + j)
+                best = max(best, len(rows))
+            tag = "exact" if exact else "lower_bound"
+            samples.append(GrowthSample(n=n, count=best, exactness=tag))
+    else:
+        raise ConfigError(f"unknown growth method {method!r}")
     return GrowthEstimate(
         samples=tuple(samples), class_id=class_id(cls), policy=method, seed=seed
     )
@@ -400,10 +397,9 @@ def growth_samples(
 @dataclass(frozen=True)
 class FitPolicy:
     """log-log fit policy: use the `upper_fraction` largest n values, never
-    fewer than `min_points` (lower-order terms pollute small n)."""
+    fewer than FIT_MIN_POINTS (lower-order terms pollute small n)."""
 
     upper_fraction: float = 0.5
-    min_points: int = 3
 
 
 def estimate_vc_density(g: GrowthEstimate, policy: FitPolicy = FitPolicy()) -> DensityEstimate:
@@ -415,7 +411,7 @@ def estimate_vc_density(g: GrowthEstimate, policy: FitPolicy = FitPolicy()) -> D
     ns = [s.n for s in samples]
     if max(ns) < 4 * min(ns):
         raise ValueError("set sizes must span at least a factor of 4")
-    take = max(policy.min_points, math.ceil(len(samples) * policy.upper_fraction))
+    take = max(FIT_MIN_POINTS, math.ceil(len(samples) * policy.upper_fraction))
     fit = samples[-take:]
     x = np.log([s.n for s in fit])
     y = np.log([float(s.count) for s in fit])

@@ -290,6 +290,13 @@ def _parse_activation(obj) -> ActivationSpec:
     )
 
 
+def _field(obj: dict, key: str, where: str):
+    """obj[key], or a ConfigError naming the missing field."""
+    if key not in obj:
+        raise ConfigError(f"{where} missing field {key!r}")
+    return obj[key]
+
+
 def parse_class_spec(doc: dict):
     """Parse an already-loaded JSON document into a NetworkSpec or baseline."""
     if doc.get("schema_version") != SCHEMA_VERSION:
@@ -301,21 +308,20 @@ def parse_class_spec(doc: dict):
         net = doc.get("network")
         if not isinstance(net, dict):
             raise ConfigError("missing 'network' object")
-        try:
-            input_dim = int(net["input_dim"])
-            raw_layers = net["layers"]
-        except KeyError as e:
-            raise ConfigError(f"network spec missing field {e.args[0]!r}") from None
+        input_dim = int(_field(net, "input_dim", "network spec"))
+        raw_layers = _field(net, "layers", "network spec")
         layers = []
         prev = input_dim
-        for entry in raw_layers:
+        for i, entry in enumerate(raw_layers):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"network layers[{i}] must be an object, got {entry!r}")
             width = int(entry.get("width", 1))
             fan_in = int(entry.get("fan_in", prev))
             if fan_in != prev:
                 raise ConfigError(
                     f"layer fan_in {fan_in} != previous layer width {prev}"
                 )
-            act = _parse_activation(entry["activation"])
+            act = _parse_activation(_field(entry, "activation", f"network layers[{i}]"))
             layers.append(LayerSpec(activations=(act,) * width))
             prev = width
         return NetworkSpec(input_dim=input_dim, layers=tuple(layers))
@@ -324,17 +330,18 @@ def parse_class_spec(doc: dict):
         if not isinstance(base, dict):
             raise ConfigError("missing 'baseline' object")
         bkind = base.get("kind")
+        where = f"{bkind} baseline"
         if bkind == "linear_threshold":
-            return LinearThreshold(dim=int(base["dim"]))
+            return LinearThreshold(dim=int(_field(base, "dim", where)))
         if bkind == "union_of_points":
             return UnionOfMPoints(
-                capacity=int(base["capacity"]),
-                domain=tuple(tuple(float(v) for v in p) for p in base["domain"]),
+                capacity=int(_field(base, "capacity", where)),
+                domain=tuple(tuple(float(v) for v in p) for p in _field(base, "domain", where)),
             )
         if bkind == "explicit_finite":
             return ExplicitFinite(
-                domain=tuple(tuple(float(v) for v in p) for p in base["domain"]),
-                traces=tuple(tuple(int(b) for b in t) for t in base["traces"]),
+                domain=tuple(tuple(float(v) for v in p) for p in _field(base, "domain", where)),
+                traces=tuple(tuple(int(b) for b in t) for t in _field(base, "traces", where)),
             )
         raise ConfigError(f"unknown baseline kind {bkind!r}")
     raise ConfigError(f"unknown class spec kind {kind!r}")

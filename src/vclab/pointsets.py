@@ -11,20 +11,23 @@ from .errors import ConfigError
 
 # affine-dependence determinant tolerance; points drawn from O(1)-sized boxes
 _GP_TOL = 1e-9
+# draws random_general_position makes before giving up
+_GP_MAX_TRIES = 200
 
 
 def in_general_position(points: np.ndarray) -> bool:
-    """True if no d+1 of the points are affinely dependent (checked by
-    determinant tests; supported for dimension d <= 3)."""
+    """True if the points are affinely independent: no d+1 of them are
+    affinely dependent (determinant tests), and k <= d points span a
+    (k-1)-dimensional volume above tolerance (Gram determinant). Supported
+    for dimension d <= 3."""
     pts = np.asarray(points, dtype=float)
     k, d = pts.shape
     if d > 3:
         raise ConfigError("general-position check only implemented for d <= 3")
-    if k <= d + 1:
-        subsets = [tuple(range(k))] if k == d + 1 else []
-    else:
-        subsets = itertools.combinations(range(k), d + 1)
-    for idx in subsets:
+    if k <= d:
+        M = pts[1:] - pts[:1]
+        return bool(np.sqrt(max(np.linalg.det(M @ M.T), 0.0)) > _GP_TOL)
+    for idx in itertools.combinations(range(k), d + 1):
         sub = pts[list(idx)]
         mat = sub[1:] - sub[0]
         if abs(np.linalg.det(mat)) <= _GP_TOL:
@@ -66,12 +69,11 @@ def from_array(arr, general_position: bool = False) -> PointSet:
     return PointSet(points=pts, general_position=general_position)
 
 
-def random_general_position(k: int, d: int, rng: np.random.Generator,
-                            max_tries: int = 200) -> PointSet:
+def random_general_position(k: int, d: int, rng: np.random.Generator) -> PointSet:
     """Draw k points uniformly from [-1, 1]^d, retrying until the
     general-position check passes (for d <= 3; higher d is accepted as-is,
     degenerate draws there have probability 0)."""
-    for _ in range(max_tries):
+    for _ in range(_GP_MAX_TRIES):
         pts = rng.uniform(-1.0, 1.0, size=(k, d))
         try:
             return from_array(pts, general_position=d <= 3)

@@ -87,12 +87,12 @@ def enumerate_support_traces(cls, support: PointSet, budget: int = 20000, seed: 
     return np.unpackbits(rows, axis=1, count=len(support)), EXACT if exact else SAMPLED
 
 
-def _deviations(trace_matrix, D: DiscreteDistribution, counts, k: int):
-    """|L_D - L_S| for every trace, from per-point sample counts."""
-    y = np.array(D.true_labels, dtype=np.int8)
-    p = np.array(D.probabilities, dtype=float)
-    errs = (trace_matrix != y).astype(float)  # (R, s)
-    return np.abs(errs @ (p - counts / k))
+def _error_matrix(cls, D: DiscreteDistribution, budget: int, seed: int):
+    """(R, |support|) float matrix, 1 where a trace misclassifies a support
+    point, plus the method tag. |L_D - L_S| of every trace is then
+    |errs @ (p - counts / k)| for per-point sample counts."""
+    T, method = enumerate_support_traces(cls, D.support, budget=budget, seed=seed)
+    return (T != np.array(D.true_labels, dtype=np.int8)).astype(float), method
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,11 @@ def sup_deviation_exact(
     S = list(S)
     if not S:
         raise ValueError("sample must be nonempty")
-    T, method = enumerate_support_traces(cls, D.support, budget=budget, seed=seed)
+    errs, method = _error_matrix(cls, D, budget, seed)
+    p = np.array(D.probabilities, dtype=float)
     counts = np.bincount(np.asarray(S, dtype=int), minlength=len(D.support)).astype(float)
-    devs = _deviations(T, D, counts, len(S))
-    return SupDeviation(value=float(devs.max()), method=method)
+    value = float(np.abs(errs @ (p - counts / len(S))).max())
+    return SupDeviation(value=value, method=method)
 
 
 def run_uc_experiment(
@@ -133,14 +134,14 @@ def run_uc_experiment(
     fixed seed."""
     if trials < 1 or k < 1:
         raise ValueError("trials and k must be >= 1")
-    T, method = enumerate_support_traces(cls, D.support, budget=budget, seed=seed)
+    errs, method = _error_matrix(cls, D, budget, seed)
     p = np.array(D.probabilities, dtype=float)
     rng = np.random.default_rng(seed)
     failures = 0
     sup_sum = 0.0
     for _ in range(trials):
         counts = rng.multinomial(k, p).astype(float)
-        sup = float(_deviations(T, D, counts, k).max())
+        sup = float(np.abs(errs @ (p - counts / k)).max())
         sup_sum += sup
         if sup > eps:
             failures += 1

@@ -40,6 +40,14 @@ class TestBoundsCommand:
         assert rc == 2
         assert "eps" in capsys.readouterr().err
 
+    def test_output_under_regular_file_exits_4(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["bounds", "--m", "1", "--eps", "0.1", "--delta", "0.1",
+                   "--output", str(blocker / "bounds.csv")])
+        assert rc == 4
+        assert "I/O error" in capsys.readouterr().err
+
 
 class TestGrowthCommand:
     def test_exact_ltf_row(self, tmp_path):
@@ -67,6 +75,26 @@ class TestGrowthCommand:
         rc = main(["growth", "--class", str(bad), "--n", "4"])
         assert rc == 2
         assert "layers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "network", "network": {"input_dim": 1, "layers": [1]}}, "layers[0]"),
+        ({"kind": "network", "network": {"input_dim": 1, "layers": [{"width": 1}]}},
+         "'activation'"),
+        ({"kind": "baseline", "baseline": {"kind": "linear_threshold"}}, "'dim'"),
+        ({"kind": "baseline", "baseline": {"kind": "union_of_points", "domain": [[0.0]]}},
+         "'capacity'"),
+        ({"kind": "baseline", "baseline": {"kind": "union_of_points", "capacity": 1}},
+         "'domain'"),
+        ({"kind": "baseline", "baseline": {"kind": "explicit_finite", "domain": [[0.0]]}},
+         "'traces'"),
+    ])
+    def test_malformed_class_spec_exits_2(self, tmp_path, capsys, spec, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, **spec}))
+        rc = main(["growth", "--class", str(bad), "--n", "4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vclab: invalid configuration") and field in err
 
     def test_cap_exceeded_exits_3(self):
         rc = main(["growth", "--class", LTF2_JSON, "--n", "25", "--method", "exact"])
@@ -128,6 +156,21 @@ class TestUcheckCommand:
         assert rows[0] == ["k", "eps", "delta_target", "trials", "failures",
                            "empirical_rate", "sup_method", "seed"]
         assert rows[1][6] == "exact_trace_enumeration"
+
+    def test_indeterminate_labeling_exits_5(self, tmp_path, capsys):
+        # the unit square scaled by 1e-8: every margin lands in the gray zone
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps({
+            "schema_version": 1,
+            "support": [[0.0, 0.0], [1e-8, 0.0], [0.0, 1e-8], [1e-8, 1e-8]],
+            "probabilities": [0.25] * 4,
+            "labels": [0, 1, 1, 0],
+        }))
+        rc = main(["ucheck", "--class", LTF2_JSON, "--dist", str(tiny),
+                   "--eps", "0.1", "--delta", "0.1", "--k", "10", "--trials", "1"])
+        assert rc == 5
+        err = capsys.readouterr().err
+        assert "indeterminate" in err and err.count("\n") == 1
 
     def test_missing_k_and_m_exits_2(self):
         rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON,

@@ -152,6 +152,21 @@ class TestGrowthOracle:
                 gp(n, 2, seed=100 + n)
             )
 
+    def test_ltf_is_covers_count(self):
+        for d in range(1, 5):
+            c = LinearThreshold(dim=d)
+            assert growth_function_oracle(c, 0) == 1
+            for n in range(1, d + 2):
+                assert growth_function_oracle(c, n) == 2**n
+            for n in range(1, 16):
+                cover = 2 * sum(math.comb(n - 1, i) for i in range(d + 1))
+                assert growth_function_oracle(c, n) == cover
+
+    def test_union_is_sauer_shelah_cap(self):
+        for m in range(5):
+            for n in range(12):
+                assert growth_function_oracle(union(m), n) == sauer_shelah_cap(m, n)
+
     def test_explicit_finite_exhaustive(self):
         c = ExplicitFinite(
             domain=((0.0,), (1.0,), (2.0,)),

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from vclab import pointsets
-from vclab.pointsets import random_general_position
+from vclab.errors import ConfigError
+from vclab.pointsets import PointSet, in_general_position, random_general_position
 
 
 class CountingRng:
@@ -43,3 +45,14 @@ def test_high_dimension_accepted_unchecked(monkeypatch):
     expected = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 5))
     assert np.array_equal(B.as_array(), expected)
     assert not B.general_position
+
+
+def test_affinely_dependent_small_sets_rejected():
+    # k <= d points: a collinear triple in R^3, two points 1e-12 apart in R^2
+    collinear = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+    assert not in_general_position(collinear)
+    assert not in_general_position(np.array([[0.0, 0.0], [1e-12, 0.0]]))
+    with pytest.raises(ConfigError):
+        PointSet(points=tuple(map(tuple, collinear)), general_position=True)
+    assert in_general_position(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert in_general_position(np.array([[0.5, -0.5]]))
