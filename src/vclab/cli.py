@@ -18,7 +18,7 @@ from pathlib import Path
 from . import bounds as bnd
 from . import dichotomy as dch
 from . import ucheck as uc
-from .errors import CapExceededError, ConfigError, IndeterminateLabelingError
+from .errors import CapExceededError, ConfigError
 from .hypotheses import load_class_spec
 
 DEFAULT_SEED = 1729
@@ -27,7 +27,6 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_CAP = 3
 EXIT_IO = 4
-EXIT_INDETERMINATE = 5
 
 GROWTH_COLUMNS = ["n", "count", "exactness", "seed", "class_id"]
 BOUNDS_COLUMNS = [
@@ -308,9 +307,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"vclab: I/O error: {e}", file=sys.stderr)
         return EXIT_IO
-    except IndeterminateLabelingError as e:
-        print(f"vclab: {e}", file=sys.stderr)
-        return EXIT_INDETERMINATE
     return EXIT_OK
 
 

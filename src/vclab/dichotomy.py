@@ -1,9 +1,10 @@
 """Traces, dichotomy counting, shattering, brute-force VC-dimension, and
 VC-density estimation.
 
-Exact counting is provided for the linear-threshold class (margin LP over all
-labelings) and for the combinatorial baselines (closed forms). For nonlinear
-networks counts come from weight sampling and are certified lower bounds.
+Exact counting is provided for the linear-threshold class (cells of the
+hyperplane arrangement, with exact integer signs) and for the combinatorial
+baselines (closed forms). For nonlinear networks counts come from weight
+sampling and are certified lower bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .hypotheses import (
 )
 from .pointsets import PointSet, random_general_position, simplex_vertices
 
-# exact LTF enumeration solves 2^(n-1) margin LPs, so n and d are capped
+# exact LTF enumeration visits the C(n, d) hyperplanes through d of the
+# points and yields up to 2 * sum_{i<=d} C(n-1, i) traces, so n and d are capped
 EXACT_LTF_POINT_CAP = 20
 EXACT_LTF_DIM_CAP = 4
 SHATTER_CAP = 16
@@ -93,9 +95,9 @@ def trace_set(
     """Distinct traces of the class on B, as sorted np.packbits rows (unpack
     with count=len(B)), and whether the set is exact.
 
-    Exact for the baselines: LTF traces by margin LP, union-of-points traces
-    as the subsets of B's in-domain points, explicit-finite traces by
-    projection. For networks the set comes from weight sampling and is a
+    Exact for the baselines: LTF traces from the hyperplane arrangement
+    (linsep.enumerate_ltf_traces), union-of-points traces as the subsets of
+    B's in-domain points, explicit-finite traces by projection. For networks the set comes from weight sampling and is a
     subset of the true trace set (exact=False).
     """
     k = len(B)
@@ -132,8 +134,8 @@ def trace_set(
 
 
 def count_dichotomies_exact_ltf(B: PointSet) -> int:
-    """Exact number of affine-threshold dichotomies of B, by testing every
-    labeling with the maximum-margin LP."""
+    """Exact number of affine-threshold dichotomies of B: the cells of its
+    hyperplane arrangement, found with exact integer determinants."""
     return len(trace_set(LinearThreshold(dim=B.dim or 1), B)[0])
 
 
@@ -356,16 +358,17 @@ def growth_samples(
 ) -> GrowthEstimate:
     """Growth-function samples for a class over the given set sizes.
 
-    Methods: 'oracle' (closed form, baselines), 'exact' (LP enumeration,
-    LinearThreshold, small n), 'sampled' (weight sampling, lower bounds).
-    'auto' picks oracle for baselines, sampled for networks.
+    Methods: 'oracle' (closed form, baselines), 'exact' (hyperplane
+    arrangement enumeration, LinearThreshold, small n), 'sampled' (weight
+    sampling, lower bounds). 'auto' picks oracle for baselines, sampled for
+    networks.
 
     'exact' and 'sampled' take the largest trace count over `draws` random
     point sets per size, mirroring the max over configurations in the growth
     function's definition, and tag it with trace_set's exactness. 'exact' is
-    exact because Cover's count is the same for every set in general
-    position: draws are checked for d <= 3 and are in general position
-    almost surely for d = 4.
+    exact: each draw's count is exact, and Cover's count, the most any n
+    points have, is reached by every set in general position; draws are
+    checked for d <= 3 and are in general position almost surely for d = 4.
     """
     if method == "auto":
         method = "sampled" if isinstance(cls, NetworkSpec) else "oracle"
@@ -409,6 +412,8 @@ def estimate_vc_density(g: GrowthEstimate, policy: FitPolicy = FitPolicy()) -> D
     if len(samples) < 3:
         raise ValueError("need at least 3 growth samples")
     ns = [s.n for s in samples]
+    if ns[0] < 1:
+        raise ValueError(f"growth samples need n >= 1 (log n), got n = {ns[0]}")
     if max(ns) < 4 * min(ns):
         raise ValueError("set sizes must span at least a factor of 4")
     take = max(FIT_MIN_POINTS, math.ceil(len(samples) * policy.upper_fraction))

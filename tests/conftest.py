@@ -1,8 +1,10 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from vclab.linsep import is_realizable
 from vclab.pointsets import PointSet
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -23,6 +25,14 @@ GP6 = PointSet(
     ),
     general_position=True,
 )
+
+
+def lp_ltf_traces(points) -> list[tuple[int, ...]]:
+    """Sorted LTF traces of `points` by the margin LP, one solve for each of
+    the 2^n labelings: the reference for the arrangement enumeration."""
+    pts = np.asarray(points, dtype=float)
+    labelings = itertools.product((0, 1), repeat=pts.shape[0])
+    return [lab for lab in labelings if is_realizable(pts, lab)]
 
 
 @pytest.fixture

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import vclab
 from conftest import CONFIG_DIR
 from vclab.cli import emit_plot_data, main, read_growth_csv
 
@@ -139,6 +145,20 @@ class TestDensityPipeline:
         assert [s.n for s in est.samples] == [8, 16, 32]
         assert est.class_id == "union_of_points_m2"
 
+    def test_n0_row_exits_2_without_warnings(self, tmp_path, capfd):
+        growth = tmp_path / "growth.csv"
+        assert main(["growth", "--class", UNION2_JSON, "--n", "0,16,32,64",
+                     "--method", "oracle", "--output", str(growth)]) == 0
+        capfd.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["density", "--input", str(growth), "--fit-fraction", "0.9"])
+        assert rc == 2
+        captured = capfd.readouterr()
+        assert captured.err == (
+            "vclab: invalid configuration: growth samples need n >= 1 (log n), got n = 0\n"
+        )
+
     def test_bad_columns_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -157,20 +177,38 @@ class TestUcheckCommand:
                            "empirical_rate", "sup_method", "seed"]
         assert rows[1][6] == "exact_trace_enumeration"
 
-    def test_indeterminate_labeling_exits_5(self, tmp_path, capsys):
-        # the unit square scaled by 1e-8: every margin lands in the gray zone
-        tiny = tmp_path / "tiny.json"
-        tiny.write_text(json.dumps({
+    def test_tiny_scale_support_matches_unit_scale(self, tmp_path):
+        # the unit square scaled by 1e-8: exact trace enumeration has no
+        # margin tolerance, so the run matches the unit-scale square
+        outputs = []
+        for scale in (1e-8, 1.0):
+            dist = tmp_path / f"square_{scale}.json"
+            dist.write_text(json.dumps({
+                "schema_version": 1,
+                "support": [[0.0, 0.0], [scale, 0.0], [0.0, scale], [scale, scale]],
+                "probabilities": [0.25] * 4,
+                "labels": [0, 1, 1, 0],
+            }))
+            out = tmp_path / f"uc_{scale}.csv"
+            rc = main(["ucheck", "--class", LTF2_JSON, "--dist", str(dist),
+                       "--eps", "0.1", "--delta", "0.1", "--k", "10", "--trials", "1",
+                       "--output", str(out)])
+            assert rc == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_nonfinite_support_exits_2(self, tmp_path, capsys):
+        dist = tmp_path / "inf.json"
+        dist.write_text(json.dumps({
             "schema_version": 1,
-            "support": [[0.0, 0.0], [1e-8, 0.0], [0.0, 1e-8], [1e-8, 1e-8]],
-            "probabilities": [0.25] * 4,
-            "labels": [0, 1, 1, 0],
+            "support": [[0.0, 0.0], [float("inf"), 0.0], [0.0, 1.0]],
+            "probabilities": [0.5, 0.25, 0.25],
+            "labels": [0, 1, 1],
         }))
-        rc = main(["ucheck", "--class", LTF2_JSON, "--dist", str(tiny),
+        rc = main(["ucheck", "--class", LTF2_JSON, "--dist", str(dist),
                    "--eps", "0.1", "--delta", "0.1", "--k", "10", "--trials", "1"])
-        assert rc == 5
-        err = capsys.readouterr().err
-        assert "indeterminate" in err and err.count("\n") == 1
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_missing_k_and_m_exits_2(self):
         rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON,
@@ -217,3 +255,13 @@ class TestEmitPlotData:
         emit_plot_data([(ns, counts, "union2")], out)
         rows = read_rows(out)
         assert [int(r[1]) for r in rows[1:]] == counts
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # the margin LP imports scipy.optimize on first use; no CLI path needs it
+    code = "import sys, vclab.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(vclab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"

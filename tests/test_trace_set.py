@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lp_ltf_traces
 from vclab import dichotomy
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import ConfigError
@@ -18,7 +19,6 @@ from vclab.hypotheses import (
     UnionOfMPoints,
     forward_batch,
 )
-from vclab.linsep import enumerate_ltf_traces
 from vclab.pointsets import PointSet, random_general_position
 
 LTF2 = LinearThreshold(dim=2)
@@ -34,7 +34,7 @@ def test_ltf_rows_are_packed_lp_traces_and_cover_count(n, seed):
     B = planar_gp(n, seed)
     rows, exact = trace_set(LTF2, B)
     assert exact
-    expected = np.packbits(np.array(enumerate_ltf_traces(B.as_array()), dtype=bool), axis=1)
+    expected = np.packbits(np.array(lp_ltf_traces(B.as_array()), dtype=bool), axis=1)
     assert np.array_equal(rows, expected)
     cover = 2 * sum(math.comb(n - 1, i) for i in range(3))
     assert len(rows) == min(cover, 2**n)
