@@ -84,9 +84,19 @@ def as_network(cls) -> NetworkSpec:
 # --------------------------------------------------------------------------
 
 
+def _unique_rows(packed: np.ndarray) -> np.ndarray:
+    """np.unique(packed, axis=0) for a uint8 matrix: each row is compared as
+    one opaque byte string (memcmp, the same unsigned lexicographic order)."""
+    w = packed.shape[1]
+    if w == 0:
+        return packed[:1]
+    rows = np.ascontiguousarray(packed).view(f"V{w}").ravel()
+    return np.unique(rows).view(np.uint8).reshape(-1, w)
+
+
 def _packed(bits) -> np.ndarray:
     """Distinct rows of a 0/1 matrix as sorted np.packbits rows."""
-    return np.unique(np.packbits(np.asarray(bits, dtype=bool), axis=1), axis=0)
+    return _unique_rows(np.packbits(np.asarray(bits, dtype=bool), axis=1))
 
 
 def trace_set(
@@ -169,7 +179,7 @@ def sampled_trace_set(
         W = rng.uniform(lo, hi, size=(take, net.weight_count))
         drawn += take
         found.append(_packed(forward_batch(net, W, X) > 0))
-    return np.unique(np.concatenate(found), axis=0)
+    return _unique_rows(np.concatenate(found))
 
 
 def count_dichotomies_sampled(
@@ -407,7 +417,8 @@ class FitPolicy:
 
 def estimate_vc_density(g: GrowthEstimate, policy: FitPolicy = FitPolicy()) -> DensityEstimate:
     """Least-squares slope of log(count) against log(n) (natural logs; the
-    slope is base-invariant)."""
+    slope is base-invariant). Counts that decrease with n and fit a negative
+    slope raise ValueError."""
     samples = sorted(g.samples, key=lambda s: s.n)
     if len(samples) < 3:
         raise ValueError("need at least 3 growth samples")
@@ -421,6 +432,9 @@ def estimate_vc_density(g: GrowthEstimate, policy: FitPolicy = FitPolicy()) -> D
     x = np.log([s.n for s in fit])
     y = np.log([float(s.count) for s in fit])
     slope, intercept = np.polyfit(x, y, 1)
+    # nondecreasing counts fit slope >= 0 (Chebyshev's sum inequality): below 0 is rounding
+    if slope < 0 and any(a.count > b.count for a, b in zip(fit, fit[1:])):
+        raise ValueError(f"fitted VC-density slope {slope:.6g} < 0: growth counts decrease with n")
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return DensityEstimate(
         slope=max(float(slope), 0.0),

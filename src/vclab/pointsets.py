@@ -13,13 +13,16 @@ from .errors import ConfigError
 _GP_TOL = 1e-9
 # draws random_general_position makes before giving up
 _GP_MAX_TRIES = 200
+# subsets per batched determinant call (a few MB of (c, d, d) matrices)
+_GP_CHUNK = 1 << 15
 
 
 def in_general_position(points: np.ndarray) -> bool:
-    """True if the points are affinely independent: no d+1 of them are
-    affinely dependent (determinant tests), and k <= d points span a
-    (k-1)-dimensional volume above tolerance (Gram determinant). Supported
-    for dimension d <= 3."""
+    """True if the points are affinely independent: no d+1 of them have
+    |det(p_1 - p_0, ..., p_d - p_0)| <= _GP_TOL (one batched np.linalg.det
+    call per _GP_CHUNK subsets, bitwise equal to one call per subset), and
+    k <= d points span a (k-1)-dimensional volume above tolerance (Gram
+    determinant). Supported for dimension d <= 3."""
     pts = np.asarray(points, dtype=float)
     k, d = pts.shape
     if d > 3:
@@ -27,10 +30,10 @@ def in_general_position(points: np.ndarray) -> bool:
     if k <= d:
         M = pts[1:] - pts[:1]
         return bool(np.sqrt(max(np.linalg.det(M @ M.T), 0.0)) > _GP_TOL)
-    for idx in itertools.combinations(range(k), d + 1):
-        sub = pts[list(idx)]
-        mat = sub[1:] - sub[0]
-        if abs(np.linalg.det(mat)) <= _GP_TOL:
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), d + 1))
+    while (idx := np.fromiter(itertools.islice(flat, _GP_CHUNK * (d + 1)), np.intp)).size:
+        sub = pts[idx.reshape(-1, d + 1)]
+        if (np.abs(np.linalg.det(sub[:, 1:] - sub[:, :1])) <= _GP_TOL).any():
             return False
     return True
 

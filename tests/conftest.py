@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vclab.linsep import is_realizable
-from vclab.pointsets import PointSet
+from vclab.pointsets import _GP_TOL, PointSet
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,6 +33,27 @@ def lp_ltf_traces(points) -> list[tuple[int, ...]]:
     pts = np.asarray(points, dtype=float)
     labelings = itertools.product((0, 1), repeat=pts.shape[0])
     return [lab for lab in labelings if is_realizable(pts, lab)]
+
+
+def loop_in_general_position(points) -> bool:
+    """General position by one np.linalg.det call per (d+1)-subset: the
+    reference for the batched check in pointsets.in_general_position."""
+    pts = np.asarray(points, dtype=float)
+    k, d = pts.shape
+    if k <= d:
+        M = pts[1:] - pts[:1]
+        return bool(np.sqrt(max(np.linalg.det(M @ M.T), 0.0)) > _GP_TOL)
+    for idx in itertools.combinations(range(k), d + 1):
+        sub = pts[list(idx)]
+        if abs(np.linalg.det(sub[1:] - sub[0])) <= _GP_TOL:
+            return False
+    return True
+
+
+def unique_packed_rows(bits) -> np.ndarray:
+    """Distinct np.packbits rows of a 0/1 matrix by np.unique(axis=0): the
+    reference for the byte-string dedupe in dichotomy._packed."""
+    return np.unique(np.packbits(np.asarray(bits, dtype=bool), axis=1), axis=0)
 
 
 @pytest.fixture

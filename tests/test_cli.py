@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vclab
@@ -158,6 +159,33 @@ class TestDensityPipeline:
         assert captured.err == (
             "vclab: invalid configuration: growth samples need n >= 1 (log n), got n = 0\n"
         )
+
+    @staticmethod
+    def _growth_csv(path, ns, counts):
+        rows = "".join(f"{n},{c},lower_bound,0,network_m4\n" for n, c in zip(ns, counts))
+        path.write_text("n,count,exactness,seed,class_id\n" + rows)
+
+    def test_decreasing_counts_exit_2_naming_the_slope(self, tmp_path, capsys):
+        growth = tmp_path / "growth.csv"
+        self._growth_csv(growth, [8, 16, 32, 64], [40, 30, 20, 10])
+        assert main(["density", "--input", str(growth), "--output",
+                     str(tmp_path / "density.csv")]) == 2
+        # the default policy fits the three largest n
+        slope = np.polyfit(np.log([16, 32, 64]), np.log([30.0, 20.0, 10.0]), 1)[0]
+        assert capsys.readouterr().err == (
+            f"vclab: invalid configuration: fitted VC-density slope {slope:.6g} < 0: "
+            "growth counts decrease with n\n"
+        )
+        assert not (tmp_path / "density.csv").exists()
+
+    def test_flat_counts_fit_slope_zero(self, tmp_path):
+        # equal counts: the least-squares slope may round to -1e-15, which is 0
+        growth = tmp_path / "growth.csv"
+        density = tmp_path / "density.csv"
+        self._growth_csv(growth, [40, 124, 561, 1499], [980737] * 4)
+        assert main(["density", "--input", str(growth), "--fit-fraction", "1.0",
+                     "--output", str(density)]) == 0
+        assert float(read_rows(density)[1][1]) == 0.0
 
     def test_bad_columns_exit_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

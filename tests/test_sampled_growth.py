@@ -1,0 +1,134 @@
+"""The sampled-growth path: batched general-position checks and byte-string
+trace dedupe against their per-item references, and sampled network counts
+against Sauer-Shelah and Cover's count."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import CONFIG_DIR, loop_in_general_position, unique_packed_rows
+from vclab import dichotomy, pointsets
+from vclab.dichotomy import (
+    as_network,
+    count_dichotomies_sampled,
+    growth_function_oracle,
+    sauer_shelah_cap,
+)
+from vclab.hypotheses import LinearThreshold, load_class_spec
+from vclab.pointsets import in_general_position, random_general_position
+
+
+@st.composite
+def bool_matrices(draw):
+    """0/1 matrices of the widths that matter to packing (0, within one
+    byte, byte edges, >= 128 columns), drawn from a small pool of rows so
+    that duplicates are common."""
+    width = draw(st.sampled_from([0, 1, 7, 8, 9, 128, 131]))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    pool = draw(st.lists(row, min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
+    return np.array([pool[i] for i in picks], dtype=bool).reshape(len(picks), width)
+
+
+@given(bits=bool_matrices())
+@example(bits=np.zeros((0, 0), dtype=bool))
+@example(bits=np.zeros((3, 0), dtype=bool))
+@example(bits=np.zeros((0, 9), dtype=bool))
+@example(bits=np.ones((1, 128), dtype=bool))
+@example(bits=np.eye(130, dtype=bool)[[5, 5, 0, 129, 0, 7, 8]])
+@settings(max_examples=200, deadline=None)
+def test_byte_view_dedupe_equals_np_unique_rows(bits):
+    got = dichotomy._packed(bits)
+    want = unique_packed_rows(bits)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+@given(d=st.integers(1, 3), extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_general_position_equals_loop_on_random_sets(d, extra, seed):
+    pts = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(d + 1 + extra, d))
+    assert in_general_position(pts) == loop_in_general_position(pts)
+
+
+@given(d=st.integers(1, 3), extra=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_general_position_equals_loop_on_planted_degenerate_sets(d, extra, seed):
+    # move one point into the affine hull of d others: those d+1 are dependent
+    rng = np.random.default_rng(seed)
+    k = d + 1 + extra
+    pts = rng.uniform(-1.0, 1.0, size=(k, d))
+    base, *span, target = rng.choice(k, size=d + 1, replace=False)
+    pts[target] = pts[base] + sum(rng.uniform(-2, 2) * (pts[j] - pts[base]) for j in span)
+    assert not loop_in_general_position(pts)
+    assert not in_general_position(pts)
+
+
+@given(d=st.integers(1, 3), k=st.integers(2, 9), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_general_position_equals_loop_on_integer_grids(d, k, seed):
+    # small grids: many exactly collinear/coplanar subsets, and k <= d sets
+    pts = np.random.default_rng(seed).integers(-2, 3, size=(k, d)).astype(float)
+    assert in_general_position(pts) == loop_in_general_position(pts)
+
+
+def test_dependent_subset_past_the_first_chunk():
+    # k = 64, d = 2: C(64, 3) = 41664 subsets; the only dependent triple is
+    # the last one, (61, 62, 63)
+    rng = np.random.default_rng(7)
+    pts = random_general_position(63, 2, rng).as_array()
+    pts = np.vstack([pts, pts[61] + 0.37 * (pts[62] - pts[61])])
+    dependent = [
+        idx for idx in itertools.combinations(range(64), 3)
+        if not loop_in_general_position(pts[list(idx)])
+    ]
+    assert dependent == [(61, 62, 63)]
+    assert 41664 - 1 >= pointsets._GP_CHUNK
+    assert not in_general_position(pts)
+    assert in_general_position(pts[:63])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 8])
+def test_small_chunks_give_the_same_decisions(monkeypatch, chunk):
+    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for d in (1, 2, 3):
+        pts = rng.uniform(-1.0, 1.0, size=(d + 5, d))
+        assert in_general_position(pts) == loop_in_general_position(pts)
+        pts[-1] = pts[0]
+        assert not in_general_position(pts)
+
+
+def test_random_general_position_draws_unchanged_by_batching(monkeypatch):
+    drawn = [random_general_position(24, d, np.random.default_rng(d)).as_array()
+             for d in (1, 2, 3)]
+    monkeypatch.setattr(pointsets, "in_general_position", loop_in_general_position)
+    ref = [random_general_position(24, d, np.random.default_rng(d)).as_array()
+           for d in (1, 2, 3)]
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, ref))
+
+
+STOCK_NET = load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json")
+
+
+@given(n=st.integers(1, 128), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_stock_net_sampled_counts_below_sauer_shelah(n, seed):
+    # the stock net realizes half-lines and constants: VC-dimension 2, 2n traces
+    B = random_general_position(n, 1, np.random.default_rng(seed))
+    count = count_dichotomies_sampled(STOCK_NET, B, budget=2000, seed=seed)
+    assert count <= sauer_shelah_cap(2, n)
+    assert count <= 2 * n
+
+
+@given(d=st.integers(1, 3), n=st.integers(1, 40), seed=st.integers(0, 2**16))
+@settings(max_examples=25, deadline=None)
+def test_threshold_unit_sampled_counts_below_cover_count(d, n, seed):
+    cls = LinearThreshold(dim=d)
+    B = random_general_position(n, d, np.random.default_rng(seed))
+    count = count_dichotomies_sampled(as_network(cls), B, budget=2000, seed=seed)
+    assert count <= growth_function_oracle(cls, n)
+    assert count <= sauer_shelah_cap(d + 1, n)
