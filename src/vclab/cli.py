@@ -213,6 +213,12 @@ def cmd_density(args):
 
 
 def cmd_ucheck(args):
+    for flag, value in (("--eps", args.eps), ("--delta", args.delta)):
+        if not 0 < value < 1:
+            raise ConfigError(f"{flag} must be in (0, 1), got {value}")
+    for flag, value in (("--k", args.k), ("--trials", args.trials)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
     if args.k is not None:

@@ -6,6 +6,7 @@ import pytest
 
 from vclab.linsep import is_realizable
 from vclab.pointsets import _GP_TOL, PointSet
+from vclab.ucheck import UCExperimentResult, _error_matrix
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -54,6 +55,31 @@ def unique_packed_rows(bits) -> np.ndarray:
     """Distinct np.packbits rows of a 0/1 matrix by np.unique(axis=0): the
     reference for the byte-string dedupe in dichotomy._packed."""
     return np.unique(np.packbits(np.asarray(bits, dtype=bool), axis=1), axis=0)
+
+
+def loop_run_uc_experiment(cls, D, eps, k, trials, seed, budget=20000) -> UCExperimentResult:
+    """One multinomial draw and one `errs @ v` per trial, summed in a Python
+    float: the reference for the blocked trials of ucheck.run_uc_experiment."""
+    errs, method = _error_matrix(cls, D, budget, seed)
+    p = np.array(D.probabilities, dtype=float)
+    rng = np.random.default_rng(seed)
+    failures = 0
+    sup_sum = 0.0
+    for _ in range(trials):
+        counts = rng.multinomial(k, p).astype(float)
+        sup = float(np.abs(errs @ (p - counts / k)).max())
+        sup_sum += sup
+        if sup > eps:
+            failures += 1
+    return UCExperimentResult(
+        k=k,
+        trials=trials,
+        failures=failures,
+        empirical_rate=failures / trials,
+        seed=seed,
+        sup_method=method,
+        mean_sup_deviation=sup_sum / trials,
+    )
 
 
 @pytest.fixture

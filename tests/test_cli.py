@@ -238,6 +238,54 @@ class TestUcheckCommand:
         assert rc == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("labels", [0, 1, 0.7], "labels must be 0 or 1, got 0.7"),
+        ("probabilities", [float("nan"), 0.5, 0.5],
+         "probabilities must be finite and nonnegative, got nan"),
+        ("labels", 1, "distribution field 'labels' must be a list"),
+    ])
+    def test_bad_distribution_value_exits_2_naming_field(
+        self, tmp_path, capsys, field, value, message
+    ):
+        spec = {"schema_version": 1, "support": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                "probabilities": [0.5, 0.25, 0.25], "labels": [0, 1, 1]}
+        spec[field] = value
+        dist = tmp_path / "bad.json"
+        dist.write_text(json.dumps(spec))
+        rc = main(["ucheck", "--class", LTF2_JSON, "--dist", str(dist),
+                   "--eps", "0.1", "--delta", "0.1", "--k", "10", "--trials", "1"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        (["--eps", "nan", "--delta", "0.1", "--k", "5"], "--eps must be in (0, 1), got nan"),
+        (["--eps", "1", "--delta", "0.1", "--m", "3"], "--eps must be in (0, 1), got 1.0"),
+        (["--eps", "0.1", "--delta", "nan", "--k", "5"], "--delta must be in (0, 1), got nan"),
+        (["--eps", "0.1", "--delta", "0", "--k", "5"], "--delta must be in (0, 1), got 0.0"),
+        (["--eps", "0.1", "--delta", "0.1", "--k", "0"], "--k must be >= 1, got 0"),
+        (["--eps", "0.1", "--delta", "0.1", "--k", "5", "--trials", "0"],
+         "--trials must be >= 1, got 0"),
+    ])
+    def test_bad_argument_exits_2_naming_flag(self, tmp_path, capsys, args, message):
+        out = tmp_path / "uc.csv"
+        rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *args,
+                   "--output", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args,k", [
+        (["--m", "3", "--eps", "1e-9", "--delta", "1e-9"],
+         "1024535639970883483671413247889436049408"),
+        (["--k", "99999999999999999999", "--eps", "0.1", "--delta", "0.1"],
+         "99999999999999999999"),
+    ])
+    def test_k_beyond_sampler_limit_exits_3(self, capsys, args, k):
+        rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON,
+                   "--trials", "1", *args])
+        assert rc == 3
+        assert f"k = {k} exceeds the sampler's limit 2^63 - 1" in capsys.readouterr().err
+
     def test_missing_k_and_m_exits_2(self):
         rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON,
                    "--eps", "0.3", "--delta", "0.2"])

@@ -2,20 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import GP6, GP8
+from conftest import CONFIG_DIR, GP6, GP8, loop_run_uc_experiment
 from vclab.dichotomy import Trace
-from vclab.errors import ConfigError
-from vclab.hypotheses import ExplicitFinite, LinearThreshold, UnionOfMPoints
+from vclab.errors import CapExceededError, ConfigError
+from vclab.hypotheses import ExplicitFinite, LinearThreshold, UnionOfMPoints, load_class_spec
 from vclab.pointsets import PointSet
 from vclab.ucheck import (
+    _BLOCK_ENTRIES,
     EXACT,
+    MAX_K,
     SAMPLED,
     DiscreteDistribution,
+    _error_matrix,
     empirical_loss,
     enumerate_support_traces,
+    load_distribution,
     run_uc_experiment,
     sup_deviation_exact,
     true_loss,
@@ -33,6 +37,13 @@ UNIFORM8 = DiscreteDistribution(
     support=GP8,
     probabilities=(0.125,) * 8,
     true_labels=(1, 0, 1, 0, 1, 1, 0, 0),
+)
+
+
+ONE_POINT = DiscreteDistribution(
+    support=PointSet(points=((0.5, 0.5),)),
+    probabilities=(1.0,),
+    true_labels=(1,),
 )
 
 
@@ -100,12 +111,7 @@ class TestSupDeviation:
             assert sup_deviation_exact(cls, UNIFORM6, S).value == 0.0
 
     def test_one_point_support_forces_agreement(self):
-        D = DiscreteDistribution(
-            support=PointSet(points=((0.5, 0.5),)),
-            probabilities=(1.0,),
-            true_labels=(1,),
-        )
-        assert sup_deviation_exact(LTF2, D, [0, 0, 0]).value == 0.0
+        assert sup_deviation_exact(LTF2, ONE_POINT, [0, 0, 0]).value == 0.0
 
     def test_ltf_on_6_points_matches_bruteforce(self):
         # independent route: find realizable traces by random hyperplane
@@ -211,3 +217,82 @@ class TestRunExperiment:
         # nonincreasing up to Monte Carlo noise (2 standard errors)
         se = 2 * 1.0 / np.sqrt(300)
         assert large.mean_sup_deviation <= small.mean_sup_deviation + se
+
+
+# (class, distribution) pairs with 58, 32, 1, 2 and 22 traces on the support
+UC_CASES = {
+    "ltf2_uniform8": (LTF2, UNIFORM8),
+    "ltf2_uniform6": (LTF2, UNIFORM6),
+    "single_trace": (single_trace_class(UNIFORM8), UNIFORM8),
+    "one_point": (LTF2, ONE_POINT),
+    "union2_uniform6": (UnionOfMPoints(capacity=2, domain=GP6.points), UNIFORM6),
+}
+TRIAL_COUNTS = {"one": lambda b: 1, "block-1": lambda b: b - 1,
+                "block": lambda b: b, "block+1": lambda b: b + 1}
+
+
+def assert_bitwise_equal(got, want):
+    assert got == want
+    assert got.empirical_rate.hex() == want.empirical_rate.hex()
+    assert got.mean_sup_deviation.hex() == want.mean_sup_deviation.hex()
+
+
+class TestBlockedTrials:
+    """run_uc_experiment against the one-trial-at-a-time reference, every
+    field bitwise, across the block boundaries of its trial loop."""
+
+    @given(
+        case=st.sampled_from(sorted(UC_CASES)),
+        trials=st.sampled_from(sorted(TRIAL_COUNTS)) | st.integers(1, 300),
+        k=st.sampled_from([1, 2, 50, 40687]) | st.integers(1, 10**6),
+        eps=st.sampled_from([0.1, 0.125, 0.25, 0.5]) | st.floats(1e-3, 0.999),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(case="ltf2_uniform8", trials="one", k=50, eps=0.1, seed=1729)
+    @example(case="ltf2_uniform8", trials="block-1", k=50, eps=0.1, seed=1729)
+    @example(case="ltf2_uniform8", trials="block", k=50, eps=0.1, seed=1729)
+    @example(case="ltf2_uniform8", trials="block+1", k=50, eps=0.1, seed=1729)
+    @example(case="single_trace", trials="block+1", k=5, eps=0.01, seed=1)
+    @example(case="one_point", trials="block+1", k=3, eps=0.1, seed=2)
+    @example(case="union2_uniform6", trials="block+1", k=1, eps=0.5, seed=3)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_trial_reference(self, case, trials, k, eps, seed):
+        cls, D = UC_CASES[case]
+        if trials in TRIAL_COUNTS:
+            rows = len(_error_matrix(cls, D, 20000, seed)[0])
+            trials = TRIAL_COUNTS[trials](max(1, _BLOCK_ENTRIES // rows))
+        got = run_uc_experiment(cls, D, eps=eps, k=k, trials=trials, seed=seed)
+        want = loop_run_uc_experiment(cls, D, eps=eps, k=k, trials=trials, seed=seed)
+        assert_bitwise_equal(got, want)
+
+    def test_stock_near_tie_case(self):
+        # dist8 at k = 50 puts 1851 of 40000 sups within 1e-12 of eps = 0.1,
+        # so one rounding change flips failures
+        cls = load_class_spec(CONFIG_DIR / "ltf2.json")
+        D = load_distribution(CONFIG_DIR / "dist8_uniform.json")
+        args = dict(eps=0.1, k=50, trials=40000, seed=1729)
+        got = run_uc_experiment(cls, D, **args)
+        assert_bitwise_equal(got, loop_run_uc_experiment(cls, D, **args))
+        assert got.failures == 28432
+
+    @given(
+        case=st.sampled_from(sorted(UC_CASES)),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sup_deviation_matches_single_gemv(self, case, data):
+        cls, D = UC_CASES[case]
+        n = len(D.support)
+        S = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=200))
+        errs, _ = _error_matrix(cls, D, 20000, 0)
+        v = np.array(D.probabilities) - np.bincount(S, minlength=n).astype(float) / len(S)
+        want = float(np.abs(errs @ v).max())
+        assert sup_deviation_exact(cls, D, S).value.hex() == want.hex()
+
+    def test_k_at_sampler_limit_runs(self):
+        res = run_uc_experiment(LTF2, UNIFORM8, eps=0.1, k=MAX_K, trials=3, seed=0)
+        assert res.k == 2**63 - 1
+
+    def test_k_beyond_sampler_limit_is_cap(self):
+        with pytest.raises(CapExceededError, match=r"k = 9223372036854775808 .*2\^63 - 1"):
+            run_uc_experiment(LTF2, UNIFORM8, eps=0.1, k=MAX_K + 1, trials=1, seed=0)
