@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import CapExceededError
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -24,8 +26,9 @@ class BoundConstants:
     C_hat: float = 64.0
 
     def __post_init__(self):
-        if self.C_prime <= 0 or self.C_hat <= 0:
-            raise ValueError("constants must be positive")
+        for name, value in (("C_prime", self.C_prime), ("C_hat", self.C_hat)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +78,23 @@ def deviation_bound_growth(tau_2k, k: int, delta: float) -> float:
     return (4.0 + math.sqrt(math.log(tau))) / (delta * math.sqrt(2.0 * k))
 
 
+def _elementary_a(q: BoundQuery) -> float:
+    """a = 4m / (eps^2 delta^2). Raises CapExceededError when a * ln a, the
+    size of k_elementary, is beyond the float range; that includes eps^2
+    delta^2 underflowing to 0."""
+    divisor = q.eps**2 * q.delta**2
+    a = 4.0 * q.m / divisor if divisor else math.inf
+    if not math.isfinite(a * math.log(a)):
+        raise CapExceededError(
+            f"k_elementary for eps = {q.eps}, delta = {q.delta}, m = {q.m} "
+            "exceeds the float range"
+        )
+    return a
+
+
 def k_elementary(q: BoundQuery) -> int:
     """ceil(a * ln a) with a = 4m / (eps^2 delta^2); floor of 1 when a <= 1."""
-    a = 4.0 * q.m / (q.eps**2 * q.delta**2)
+    a = _elementary_a(q)
     if a <= 1.0:
         return 1
     return math.ceil(a * math.log(a))
@@ -103,10 +120,14 @@ def solve_k_log_inequality(a: float, b: float) -> tuple[int, int]:
     plus a closed-form sufficient k for cross-checking (solver <= closed form).
 
     f(k) = k - a*ln(k) - b is convex with minimizer k = a, so the search
-    starts at max(1, ceil(a)) and doubles until satisfied.
+    starts at max(1, ceil(a)) and doubles until satisfied. Raises
+    CapExceededError when the closed form is beyond the float range.
     """
     if a < 0 or b < 0:
         raise ValueError("a and b must be >= 0")
+    closed_form = 4.0 * a * math.log(2.0 * a) + 2.0 * b if a >= 1.0 else 2.0 * b + 2.0
+    if not math.isfinite(closed_form):
+        raise CapExceededError(f"k >= {a} * ln(k) + {b} exceeds the float range")
 
     def ok(k: int) -> bool:
         return k >= a * math.log(k) + b
@@ -120,10 +141,7 @@ def solve_k_log_inequality(a: float, b: float) -> tuple[int, int]:
     else:
         k_min = _least_k(ok, lo)
 
-    if a >= 1.0:
-        sufficient = math.ceil(4.0 * a * math.log(2.0 * a) + 2.0 * b)
-    else:
-        sufficient = max(1, math.ceil(2.0 * b + 2.0))
+    sufficient = max(1, math.ceil(closed_form))
     if not ok(sufficient):  # tiny-a edge cases
         sufficient = max(sufficient, k_min)
     return k_min, sufficient
@@ -166,12 +184,17 @@ def deviation_bound_rademacher(
 
 def k_rademacher(q: BoundQuery) -> int:
     """ceil(C_hat * [(m/eps^2) * ln(2m/eps^2) + ln(4/delta)/eps^2]),
-    floored at 1."""
+    floored at 1. Raises CapExceededError beyond the float range."""
     c = q.constants
     val = c.C_hat * (
         (q.m / q.eps**2) * math.log(2.0 * q.m / q.eps**2)
         + math.log(4.0 / q.delta) / q.eps**2
     )
+    if not math.isfinite(val):
+        raise CapExceededError(
+            f"k_rademacher for eps = {q.eps}, delta = {q.delta}, m = {q.m}, "
+            f"C_hat = {c.C_hat} exceeds the float range"
+        )
     return max(1, math.ceil(val))
 
 
@@ -191,8 +214,7 @@ def solve_k_rademacher(q: BoundQuery) -> int:
 def solve_k_elementary(q: BoundQuery) -> int:
     """Minimal k (increasing branch) with 2k >= (4m / (eps^2 delta^2)) * ln(2k),
     reported as k."""
-    a = 4.0 * q.m / (q.eps**2 * q.delta**2)
-    two_k, _ = solve_k_log_inequality(a, 0.0)
+    two_k, _ = solve_k_log_inequality(_elementary_a(q), 0.0)
     return max(1, math.ceil(two_k / 2.0))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from pathlib import Path
@@ -152,7 +153,18 @@ def _ints(text: str) -> list[int]:
 # --------------------------------------------------------------------------
 
 
+def _require_positive(*flags) -> None:
+    """ConfigError naming the first (flag, value) pair whose value is < 1;
+    None means the flag was left out."""
+    for flag, value in flags:
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_bounds(args):
+    for flag, value in (("--c-prime", args.c_prime), ("--c-hat", args.c_hat)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and positive, got {value}")
     constants = bnd.BoundConstants(C_prime=args.c_prime, C_hat=args.c_hat)
     return BOUNDS_COLUMNS, bounds_rows(
         _ints(args.m), _floats(args.eps), _floats(args.delta), constants
@@ -160,6 +172,7 @@ def cmd_bounds(args):
 
 
 def cmd_growth(args):
+    _require_positive(("--draws", args.draws), ("--budget", args.budget))
     cls = load_class_spec(args.class_spec)
     estimate = dch.growth_samples(
         cls,
@@ -173,6 +186,9 @@ def cmd_growth(args):
 
 
 def cmd_vcdim(args):
+    _require_positive(
+        ("--max-d", args.max_d), ("--tries", args.tries), ("--budget", args.budget)
+    )
     cls = load_class_spec(args.class_spec)
     result = dch.vc_dim_bruteforce(
         cls, max_d=args.max_d, seed=args.seed, tries=args.tries, budget=args.budget
@@ -216,9 +232,7 @@ def cmd_ucheck(args):
     for flag, value in (("--eps", args.eps), ("--delta", args.delta)):
         if not 0 < value < 1:
             raise ConfigError(f"{flag} must be in (0, 1), got {value}")
-    for flag, value in (("--k", args.k), ("--trials", args.trials)):
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+    _require_positive(("--k", args.k), ("--trials", args.trials))
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
     if args.k is not None:

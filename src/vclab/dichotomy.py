@@ -85,13 +85,28 @@ def as_network(cls) -> NetworkSpec:
 
 
 def _unique_rows(packed: np.ndarray) -> np.ndarray:
-    """np.unique(packed, axis=0) for a uint8 matrix: each row is compared as
-    one opaque byte string (memcmp, the same unsigned lexicographic order)."""
-    w = packed.shape[1]
+    """np.unique(packed, axis=0) for a uint8 matrix of w-byte rows.
+
+    Each row is zero-padded to whole 8-byte words and read as big-endian
+    unsigned integers, whose order is the unsigned lexicographic (memcmp)
+    order of the bytes. One word is sorted by np.unique; more words are
+    sorted by np.lexsort with the first word as the primary key, and a row
+    is kept where it differs from the one before it."""
+    r, w = packed.shape
     if w == 0:
         return packed[:1]
-    rows = np.ascontiguousarray(packed).view(f"V{w}").ravel()
-    return np.unique(rows).view(np.uint8).reshape(-1, w)
+    padded = np.zeros((r, -(-w // 8) * 8), dtype=np.uint8)
+    padded[:, :w] = packed
+    keys = padded.view(">u8").astype(np.uint64)
+    if keys.shape[1] == 1:
+        keys = np.unique(keys.ravel())[:, None]
+    else:
+        keys = keys[np.lexsort(keys.T[::-1])]
+        keep = np.ones(r, dtype=bool)
+        keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        keys = keys[keep]
+    rows = keys.astype(">u8").view(np.uint8)
+    return np.ascontiguousarray(rows[:, :w])
 
 
 def _packed(bits) -> np.ndarray:

@@ -166,26 +166,34 @@ def forward_batch(network: NetworkSpec, W, X):
 
     W: (n_samples, m) weight matrix, X: (n_points, input_dim).
     Returns (n_samples, n_points) real outputs of the single output node.
+
+    Activations are carried node-major, as a (width, n_samples, n_points)
+    array per layer, so each node reads contiguous (n_samples, n_points)
+    planes of the layer below and the layer needs no stacking. A node's
+    pre-activation is summed in its own plane of that buffer, in the fixed
+    order w_1 a_1 + w_2 a_2 + ... + w_fanin a_fanin, then the bias is added;
+    its activation then overwrites the plane.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
     s, m = W.shape
     if m != network.weight_count:
         raise ValueError("weight matrix width != network weight count")
-    # values: (s, n_points, width)
-    values = np.broadcast_to(X, (s,) + X.shape)
+    n = X.shape[0]
+    values = X.T[:, None, :]  # (input_dim, 1, n_points)
     pos = 0
     for i, layer in enumerate(network.layers):
         fan_in = network.fan_in(i)
-        cols = []
-        for act in layer.activations:
-            w = W[:, pos : pos + fan_in]           # (s, fan_in)
-            bias = W[:, pos + fan_in]              # (s,)
+        out = np.empty((layer.width, s, n))
+        for node, act in enumerate(layer.activations):
+            pre = np.multiply(values[0], W[:, pos, None], out=out[node])
+            for j in range(1, fan_in):
+                pre += values[j] * W[:, pos + j, None]
+            pre += W[:, pos + fan_in, None]
             pos += fan_in + 1
-            pre = np.einsum("spj,sj->sp", values, w) + bias[:, None]
-            cols.append(_apply_activation_batch(act, pre))
-        values = np.stack(cols, axis=-1)
-    return values[:, :, 0]
+            out[node] = _apply_activation_batch(act, pre)
+        values = out
+    return values[0]
 
 
 # --------------------------------------------------------------------------

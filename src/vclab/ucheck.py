@@ -197,6 +197,9 @@ def load_distribution(path) -> DiscreteDistribution:
             raise ConfigError(f"distribution spec missing field {key!r}")
         if not isinstance(doc[key], list):
             raise ConfigError(f"distribution field {key!r} must be a list")
+    for p in doc["support"]:
+        if not isinstance(p, list):
+            raise ConfigError(f"distribution field 'support' must list points as lists, got {p!r}")
     support = PointSet(
         points=tuple(tuple(float(v) for v in p) for p in doc["support"])
     )

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vclab.hypotheses import _apply_activation_batch
 from vclab.linsep import is_realizable
 from vclab.pointsets import _GP_TOL, PointSet
 from vclab.ucheck import UCExperimentResult, _error_matrix
@@ -53,8 +54,30 @@ def loop_in_general_position(points) -> bool:
 
 def unique_packed_rows(bits) -> np.ndarray:
     """Distinct np.packbits rows of a 0/1 matrix by np.unique(axis=0): the
-    reference for the byte-string dedupe in dichotomy._packed."""
+    reference for the integer-key dedupe in dichotomy._packed."""
     return np.unique(np.packbits(np.asarray(bits, dtype=bool), axis=1), axis=0)
+
+
+def einsum_forward_batch(network, W, X):
+    """One np.einsum per node over (n_samples, n_points, width) activations,
+    stacked after each layer: the reference for the node-major pass in
+    hypotheses.forward_batch."""
+    W = np.asarray(W, dtype=float)
+    X = np.asarray(X, dtype=float)
+    s = W.shape[0]
+    values = np.broadcast_to(X, (s,) + X.shape)
+    pos = 0
+    for i, layer in enumerate(network.layers):
+        fan_in = network.fan_in(i)
+        cols = []
+        for act in layer.activations:
+            w = W[:, pos : pos + fan_in]
+            bias = W[:, pos + fan_in]
+            pos += fan_in + 1
+            pre = np.einsum("spj,sj->sp", values, w) + bias[:, None]
+            cols.append(_apply_activation_batch(act, pre))
+        values = np.stack(cols, axis=-1)
+    return values[:, :, 0]
 
 
 def loop_run_uc_experiment(cls, D, eps, k, trials, seed, budget=20000) -> UCExperimentResult:

@@ -20,6 +20,7 @@ from vclab.bounds import (
     solve_k_log_inequality,
     solve_k_rademacher,
 )
+from vclab.errors import CapExceededError
 
 GRID = [
     BoundQuery(m=m, eps=eps, delta=delta)
@@ -99,6 +100,25 @@ class TestSolveKLog:
     def test_negative_coefficients_rejected(self, a, b):
         with pytest.raises(ValueError, match=r"^a and b must be >= 0$"):
             solve_k_log_inequality(a, b)
+
+    def test_closed_form_beyond_float_range_is_a_cap(self):
+        with pytest.raises(CapExceededError, match="exceeds the float range"):
+            solve_k_log_inequality(1e305, 0.0)
+
+
+class TestFloatRange:
+    @pytest.mark.parametrize("field", ["C_prime", "C_hat"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_constants_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            BoundConstants(**{field: value})
+
+    @pytest.mark.parametrize("eps", [1e-200, 1e-160])
+    def test_k_elementary_beyond_float_range_is_a_cap(self, eps):
+        q = BoundQuery(m=3, eps=eps, delta=0.1)
+        for f in (k_elementary, solve_k_elementary):
+            with pytest.raises(CapExceededError, match=f"eps = {eps}, delta = 0.1, m = 3"):
+                f(q)
 
 
 class TestRademacherCap:

@@ -47,6 +47,30 @@ class TestBoundsCommand:
         assert rc == 2
         assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--c-hat", "--c-prime"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_constant_exits_2_naming_flag(self, capsys, flag, value):
+        rc = main(["bounds", "--m", "3", "--eps", "0.1", "--delta", "0.1", flag, value])
+        assert rc == 2
+        assert f"{flag} must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        # eps^2 delta^2 underflows to 0
+        (["--m", "3", "--eps", "1e-200", "--delta", "0.1"],
+         "k_elementary for eps = 1e-200, delta = 0.1, m = 3 exceeds the float range"),
+        # 4m / (eps^2 delta^2) overflows to inf
+        (["--m", "3", "--eps", "1e-160", "--delta", "0.1"],
+         "k_elementary for eps = 1e-160, delta = 0.1, m = 3 exceeds the float range"),
+        # k_elementary is finite, but the solver's closed form 4a ln(2a) is not
+        (["--m", "3", "--eps", "1e-151", "--delta", "0.1"], "exceeds the float range"),
+        (["--m", "3", "--eps", "0.1", "--delta", "0.1", "--c-hat", "1e308"],
+         "k_rademacher for eps = 0.1, delta = 0.1, m = 3, C_hat = 1e+308"),
+    ])
+    def test_sample_size_beyond_float_range_exits_3(self, capsys, args, message):
+        rc = main(["bounds", *args])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
     def test_output_under_regular_file_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -107,6 +131,15 @@ class TestGrowthCommand:
         rc = main(["growth", "--class", LTF2_JSON, "--n", "25", "--method", "exact"])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag", ["--draws", "--budget"])
+    def test_nonpositive_count_exits_2_naming_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "g.csv"
+        rc = main(["growth", "--class", NET_JSON, "--n", "4", flag, "0",
+                   "--output", str(out)])
+        assert rc == 2
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sampled_on_union_exits_2(self, capsys):
         rc = main(["growth", "--class", UNION2_JSON, "--n", "4", "--method", "sampled"])
         assert rc == 2
@@ -125,6 +158,14 @@ class TestVcdimCommand:
         assert rc == 0
         rows = read_rows(out)
         assert rows[1][1] == "3"
+
+    @pytest.mark.parametrize("flag", ["--max-d", "--tries", "--budget"])
+    def test_nonpositive_count_exits_2_naming_flag(self, tmp_path, capsys, flag):
+        out = tmp_path / "vc.csv"
+        rc = main(["vcdim", "--class", NET_JSON, flag, "0", "--output", str(out)])
+        assert rc == 2
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDensityPipeline:
@@ -243,6 +284,7 @@ class TestUcheckCommand:
         ("probabilities", [float("nan"), 0.5, 0.5],
          "probabilities must be finite and nonnegative, got nan"),
         ("labels", 1, "distribution field 'labels' must be a list"),
+        ("support", [1, 2, 3], "distribution field 'support' must list points as lists, got 1"),
     ])
     def test_bad_distribution_value_exits_2_naming_field(
         self, tmp_path, capsys, field, value, message
@@ -285,6 +327,14 @@ class TestUcheckCommand:
                    "--trials", "1", *args])
         assert rc == 3
         assert f"k = {k} exceeds the sampler's limit 2^63 - 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps", ["1e-200", "1e-160"])
+    def test_k_elementary_beyond_float_range_exits_3(self, capsys, eps):
+        rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, "--trials", "1",
+                   "--m", "3", "--eps", eps, "--delta", "0.1"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"k_elementary for eps = {eps}, delta = 0.1, m = 3 exceeds" in err
 
     def test_missing_k_and_m_exits_2(self):
         rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON,

@@ -1,4 +1,4 @@
-"""The sampled-growth path: batched general-position checks and byte-string
+"""The sampled-growth path: batched general-position checks and integer-key
 trace dedupe against their per-item references, and sampled network counts
 against Sauer-Shelah and Cover's count."""
 
@@ -24,16 +24,34 @@ from vclab.pointsets import in_general_position, random_general_position
 @st.composite
 def bool_matrices(draw):
     """0/1 matrices of the widths that matter to packing (0, within one
-    byte, byte edges, >= 128 columns), drawn from a small pool of rows so
+    byte, byte and 8-byte word edges, >= 128 columns), drawn from a small pool of rows so
     that duplicates are common."""
-    width = draw(st.sampled_from([0, 1, 7, 8, 9, 128, 131]))
+    width = draw(st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 72, 128, 129, 131]))
     row = st.lists(st.booleans(), min_size=width, max_size=width)
     pool = draw(st.lists(row, min_size=1, max_size=6))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=40))
     return np.array([pool[i] for i in picks], dtype=bool).reshape(len(picks), width)
 
 
+def word_edge_rows(width):
+    """All-ones and all-zeros rows, each beside a row that differs from it only
+    in the last bit (so only in the last packed byte), with duplicates."""
+    rows = np.ones((4, width), dtype=bool)
+    rows[1, -1:] = False
+    rows[2:] = False
+    rows[3, -1:] = True
+    return rows[[0, 1, 2, 3, 3, 1, 0, 2]]
+
+
 @given(bits=bool_matrices())
+@example(bits=word_edge_rows(0))
+@example(bits=word_edge_rows(1))
+@example(bits=word_edge_rows(63))
+@example(bits=word_edge_rows(64))
+@example(bits=word_edge_rows(65))
+@example(bits=word_edge_rows(72))
+@example(bits=word_edge_rows(128))
+@example(bits=word_edge_rows(129))
 @example(bits=np.zeros((0, 0), dtype=bool))
 @example(bits=np.zeros((3, 0), dtype=bool))
 @example(bits=np.zeros((0, 9), dtype=bool))

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lp_ltf_traces
+from conftest import CONFIG_DIR, einsum_forward_batch, lp_ltf_traces
 from vclab import dichotomy
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import ConfigError
@@ -18,6 +18,7 @@ from vclab.hypotheses import (
     NetworkSpec,
     UnionOfMPoints,
     forward_batch,
+    load_class_spec,
 )
 from vclab.pointsets import PointSet, random_general_position
 
@@ -126,3 +127,80 @@ def test_forward_batch_rejects_nonfinite_input(kind, bad, in_weights, pos):
         X[pos % 3, pos % 2] = bad
     with pytest.raises(ValueError, match="finite"):
         forward_batch(net, W, X)
+
+
+KINDS = ("threshold", "logistic", "tanh", "relu", "polynomial", "identity")
+
+
+@st.composite
+def activations(draw):
+    kind = draw(st.sampled_from(KINDS))
+    coefficients = ()
+    if kind == "polynomial":
+        coef = st.floats(-2.0, 2.0, allow_nan=False)
+        coefficients = tuple(draw(st.lists(coef, min_size=1, max_size=4)))
+    restriction = None
+    if draw(st.booleans()):
+        a = draw(st.floats(-3.0, 1.0))
+        restriction = (a, a + draw(st.floats(0.5, 4.0)))
+    return ActivationSpec(kind, coefficients, restriction, draw(st.booleans()))
+
+
+@st.composite
+def networks(draw):
+    """Nets of 1-3 layers with 1-5 inputs and mixed per-node activations."""
+    widths = draw(st.lists(st.integers(1, 5), max_size=2)) + [1]
+    layers = tuple(
+        LayerSpec(tuple(draw(st.lists(activations(), min_size=w, max_size=w))))
+        for w in widths
+    )
+    return NetworkSpec(input_dim=draw(st.integers(1, 5)), layers=layers)
+
+
+ALL_KINDS_NET = NetworkSpec(
+    input_dim=2,
+    layers=(
+        LayerSpec((
+            ActivationSpec("threshold"),
+            ActivationSpec("logistic"),
+            ActivationSpec("tanh", restriction=(-0.5, 0.5), clamp_outside=True),
+            ActivationSpec("relu"),
+            ActivationSpec("polynomial", coefficients=(0.5, -1.0, 0.25)),
+            ActivationSpec("identity", restriction=(-1.0, 1.0)),
+        )),
+        LayerSpec((ActivationSpec("tanh"),)),
+    ),
+)
+
+
+@given(net=networks(), s=st.integers(1, 6), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@example(net=ALL_KINDS_NET, s=1, n=1, seed=0)
+@example(net=ALL_KINDS_NET, s=7, n=5, seed=1)
+@settings(max_examples=150, deadline=None)
+def test_node_major_forward_matches_einsum_reference(net, s, n, seed):
+    # a sum of at most two products comes out the same in any order; from
+    # three on, einsum may pair its terms differently (SIMD lanes), so only
+    # rounding may differ
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(-3.0, 3.0, size=(s, net.weight_count))
+    X = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+    got = forward_batch(net, W, X)
+    want = einsum_forward_batch(net, W, X)
+    assert got.shape == want.shape == (s, n) and got.flags.c_contiguous
+    if max(net.fan_in(i) for i in range(len(net.layers))) <= 2:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("cls, n, dim", [
+    (load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json"), 128, 1),
+    # the benchmark's 2-D net: three tanh units, a threshold output
+    (NetworkSpec(2, (LayerSpec((ActivationSpec("tanh"),) * 3),
+                     LayerSpec((ActivationSpec("threshold"),)))), 64, 2),
+])
+def test_sampled_trace_set_same_rows_as_einsum_pass(monkeypatch, cls, n, dim):
+    B = random_general_position(n, dim, np.random.default_rng(11))
+    rows = sampled_trace_set(cls, B, budget=20000, seed=5)
+    monkeypatch.setattr(dichotomy, "forward_batch", einsum_forward_batch)
+    assert np.array_equal(rows, sampled_trace_set(cls, B, budget=20000, seed=5))
