@@ -11,6 +11,7 @@ from vclab import dichotomy
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import ConfigError
 from vclab.hypotheses import (
+    ACTIVATION_KINDS,
     ActivationSpec,
     ExplicitFinite,
     LayerSpec,
@@ -129,12 +130,9 @@ def test_forward_batch_rejects_nonfinite_input(kind, bad, in_weights, pos):
         forward_batch(net, W, X)
 
 
-KINDS = ("threshold", "logistic", "tanh", "relu", "polynomial", "identity")
-
-
 @st.composite
 def activations(draw):
-    kind = draw(st.sampled_from(KINDS))
+    kind = draw(st.sampled_from(ACTIVATION_KINDS))
     coefficients = ()
     if kind == "polynomial":
         coef = st.floats(-2.0, 2.0, allow_nan=False)
