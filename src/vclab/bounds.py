@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 from .errors import CapExceededError
 
+# least C_prime the Rademacher solver accepts: for C' >= 2 the deviation bound
+# strictly decreases in k on k >= 2, so its binary search applies
+MIN_C_PRIME = 2.0
+
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -33,6 +37,11 @@ class BoundConstants:
 
 @dataclass(frozen=True)
 class BoundQuery:
+    """One (m, eps, delta) point of the bounds grid. Its constants must have
+    C_prime >= MIN_C_PRIME, the range in which solve_k_rademacher is exact;
+    BoundConstants alone also serves smaller C_prime for evaluating
+    deviation_bound_rademacher directly."""
+
     m: int
     eps: float
     delta: float
@@ -45,6 +54,11 @@ class BoundQuery:
             raise ValueError("eps must be in (0, 1)")
         if not (0 < self.delta < 1):
             raise ValueError("delta must be in (0, 1)")
+        if self.constants.C_prime < MIN_C_PRIME:
+            raise ValueError(
+                f"C_prime must be >= {MIN_C_PRIME:g} for the Rademacher solver, "
+                f"got {self.constants.C_prime}"
+            )
 
 
 @dataclass(frozen=True)
@@ -201,8 +215,8 @@ def k_rademacher(q: BoundQuery) -> int:
 def solve_k_rademacher(q: BoundQuery) -> int:
     """Minimal k >= 2 with deviation_bound_rademacher(k, ...) <= eps.
 
-    The bound is strictly decreasing in k on k >= 2 for C' >= 2, so binary
-    search applies.
+    The bound is strictly decreasing in k on k >= 2 for C' >= 2 (BoundQuery
+    enforces C' >= MIN_C_PRIME), so binary search applies.
     """
 
     def ok(k: int) -> bool:

@@ -153,30 +153,37 @@ def _ints(text: str) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-def _require_positive(*flags) -> None:
-    """ConfigError naming the first (flag, value) pair whose value is < 1;
-    None means the flag was left out."""
+def _require_at_least(least, *flags) -> None:
+    """ConfigError naming the first (flag, value) pair whose value is below
+    `least`; None means the flag was left out."""
     for flag, value in flags:
-        if value is not None and value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
 def cmd_bounds(args):
+    ms = _ints(args.m)
+    _require_at_least(1, *(("--m", m) for m in ms))
     for flag, value in (("--c-prime", args.c_prime), ("--c-hat", args.c_hat)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{flag} must be finite and positive, got {value}")
+    if args.c_prime < bnd.MIN_C_PRIME:
+        raise ConfigError(
+            f"--c-prime must be >= {bnd.MIN_C_PRIME:g} (the Rademacher solver "
+            f"needs a bound that decreases in k), got {args.c_prime}"
+        )
     constants = bnd.BoundConstants(C_prime=args.c_prime, C_hat=args.c_hat)
-    return BOUNDS_COLUMNS, bounds_rows(
-        _ints(args.m), _floats(args.eps), _floats(args.delta), constants
-    )
+    return BOUNDS_COLUMNS, bounds_rows(ms, _floats(args.eps), _floats(args.delta), constants)
 
 
 def cmd_growth(args):
-    _require_positive(("--draws", args.draws), ("--budget", args.budget))
+    ns = _ints(args.n)
+    _require_at_least(0, *(("--n", n) for n in ns))
+    _require_at_least(1, ("--draws", args.draws), ("--budget", args.budget))
     cls = load_class_spec(args.class_spec)
     estimate = dch.growth_samples(
         cls,
-        _ints(args.n),
+        ns,
         method=args.method,
         draws=args.draws,
         budget=args.budget,
@@ -186,8 +193,8 @@ def cmd_growth(args):
 
 
 def cmd_vcdim(args):
-    _require_positive(
-        ("--max-d", args.max_d), ("--tries", args.tries), ("--budget", args.budget)
+    _require_at_least(
+        1, ("--max-d", args.max_d), ("--tries", args.tries), ("--budget", args.budget)
     )
     cls = load_class_spec(args.class_spec)
     result = dch.vc_dim_bruteforce(
@@ -232,7 +239,7 @@ def cmd_ucheck(args):
     for flag, value in (("--eps", args.eps), ("--delta", args.delta)):
         if not 0 < value < 1:
             raise ConfigError(f"{flag} must be in (0, 1), got {value}")
-    _require_positive(("--k", args.k), ("--trials", args.trials))
+    _require_at_least(1, ("--k", args.k), ("--trials", args.trials), ("--m", args.m))
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
     if args.k is not None:

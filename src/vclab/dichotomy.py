@@ -39,6 +39,9 @@ EXACT_LTF_DIM_CAP = 4
 SHATTER_CAP = 16
 TRACE_CAP = 200000
 FIT_MIN_POINTS = 3
+# weight-row x point entries per sampled forward-pass block: one (rows, n)
+# float plane is 512 KB, which stays in a per-core L2 cache at any n
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,13 @@ def sampled_trace_set(
 ) -> np.ndarray:
     """Distinct traces found by drawing `budget` weight vectors componentwise
     uniform on `box`, as sorted np.packbits rows. A subset of the true trace
-    set: every returned trace is realized by an explicit weight vector."""
+    set: every returned trace is realized by an explicit weight vector.
+
+    Weights are drawn and evaluated in blocks of about _BLOCK_ENTRIES
+    weight-row x point entries (at least one row), so memory is bounded by
+    the block, not by `budget` or |B|. The generator fills each block row by
+    row, one double at a time, so the weights, and hence the traces, are the
+    same for any block size."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     net = as_network(cls)
@@ -187,10 +196,10 @@ def sampled_trace_set(
     rng = np.random.default_rng(seed)
     X = B.as_array().reshape(len(B), net.input_dim)
     found = []
-    chunk = 8192
+    rows = max(1, _BLOCK_ENTRIES // max(len(B), 1))
     drawn = 0
     while drawn < budget:
-        take = min(chunk, budget - drawn)
+        take = min(rows, budget - drawn)
         W = rng.uniform(lo, hi, size=(take, net.weight_count))
         drawn += take
         found.append(_packed(forward_batch(net, W, X) > 0))

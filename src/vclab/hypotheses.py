@@ -130,34 +130,46 @@ def evaluate(h: Hypothesis, x) -> int:
     return 1 if forward(h.network, h.weights.values, x) > 0 else 0
 
 
-def _apply_activation_batch(act: ActivationSpec, t):
+def _apply_activation_batch(act: ActivationSpec, t, out=None):
     """Evaluate the activation elementwise on a float array; raises
-    ValueError if any input is not finite."""
+    ValueError if any input is not finite, before anything is written.
+
+    The result goes to `out`, a float array shaped like `t`, which may be
+    `t` itself; with out=None a new array is returned. The clamp mask is
+    taken from `t` before `out` is written.
+    """
     if not np.isfinite(t).all():
         raise ValueError("activation input must be finite")
-    if act.kind == "threshold":
-        out = (t > 0).astype(float)
-    elif act.kind == "logistic":
+    clamp = None
+    if act.restriction is not None and act.clamp_outside:
+        a, b = act.restriction
+        clamp = (t < a) | (t > b)
+    if out is None:
         out = np.empty_like(t)
+    if act.kind == "threshold":
+        np.greater(t, 0, out=out)
+    elif act.kind == "logistic":
+        # pos and ~pos are disjoint, so writing out[pos] leaves t[~pos] intact
         pos = t >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
         e = np.exp(t[~pos])
         out[~pos] = e / (1.0 + e)
     elif act.kind == "tanh":
-        out = np.tanh(t)
+        np.tanh(t, out=out)
     elif act.kind == "relu":
-        out = np.maximum(t, 0.0)
+        np.maximum(t, 0.0, out=out)
     elif act.kind == "polynomial":
-        out = np.zeros_like(t)
+        value = np.zeros_like(t)
         for c in reversed(act.coefficients):
-            out = out * t + c
+            value = value * t + c
+        out[...] = value
     elif act.kind == "identity":
-        out = np.asarray(t, dtype=float).copy()
+        if out is not t:
+            out[...] = t
     else:
         raise AssertionError(act.kind)
-    if act.restriction is not None and act.clamp_outside:
-        a, b = act.restriction
-        out = np.where((t < a) | (t > b), 0.0, out)
+    if clamp is not None:
+        out[clamp] = 0.0
     return out
 
 
@@ -172,7 +184,9 @@ def forward_batch(network: NetworkSpec, W, X):
     planes of the layer below and the layer needs no stacking. A node's
     pre-activation is summed in its own plane of that buffer, in the fixed
     order w_1 a_1 + w_2 a_2 + ... + w_fanin a_fanin, then the bias is added;
-    its activation then overwrites the plane.
+    its activation then overwrites the plane in place
+    (_apply_activation_batch with out=pre), so threshold, tanh, relu and
+    identity nodes allocate no temporary plane.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -191,7 +205,7 @@ def forward_batch(network: NetworkSpec, W, X):
                 pre += values[j] * W[:, pos + j, None]
             pre += W[:, pos + fan_in, None]
             pos += fan_in + 1
-            out[node] = _apply_activation_batch(act, pre)
+            _apply_activation_batch(act, pre, out=pre)
         values = out
     return values[0]
 

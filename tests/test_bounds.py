@@ -113,6 +113,15 @@ class TestFloatRange:
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             BoundConstants(**{field: value})
 
+    @pytest.mark.parametrize("c_prime", [1e-300, 1.5, 1.9999999999999998])
+    def test_query_rejects_c_prime_below_solver_range(self, c_prime):
+        with pytest.raises(ValueError, match=f"C_prime must be >= 2 .*got {c_prime}"):
+            BoundQuery(m=3, eps=0.1, delta=0.1, constants=BoundConstants(C_prime=c_prime))
+
+    def test_query_accepts_c_prime_at_solver_bound(self):
+        q = BoundQuery(m=3, eps=0.1, delta=0.1, constants=BoundConstants(C_prime=2.0))
+        assert bound_report(q).verified_rademacher
+
     @pytest.mark.parametrize("eps", [1e-200, 1e-160])
     def test_k_elementary_beyond_float_range_is_a_cap(self, eps):
         q = BoundQuery(m=3, eps=eps, delta=0.1)

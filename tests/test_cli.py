@@ -54,6 +54,32 @@ class TestBoundsCommand:
         assert rc == 2
         assert f"{flag} must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["1e-300", "1.5", "1.9999999999999998"])
+    def test_c_prime_below_solver_range_exits_2(self, tmp_path, capsys, value):
+        out = tmp_path / "bounds.csv"
+        rc = main(["bounds", "--m", "3", "--eps", "0.1", "--delta", "0.1",
+                   "--c-prime", value, "--output", str(out)])
+        assert rc == 2
+        assert "--c-prime must be >= 2 (the Rademacher solver" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_c_prime_at_solver_bound_runs(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        rc = main(["bounds", "--m", "3", "--eps", "0.1", "--delta", "0.1",
+                   "--c-prime", "2", "--output", str(out)])
+        assert rc == 0
+        assert len(read_rows(out)) == 2
+
+    @pytest.mark.parametrize("m", ["0", "1,-2"])
+    def test_nonpositive_m_exits_2_naming_flag(self, tmp_path, capsys, m):
+        out = tmp_path / "bounds.csv"
+        rc = main(["bounds", "--m", m, "--eps", "0.1", "--delta", "0.1",
+                   "--output", str(out)])
+        assert rc == 2
+        bad = [v for v in m.split(",") if int(v) < 1][0]
+        assert f"--m must be >= 1, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args,message", [
         # eps^2 delta^2 underflows to 0
         (["--m", "3", "--eps", "1e-200", "--delta", "0.1"],
@@ -138,6 +164,15 @@ class TestGrowthCommand:
                    "--output", str(out)])
         assert rc == 2
         assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [NET_JSON, LTF2_JSON])
+    @pytest.mark.parametrize("n", ["-1", "4,-1"])
+    def test_negative_n_exits_2_naming_flag(self, tmp_path, capsys, spec, n):
+        out = tmp_path / "g.csv"
+        rc = main(["growth", "--class", spec, "--n", n, "--output", str(out)])
+        assert rc == 2
+        assert "--n must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sampled_on_union_exits_2(self, capsys):
@@ -307,6 +342,7 @@ class TestUcheckCommand:
         (["--eps", "0.1", "--delta", "0.1", "--k", "0"], "--k must be >= 1, got 0"),
         (["--eps", "0.1", "--delta", "0.1", "--k", "5", "--trials", "0"],
          "--trials must be >= 1, got 0"),
+        (["--eps", "0.1", "--delta", "0.1", "--m", "0"], "--m must be >= 1, got 0"),
     ])
     def test_bad_argument_exits_2_naming_flag(self, tmp_path, capsys, args, message):
         out = tmp_path / "uc.csv"

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vclab.errors import ConfigError
 from vclab.hypotheses import (
+    ACTIVATION_KINDS,
     ActivationSpec,
     ExplicitFinite,
     Hypothesis,
@@ -14,6 +16,7 @@ from vclab.hypotheses import (
     NetworkSpec,
     UnionOfMPoints,
     WeightVector,
+    _apply_activation_batch,
     apply_activation,
     baseline_membership,
     evaluate,
@@ -95,6 +98,41 @@ class TestNetworkSpec:
             Hypothesis(network=net, weights=WeightVector(values=(1.0, 2.0)))
 
 
+def _activation(kind, clamp):
+    return ActivationSpec(
+        kind,
+        coefficients=(0.5, -1.0, 0.25) if kind == "polynomial" else (),
+        restriction=(-0.5, 0.75) if clamp else None,
+        clamp_outside=clamp,
+    )
+
+
+class TestActivationOut:
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_in_place_equals_new_array_bitwise(self, kind, clamp):
+        act = _activation(kind, clamp)
+        t = np.random.default_rng(3).uniform(-3.0, 3.0, size=(7, 9))
+        # ties at 0 (both signs), the restriction ends and large magnitudes
+        t[0, :6] = [0.0, -0.0, -0.5, 0.75, 40.0, -40.0]
+        want = _apply_activation_batch(act, t)
+        buf = t.copy()
+        got = _apply_activation_batch(act, buf, out=buf)
+        assert got is buf
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_input_raises_before_writing(self, kind, clamp, bad):
+        t = np.array([[0.5, -1.0, 2.0], [0.0, bad, -0.25]])
+        buf = t.copy()
+        with pytest.raises(ValueError, match="finite"):
+            _apply_activation_batch(_activation(kind, clamp), buf, out=buf)
+        assert np.array_equal(buf, t, equal_nan=True)
+
+
 class TestEvaluate:
     def test_threshold_unit_positive_preactivation(self):
         h = Hypothesis(network=make_net(2, [1]), weights=WeightVector((1.0, 0.0, 0.0)))
@@ -130,20 +168,47 @@ class TestEvaluate:
 
     @settings(max_examples=60)
     @given(
-        w=st.lists(st.floats(-2, 2), min_size=9, max_size=9),
-        x=st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+        w=st.lists(st.floats(-2, 2, allow_subnormal=False), min_size=9, max_size=9),
+        x=st.lists(st.floats(-2, 2, allow_subnormal=False), min_size=2, max_size=2),
         lam=st.sampled_from([0.125, 0.25, 0.5, 2.0, 4.0, 16.0]),
     )
     def test_threshold_rescaling_invariance(self, w, x, lam):
         # scaling one threshold node's incoming row (weights+bias) by lam > 0
         # cannot change any output bit; powers of two keep the float
-        # arithmetic exact, so the check is not polluted by rounding at ties
+        # arithmetic exact, so the check is not polluted by rounding at ties.
+        # That holds only while no step of the node's sum is subnormal, where
+        # scaling loses bits (see test_threshold_rescaling_underflow)
         net = make_net(2, [2, 1])
         scaled = list(w)
         scaled[0:3] = [lam * v for v in w[0:3]]  # first hidden node's row
+        for row in (w[0:3], scaled[0:3]):
+            assume(all(_normal_or_zero(v) for v in _first_node_steps(row, x)))
+        assume(all(_normal_or_zero(v) for v in scaled[0:3]))
         h0 = Hypothesis(network=net, weights=WeightVector(tuple(w)))
         h1 = Hypothesis(network=net, weights=WeightVector(tuple(scaled)))
         assert evaluate(h0, tuple(x)) == evaluate(h1, tuple(x))
+
+    def test_threshold_rescaling_underflow(self):
+        # 0.125 * 5e-324 rounds to 0.0: the scaled row turns the first hidden
+        # unit off, so the scaled net is a different function at x
+        net = make_net(2, [2, 1])
+        w = (0.0, 0.0, 5e-324, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0)
+        scaled = (0.0, 0.0, 0.125 * 5e-324) + w[3:]
+        assert scaled[2] == 0.0
+        h0 = Hypothesis(network=net, weights=WeightVector(w))
+        h1 = Hypothesis(network=net, weights=WeightVector(scaled))
+        assert (evaluate(h0, (0.0, 0.0)), evaluate(h1, (0.0, 0.0))) == (0, 1)
+
+
+def _first_node_steps(row, x):
+    """Products, partial sum and result of a fan-in-2 node's pre-activation,
+    in forward_batch's order."""
+    p0, p1 = row[0] * x[0], row[1] * x[1]
+    return p0, p1, p0 + p1, p0 + p1 + row[2]
+
+
+def _normal_or_zero(v):
+    return v == 0 or abs(v) >= 2.0**-1022
 
 
 class TestBaselines:

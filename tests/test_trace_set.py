@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR, einsum_forward_batch, lp_ltf_traces
+from conftest import CONFIG_DIR, einsum_forward_batch, lp_ltf_traces, unique_packed_rows
 from vclab import dichotomy
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import ConfigError
@@ -191,14 +191,35 @@ def test_node_major_forward_matches_einsum_reference(net, s, n, seed):
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
-@pytest.mark.parametrize("cls, n, dim", [
-    (load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json"), 128, 1),
-    # the benchmark's 2-D net: three tanh units, a threshold output
-    (NetworkSpec(2, (LayerSpec((ActivationSpec("tanh"),) * 3),
-                     LayerSpec((ActivationSpec("threshold"),)))), 64, 2),
-])
+STOCK_NET = load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json")
+# the benchmark's 2-D net: three tanh units, a threshold output
+TANH_2D_NET = NetworkSpec(
+    2, (LayerSpec((ActivationSpec("tanh"),) * 3), LayerSpec((ActivationSpec("threshold"),)))
+)
+
+
+@pytest.mark.parametrize("cls, n, dim", [(STOCK_NET, 128, 1), (TANH_2D_NET, 64, 2)])
 def test_sampled_trace_set_same_rows_as_einsum_pass(monkeypatch, cls, n, dim):
     B = random_general_position(n, dim, np.random.default_rng(11))
     rows = sampled_trace_set(cls, B, budget=20000, seed=5)
     monkeypatch.setattr(dichotomy, "forward_batch", einsum_forward_batch)
     assert np.array_equal(rows, sampled_trace_set(cls, B, budget=20000, seed=5))
+
+
+@pytest.mark.parametrize("cls, dim", [(STOCK_NET, 1), (TANH_2D_NET, 2)])
+@pytest.mark.parametrize("n", [0, 1, 128])
+def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, cls, dim, n):
+    # the reference draws all `budget` weight rows at once; a block of one
+    # row, blocks that split the budget unevenly and one block for all must
+    # give the same rows, byte for byte
+    B = random_general_position(n, dim, np.random.default_rng(11))
+    lo, hi = dichotomy.default_weight_box(B)
+    X = B.as_array().reshape(n, dim)
+    for budget in (1, 8191, 8193, 20000):
+        W = np.random.default_rng(5).uniform(lo, hi, size=(budget, cls.weight_count))
+        want = unique_packed_rows(forward_batch(cls, W, X) > 0)
+        for entries in (1, 7, 128, 2**16, 2**22):
+            monkeypatch.setattr(dichotomy, "_BLOCK_ENTRIES", entries)
+            got = sampled_trace_set(cls, B, budget=budget, seed=5)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (budget, entries)
