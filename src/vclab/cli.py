@@ -161,9 +161,19 @@ def _require_at_least(least, *flags) -> None:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
 
 
+def _require_in_unit_interval(*flags) -> None:
+    """ConfigError naming the first (flag, value) pair whose value is not in
+    the open interval (0, 1)."""
+    for flag, value in flags:
+        if not 0 < value < 1:
+            raise ConfigError(f"{flag} must be in (0, 1), got {value}")
+
+
 def cmd_bounds(args):
     ms = _ints(args.m)
     _require_at_least(1, *(("--m", m) for m in ms))
+    eps, delta = _floats(args.eps), _floats(args.delta)
+    _require_in_unit_interval(*(("--eps", e) for e in eps), *(("--delta", d) for d in delta))
     for flag, value in (("--c-prime", args.c_prime), ("--c-hat", args.c_hat)):
         if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"{flag} must be finite and positive, got {value}")
@@ -173,7 +183,7 @@ def cmd_bounds(args):
             f"needs a bound that decreases in k), got {args.c_prime}"
         )
     constants = bnd.BoundConstants(C_prime=args.c_prime, C_hat=args.c_hat)
-    return BOUNDS_COLUMNS, bounds_rows(ms, _floats(args.eps), _floats(args.delta), constants)
+    return BOUNDS_COLUMNS, bounds_rows(ms, eps, delta, constants)
 
 
 def cmd_growth(args):
@@ -229,6 +239,8 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
 
 
 def cmd_density(args):
+    if not 0 < args.fit_fraction <= 1:
+        raise ConfigError(f"--fit-fraction must be in (0, 1], got {args.fit_fraction}")
     estimate = read_growth_csv(args.input)
     policy = dch.FitPolicy(upper_fraction=args.fit_fraction)
     density = dch.estimate_vc_density(estimate, policy)
@@ -236,9 +248,7 @@ def cmd_density(args):
 
 
 def cmd_ucheck(args):
-    for flag, value in (("--eps", args.eps), ("--delta", args.delta)):
-        if not 0 < value < 1:
-            raise ConfigError(f"{flag} must be in (0, 1), got {value}")
+    _require_in_unit_interval(("--eps", args.eps), ("--delta", args.delta))
     _require_at_least(1, ("--k", args.k), ("--trials", args.trials), ("--m", args.m))
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)

@@ -2,7 +2,7 @@
 VC-density estimation.
 
 Exact counting is provided for the linear-threshold class (cells of the
-hyperplane arrangement, with exact integer signs) and for the combinatorial
+hyperplane arrangement, with exact determinant signs) and for the combinatorial
 baselines (closed forms). For nonlinear networks counts come from weight
 sampling and are certified lower bounds.
 """
@@ -33,7 +33,10 @@ from .hypotheses import (
 from .pointsets import PointSet, random_general_position, simplex_vertices
 
 # exact LTF enumeration visits the C(n, d) hyperplanes through d of the
-# points and yields up to 2 * sum_{i<=d} C(n-1, i) traces, so n and d are capped
+# points at once: filtered float determinants give the n sides of each (an
+# integer Bareiss determinant decides the signs the float error bound cannot),
+# 2^(d+1) candidate rows per hyperplane are deduped, and up to
+# 2 * sum_{i<=d} C(n-1, i) traces remain, so n and d are capped
 EXACT_LTF_POINT_CAP = 20
 EXACT_LTF_DIM_CAP = 4
 SHATTER_CAP = 16
@@ -87,34 +90,9 @@ def as_network(cls) -> NetworkSpec:
 # --------------------------------------------------------------------------
 
 
-def _unique_rows(packed: np.ndarray) -> np.ndarray:
-    """np.unique(packed, axis=0) for a uint8 matrix of w-byte rows.
-
-    Each row is zero-padded to whole 8-byte words and read as big-endian
-    unsigned integers, whose order is the unsigned lexicographic (memcmp)
-    order of the bytes. One word is sorted by np.unique; more words are
-    sorted by np.lexsort with the first word as the primary key, and a row
-    is kept where it differs from the one before it."""
-    r, w = packed.shape
-    if w == 0:
-        return packed[:1]
-    padded = np.zeros((r, -(-w // 8) * 8), dtype=np.uint8)
-    padded[:, :w] = packed
-    keys = padded.view(">u8").astype(np.uint64)
-    if keys.shape[1] == 1:
-        keys = np.unique(keys.ravel())[:, None]
-    else:
-        keys = keys[np.lexsort(keys.T[::-1])]
-        keep = np.ones(r, dtype=bool)
-        keep[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-        keys = keys[keep]
-    rows = keys.astype(">u8").view(np.uint8)
-    return np.ascontiguousarray(rows[:, :w])
-
-
 def _packed(bits) -> np.ndarray:
     """Distinct rows of a 0/1 matrix as sorted np.packbits rows."""
-    return _unique_rows(np.packbits(np.asarray(bits, dtype=bool), axis=1))
+    return linsep._unique_rows(np.packbits(np.asarray(bits, dtype=bool), axis=1))
 
 
 def trace_set(
@@ -203,7 +181,7 @@ def sampled_trace_set(
         W = rng.uniform(lo, hi, size=(take, net.weight_count))
         drawn += take
         found.append(_packed(forward_batch(net, W, X) > 0))
-    return _unique_rows(np.concatenate(found))
+    return linsep._unique_rows(np.concatenate(found))
 
 
 def count_dichotomies_sampled(

@@ -1,11 +1,12 @@
 import itertools
+import operator
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vclab.hypotheses import _apply_activation_batch
-from vclab.linsep import is_realizable
+from vclab.linsep import _bareiss, _integer_lift, is_realizable
 from vclab.pointsets import _GP_TOL, PointSet
 from vclab.ucheck import UCExperimentResult, _error_matrix
 
@@ -35,6 +36,46 @@ def lp_ltf_traces(points) -> list[tuple[int, ...]]:
     pts = np.asarray(points, dtype=float)
     labelings = itertools.product((0, 1), repeat=pts.shape[0])
     return [lab for lab in labelings if is_realizable(pts, lab)]
+
+
+def recursive_ltf_traces(points) -> list[tuple[int, ...]]:
+    """Sorted LTF traces of `points` from the cells of the arrangement, with
+    one integer Bareiss determinant per cofactor and one Python dot product
+    per side test, hyperplane by hyperplane: the reference for the filtered
+    float predicate and array assembly of linsep.enumerate_ltf_traces."""
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[0] == 0:
+        return [()]
+    return sorted(_recursive_cells(_integer_lift(pts)))
+
+
+def _recursive_cells(vs):
+    k = len(vs)
+    cols = _bareiss(vs)[0]
+    r = len(cols)
+    if r == k:
+        return set(itertools.product((0, 1), repeat=k))
+    vs = [tuple(v[c] for c in cols) for v in vs]
+    found = set()
+    planes = set()
+    for S in itertools.combinations(vs, r - 1):
+        normal = [
+            (-1) ** j * _bareiss([s[:j] + s[j + 1:] for s in S])[1] for j in range(r)
+        ]
+        if not any(normal):
+            continue  # S is dependent
+        side = [sum(map(operator.mul, normal, v)) for v in vs]
+        on = tuple(i for i, s in enumerate(side) if s == 0)
+        if on in planes:
+            continue
+        planes.add(on)
+        rays = ([int(s > 0) for s in side], [int(s < 0) for s in side])
+        for sub in _recursive_cells([vs[i] for i in on]):
+            for bits in rays:
+                for i, b in zip(on, sub):
+                    bits[i] = b
+                found.add(tuple(bits))
+    return found
 
 
 def loop_in_general_position(points) -> bool:

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -46,6 +47,20 @@ class TestBoundsCommand:
         rc = main(["bounds", "--m", "1", "--eps", "1.5", "--delta", "0.1"])
         assert rc == 2
         assert "eps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--eps", "--delta"])
+    @pytest.mark.parametrize("value", ["1.5", "0", "-0.1", "1", "nan", "0.1,1.5"])
+    def test_grid_value_outside_unit_interval_exits_2_naming_flag(
+        self, tmp_path, capsys, flag, value
+    ):
+        out = tmp_path / "bounds.csv"
+        argv = {"--eps": "0.1", "--delta": "0.1", flag: value}
+        rc = main(["bounds", "--m", "3", *itertools.chain(*argv.items()), "--output", str(out)])
+        assert rc == 2
+        assert f"{flag} must be in (0, 1), got {float(value.split(',')[-1])}" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--c-hat", "--c-prime"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
@@ -235,6 +250,31 @@ class TestDensityPipeline:
         assert captured.err == (
             "vclab: invalid configuration: growth samples need n >= 1 (log n), got n = 0\n"
         )
+
+    @pytest.mark.parametrize("value", ["0", "1.5", "nan"])
+    def test_fit_fraction_outside_range_exits_2_naming_flag(self, tmp_path, capsys, value):
+        growth = tmp_path / "growth.csv"
+        density = tmp_path / "density.csv"
+        assert main(["growth", "--class", UNION2_JSON, "--n", "8,16,32,64",
+                     "--method", "oracle", "--output", str(growth)]) == 0
+        capsys.readouterr()
+        rc = main(["density", "--input", str(growth), "--fit-fraction", value,
+                   "--output", str(density)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"vclab: invalid configuration: --fit-fraction must be in (0, 1], "
+            f"got {float(value)}\n"
+        )
+        assert not density.exists()
+
+    def test_fit_fraction_one_fits_every_row(self, tmp_path):
+        growth = tmp_path / "growth.csv"
+        density = tmp_path / "density.csv"
+        assert main(["growth", "--class", UNION2_JSON, "--n", "8,16,32,64",
+                     "--method", "oracle", "--output", str(growth)]) == 0
+        assert main(["density", "--input", str(growth), "--fit-fraction", "1",
+                     "--output", str(density)]) == 0
+        assert read_rows(density)[1][2:4] == ["8", "64"]
 
     @staticmethod
     def _growth_csv(path, ns, counts):

@@ -1,14 +1,20 @@
 """Properties of the exact LTF trace enumeration (hyperplane arrangement):
-agreement with the margin-LP sweep on degenerate sets, scale invariance,
-complement closure and Cover's count."""
+agreement with the margin-LP sweep and with the recursive integer-only
+enumeration on degenerate, near-degenerate and scaled sets, the exact
+fallback of the filtered float predicate, scale invariance, complement
+closure and Cover's count."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lp_ltf_traces
+from conftest import lp_ltf_traces, recursive_ltf_traces
+from vclab import linsep
 from vclab.dichotomy import sauer_shelah_cap
 from vclab.linsep import enumerate_ltf_traces
 from vclab.pointsets import random_general_position
@@ -21,11 +27,11 @@ def cover_count(n, d):
 
 
 @st.composite
-def grid_sets(draw, max_n):
-    """Points (repeats allowed) on the integer grid {-2..2}^d, d = 1..3, so
-    collinear and coplanar subsets are common. Every coordinate is 0, ±1 or
-    ±2, so scaling by any float factor is exact."""
-    d = draw(st.integers(1, 3))
+def grid_sets(draw, max_n, max_d=3):
+    """Points (repeats allowed) on the integer grid {-2..2}^d, d = 1..max_d,
+    so collinear and coplanar subsets are common. Every coordinate is 0, ±1
+    or ±2, so scaling by any float factor is exact."""
+    d = draw(st.integers(1, max_d))
     n = draw(st.integers(0, max_n))
     coords = draw(st.lists(st.integers(-2, 2), min_size=n * d, max_size=n * d))
     return np.array(coords, dtype=float).reshape(n, d)
@@ -72,3 +78,85 @@ def test_general_position_count_is_covers_count(nd, seed):
     pts = random_general_position(n, d, np.random.default_rng(seed)).as_array()
     traces = enumerate_ltf_traces(pts)
     assert len(traces) == cover_count(n, d)
+
+
+def gp_sets(max_n, max_d):
+    return st.builds(
+        lambda n, d, seed: random_general_position(n, d, np.random.default_rng(seed)).as_array(),
+        st.integers(1, max_n), st.integers(1, max_d), st.integers(0, 2**16),
+    )
+
+
+@st.composite
+def near_degenerate_sets(draw, max_n):
+    """Grid sets moved by a few units in the last places (multiples of
+    2^-50), so many side determinants are nonzero but far below the float
+    predicate's error bound and take the exact fallback."""
+    pts = draw(grid_sets(max_n, max_d=4))
+    nudge = draw(st.lists(st.integers(-2, 2), min_size=pts.size, max_size=pts.size))
+    return pts + np.reshape(nudge, pts.shape) * 2.0**-50
+
+
+SCALES = st.sampled_from([1.0, 2.0**-30, 1e-8, 1e6])
+
+NEAR_COLLINEAR = np.array([[0, 0], [1, 1], [2, 2 + 2**-50], [3, 3], [0, 1]])
+# one set mixing 1e-300 and 1e300 coordinates, and grid sets at either extreme
+EXTREME_SETS = [
+    np.array([[1e-300, 1e300], [2e-300, -1e300], [1e300, 3e-300], [-1e300, 1e-300], [0, 0]]),
+    np.array([[0, 0], [1, 1], [2, 2], [0, 1], [1, 0]]) * 1e-300,
+    np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]]) * 1e300,
+]
+
+
+def top_level_sides(pts):
+    """`linsep._float_sides` on the rows (x, 1) of a set of full rank d + 1,
+    for every d-subset: the first step of the enumeration."""
+    rows = np.hstack([pts, np.ones((len(pts), 1))])
+    subsets = np.array(list(itertools.combinations(range(len(pts)), pts.shape[1])))
+    return linsep._float_sides(rows, subsets)
+
+
+@given(pts=st.one_of(grid_sets(max_n=7, max_d=4), gp_sets(max_n=7, max_d=4)), factor=SCALES)
+@example(pts=np.array([[0.0, 0, 0, 0], [1, 0, 0, 0], [2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1],
+                       [0, 0, 2, 2]]), factor=1.0)
+@settings(max_examples=60, deadline=None)
+def test_filtered_predicate_matches_recursive_reference_and_lp(pts, factor):
+    traces = enumerate_ltf_traces(pts * factor)
+    assert traces == recursive_ltf_traces(pts * factor)
+    # traces do not depend on scale (the reference is exact), so the LP
+    # runs on the unscaled set, where its margins are O(1)
+    assert traces == lp_ltf_traces(pts)
+
+
+@given(pts=near_degenerate_sets(max_n=7), factor=SCALES)
+@settings(max_examples=60, deadline=None)
+def test_filtered_predicate_matches_recursive_reference_near_degeneracy(pts, factor):
+    assert enumerate_ltf_traces(pts * factor) == recursive_ltf_traces(pts * factor)
+
+
+def test_near_collinear_set_takes_exact_fallback():
+    side, certain = top_level_sides(NEAR_COLLINEAR)
+    # det of (0,0), (1,1), (2, 2 + 2^-50) is 2^-50, below the error bound
+    assert not certain[0, 2]
+    traces = enumerate_ltf_traces(NEAR_COLLINEAR)
+    assert traces == recursive_ltf_traces(NEAR_COLLINEAR)
+    # exactly collinear the four points allow fewer traces
+    assert len(traces) > len(enumerate_ltf_traces(np.round(NEAR_COLLINEAR)))
+
+
+@pytest.mark.parametrize("pts", EXTREME_SETS)
+def test_extreme_magnitudes_are_exact_and_warning_free(pts):
+    _, certain = top_level_sides(pts)
+    assert not certain.any()  # outside the float range every sign is exact
+    want = recursive_ltf_traces(pts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert enumerate_ltf_traces(pts) == want
+
+
+@pytest.mark.parametrize("n, d", [(128, 2), (20, 3), (20, 4)])
+def test_covers_count_at_scale(n, d):
+    pts = random_general_position(n, d, np.random.default_rng(n + d)).as_array()
+    traces = enumerate_ltf_traces(pts)
+    assert len(traces) == cover_count(n, d)
+    assert traces == sorted(set(traces))
