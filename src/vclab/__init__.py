@@ -16,18 +16,13 @@ from .bounds import (
 )
 from .dichotomy import (
     DensityEstimate,
-    FitPolicy,
     GrowthEstimate,
     GrowthSample,
-    Trace,
-    count_dichotomies_exact_ltf,
-    count_dichotomies_sampled,
     estimate_vc_density,
     growth_function_oracle,
     growth_samples,
     is_shattered,
     sauer_shelah_cap,
-    trace,
     trace_set,
     vc_dim_bruteforce,
 )
@@ -35,26 +30,19 @@ from .errors import CapExceededError, ConfigError, IndeterminateLabelingError, V
 from .hypotheses import (
     ActivationSpec,
     ExplicitFinite,
-    Hypothesis,
     LayerSpec,
     LinearThreshold,
     NetworkSpec,
     UnionOfMPoints,
-    WeightVector,
-    apply_activation,
-    baseline_membership,
-    evaluate,
     load_class_spec,
 )
 from .pointsets import PointSet, random_general_position
 from .ucheck import (
     DiscreteDistribution,
     UCExperimentResult,
-    empirical_loss,
     load_distribution,
     run_uc_experiment,
     sup_deviation_exact,
-    true_loss,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -78,18 +78,17 @@ class BoundReport:
 def deviation_bound_growth(tau_2k, k: int, delta: float) -> float:
     """(4 + sqrt(ln tau(2k))) / (delta * sqrt(2k)).
 
-    `tau_2k` is the growth value at 2k, given as an integer or as a callable
-    n -> tau(n). Note the bare delta (not sqrt(ln(1/delta))) in the
-    denominator; the elementary chain depends on this exact form.
+    `tau_2k` is the growth value at 2k. Note the bare delta (not
+    sqrt(ln(1/delta))) in the denominator; the elementary chain depends on
+    this exact form.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
-    tau = tau_2k(2 * k) if callable(tau_2k) else tau_2k
-    if tau < 1:
+    if tau_2k < 1:
         raise ValueError("growth value must be >= 1")
-    return (4.0 + math.sqrt(math.log(tau))) / (delta * math.sqrt(2.0 * k))
+    return (4.0 + math.sqrt(math.log(tau_2k))) / (delta * math.sqrt(2.0 * k))
 
 
 def _elementary_a(q: BoundQuery) -> float:
@@ -178,21 +177,14 @@ def deviation_bound_rademacher(
     m: int,
     delta: float,
     constants: BoundConstants = BoundConstants(),
-    printed_m_denominator: bool = False,
 ) -> float:
-    """sqrt(8m * ln(C'k) / k) + sqrt(2 * ln(4/delta) / k).
-
-    `printed_m_denominator=True` puts m instead of k under the confidence
-    term; that variant does not shrink with sample size and is kept only for
-    side-by-side comparison.
-    """
+    """sqrt(8m * ln(C'k) / k) + sqrt(2 * ln(4/delta) / k)."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
     first = math.sqrt(8.0 * m * math.log(constants.C_prime * k) / k)
-    denom = m if printed_m_denominator else k
-    second = math.sqrt(2.0 * math.log(4.0 / delta) / denom)
+    second = math.sqrt(2.0 * math.log(4.0 / delta) / k)
     return first + second
 
 
@@ -241,7 +233,7 @@ def classical_reference_bounds(q: BoundQuery, vcdim) -> float:
 
 
 def back_verify_elementary(q: BoundQuery, k: int) -> bool:
-    """Re-evaluate the growth deviation bound at k with tau(2k) = (2k)^m.
+    """Recompute the growth deviation bound at k with tau(2k) = (2k)^m.
 
     Only meaningful in the regime m*ln(2k) >= 16, where absorbing the
     additive 4 into a factor 2 is valid; outside it, returns True vacuously.

@@ -242,8 +242,7 @@ def cmd_density(args):
     if not 0 < args.fit_fraction <= 1:
         raise ConfigError(f"--fit-fraction must be in (0, 1], got {args.fit_fraction}")
     estimate = read_growth_csv(args.input)
-    policy = dch.FitPolicy(upper_fraction=args.fit_fraction)
-    density = dch.estimate_vc_density(estimate, policy)
+    density = dch.estimate_vc_density(estimate, upper_fraction=args.fit_fraction)
     return DENSITY_COLUMNS, [density_row(estimate.class_id, density)]
 
 
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="evaluate both sample-complexity bounds")
+    p = sub.add_parser("bounds", help="compute both sample-complexity bounds")
     p.add_argument("--m", required=True, help="weight count(s), comma separated")
     p.add_argument("--eps", required=True, help="accuracy value(s), comma separated")
     p.add_argument("--delta", required=True, help="confidence value(s), comma separated")

@@ -1,10 +1,12 @@
-"""Traces, dichotomy counting, shattering, brute-force VC-dimension, and
-VC-density estimation.
+"""Trace sets, dichotomy counting, shattering, brute-force VC-dimension,
+and VC-density estimation.
 
-Exact counting is provided for the linear-threshold class (cells of the
-hyperplane arrangement, with exact determinant signs) and for the combinatorial
-baselines (closed forms). For nonlinear networks counts come from weight
-sampling and are certified lower bounds.
+`trace_set` is the one trace primitive: the distinct traces of a class on a
+point set, as sorted np.packbits rows. Counting, shattering and `ucheck`
+all read it. It is exact for the linear-threshold class (cells of the
+hyperplane arrangement, with exact determinant signs) and for the
+combinatorial baselines. For nonlinear networks traces come from weight
+sampling, so counts are certified lower bounds.
 """
 
 from __future__ import annotations
@@ -19,15 +21,11 @@ from . import linsep
 from .errors import CapExceededError, ConfigError
 from .hypotheses import (
     ActivationSpec,
-    BaselineClass,
     ExplicitFinite,
-    Hypothesis,
     LayerSpec,
     LinearThreshold,
     NetworkSpec,
     UnionOfMPoints,
-    baseline_membership,
-    evaluate,
     forward_batch,
 )
 from .pointsets import PointSet, random_general_position, simplex_vertices
@@ -45,31 +43,6 @@ FIT_MIN_POINTS = 3
 # weight-row x point entries per sampled forward-pass block: one (rows, n)
 # float plane is 512 KB, which stays in a per-core L2 cache at any n
 _BLOCK_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class Trace:
-    """A hypothesis restricted to a finite point set, as a bit vector."""
-
-    bits: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-def trace(h, B: PointSet) -> Trace:
-    """Trace of a hypothesis on B: bit i = h(B[i]).
-
-    `h` may be a Hypothesis or a (baseline_class, parameter) pair.
-    """
-    if isinstance(h, Hypothesis):
-        bits = tuple(evaluate(h, p) for p in B.points)
-    elif isinstance(h, tuple) and len(h) == 2 and isinstance(h[0], BaselineClass):
-        cls, param = h
-        bits = tuple(baseline_membership(cls, param, p) for p in B.points)
-    else:
-        raise TypeError(f"cannot trace {h!r}")
-    return Trace(bits=bits)
 
 
 def as_network(cls) -> NetworkSpec:
@@ -101,9 +74,10 @@ def trace_set(
     """Distinct traces of the class on B, as sorted np.packbits rows (unpack
     with count=len(B)), and whether the set is exact.
 
-    Exact for the baselines: LTF traces from the hyperplane arrangement
-    (linsep.enumerate_ltf_traces), union-of-points traces as the subsets of
-    B's in-domain points, explicit-finite traces by projection. For networks the set comes from weight sampling and is a
+    Exact for the baselines: LTF rows as linsep.enumerate_ltf_traces returns
+    them (the cells of the hyperplane arrangement), union-of-points traces as
+    the subsets of B's in-domain points, explicit-finite traces by
+    projection. For networks the set comes from weight sampling and is a
     subset of the true trace set (exact=False).
     """
     k = len(B)
@@ -114,8 +88,7 @@ def trace_set(
             raise ValueError(f"point dim {B.dim} != class dim {cls.dim}")
         if cls.dim > EXACT_LTF_DIM_CAP:
             raise CapExceededError(f"dimension {cls.dim} exceeds exact LTF cap {EXACT_LTF_DIM_CAP}")
-        traces = linsep.enumerate_ltf_traces(B.as_array())
-        return _packed(np.reshape(traces, (len(traces), k))), True
+        return linsep.enumerate_ltf_traces(B.as_array()), True
     if isinstance(cls, UnionOfMPoints):
         in_dom = [i for i, p in enumerate(B.points) if p in cls.domain]
         sizes = range(min(cls.capacity, len(in_dom)) + 1)
@@ -139,12 +112,6 @@ def trace_set(
     raise TypeError(f"no trace set for {cls!r}")
 
 
-def count_dichotomies_exact_ltf(B: PointSet) -> int:
-    """Exact number of affine-threshold dichotomies of B: the cells of its
-    hyperplane arrangement, found with exact integer determinants."""
-    return len(trace_set(LinearThreshold(dim=B.dim or 1), B)[0])
-
-
 def default_weight_box(B: PointSet) -> tuple[float, float]:
     """Symmetric sampling box wide enough that biases can offset any point."""
     if len(B) == 0:
@@ -153,12 +120,12 @@ def default_weight_box(B: PointSet) -> tuple[float, float]:
     return (-r, r)
 
 
-def sampled_trace_set(
-    cls, B: PointSet, budget: int, seed: int, box: tuple[float, float] | None = None
-) -> np.ndarray:
+def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
     """Distinct traces found by drawing `budget` weight vectors componentwise
-    uniform on `box`, as sorted np.packbits rows. A subset of the true trace
-    set: every returned trace is realized by an explicit weight vector.
+    uniform on default_weight_box(B), as sorted np.packbits rows. A subset of
+    the true trace set: every returned trace is realized by an explicit
+    weight vector. Monotone in budget for a fixed seed: the first `budget`
+    draws of a longer run coincide with a shorter run's draws.
 
     Weights are drawn and evaluated in blocks of about _BLOCK_ENTRIES
     weight-row x point entries (at least one row), so memory is bounded by
@@ -170,7 +137,7 @@ def sampled_trace_set(
     net = as_network(cls)
     if len(B) and B.dim != net.input_dim:
         raise ValueError(f"point dim {B.dim} != network input_dim {net.input_dim}")
-    lo, hi = box if box is not None else default_weight_box(B)
+    lo, hi = default_weight_box(B)
     rng = np.random.default_rng(seed)
     X = B.as_array().reshape(len(B), net.input_dim)
     found = []
@@ -184,18 +151,7 @@ def sampled_trace_set(
     return linsep._unique_rows(np.concatenate(found))
 
 
-def count_dichotomies_sampled(
-    cls, B: PointSet, budget: int, seed: int, box: tuple[float, float] | None = None
-) -> int:
-    """Certified lower bound on the dichotomy count of B (tag: lower_bound).
-
-    Monotone nondecreasing in budget for a fixed seed: the first `budget`
-    draws of a longer run coincide with a shorter run's draws.
-    """
-    return len(sampled_trace_set(cls, B, budget, seed, box=box))
-
-
-def growth_function_oracle(c: BaselineClass, n: int):
+def growth_function_oracle(c, n: int):
     """Exact growth function value for a baseline class at set size n.
 
     Python integers are unbounded, so no overflow guard is needed.
@@ -409,18 +365,11 @@ def growth_samples(
     )
 
 
-@dataclass(frozen=True)
-class FitPolicy:
-    """log-log fit policy: use the `upper_fraction` largest n values, never
-    fewer than FIT_MIN_POINTS (lower-order terms pollute small n)."""
-
-    upper_fraction: float = 0.5
-
-
-def estimate_vc_density(g: GrowthEstimate, policy: FitPolicy = FitPolicy()) -> DensityEstimate:
+def estimate_vc_density(g: GrowthEstimate, upper_fraction: float = 0.5) -> DensityEstimate:
     """Least-squares slope of log(count) against log(n) (natural logs; the
-    slope is base-invariant). Counts that decrease with n and fit a negative
-    slope raise ValueError."""
+    slope is base-invariant) over the `upper_fraction` largest n values,
+    never fewer than FIT_MIN_POINTS (lower-order terms pollute small n).
+    Counts that decrease with n and fit a negative slope raise ValueError."""
     samples = sorted(g.samples, key=lambda s: s.n)
     if len(samples) < 3:
         raise ValueError("need at least 3 growth samples")
@@ -429,7 +378,7 @@ def estimate_vc_density(g: GrowthEstimate, policy: FitPolicy = FitPolicy()) -> D
         raise ValueError(f"growth samples need n >= 1 (log n), got n = {ns[0]}")
     if max(ns) < 4 * min(ns):
         raise ValueError("set sizes must span at least a factor of 4")
-    take = max(FIT_MIN_POINTS, math.ceil(len(samples) * policy.upper_fraction))
+    take = max(FIT_MIN_POINTS, math.ceil(len(samples) * upper_fraction))
     fit = samples[-take:]
     x = np.log([s.n for s in fit])
     y = np.log([float(s.count) for s in fit])

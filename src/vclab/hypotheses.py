@@ -1,8 +1,12 @@
 """Binary hypothesis classes: small feed-forward networks with definable
 activations, and exact baseline classes used as oracles.
 
-A network with weight vector w defines the classifier x -> [forward(x, w) > 0].
-Everything here is immutable and pure, so evaluation can be parallelized freely.
+A network with weight vector w defines the classifier x -> [v(x, w) > 0],
+where v is its real output. `forward_batch` is the one evaluation path: it
+computes v for a batch of weight vectors on a batch of points. The baseline
+classes carry no evaluator; `dichotomy.trace_set` lists their traces
+directly. Everything here is immutable and pure, so evaluation can be
+parallelized freely.
 """
 
 from __future__ import annotations
@@ -45,15 +49,6 @@ class ActivationSpec:
                 raise ConfigError(f"restriction interval must satisfy a < b, got [{a}, {b}]")
 
 
-def apply_activation(act: ActivationSpec, t: float) -> float:
-    """Evaluate the activation at t (a 1-element batch).
-
-    Outside the restriction interval a clamped activation returns exactly 0.
-    The threshold kind breaks the tie at 0 downward: threshold(0) = 0.
-    """
-    return float(_apply_activation_batch(act, np.array([t], dtype=float))[0])
-
-
 @dataclass(frozen=True)
 class LayerSpec:
     """One fully-connected layer: ``activations[i]`` is applied to node i."""
@@ -94,49 +89,15 @@ class NetworkSpec:
         )
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    values: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    network: NetworkSpec
-    weights: WeightVector
-
-    def __post_init__(self):
-        if len(self.weights) != self.network.weight_count:
-            raise ConfigError(
-                f"weight vector length {len(self.weights)} != "
-                f"network weight count {self.network.weight_count}"
-            )
-
-
-def forward(network: NetworkSpec, weights, x) -> float:
-    """Real-valued forward pass at one point (a 1x1 batch); `weights` is a
-    flat sequence in layer order, within each node [w_1..w_fanin, bias]."""
-    return float(forward_batch(network, [weights], [x])[0, 0])
-
-
-def evaluate(h: Hypothesis, x) -> int:
-    """Binary output of the hypothesis at x: 1 iff the output node's value > 0."""
-    if len(x) != h.network.input_dim:
-        raise ValueError(
-            f"point dimension {len(x)} != network input_dim {h.network.input_dim}"
-        )
-    return 1 if forward(h.network, h.weights.values, x) > 0 else 0
-
-
 def _apply_activation_batch(act: ActivationSpec, t, out=None):
     """Evaluate the activation elementwise on a float array; raises
     ValueError if any input is not finite, before anything is written.
 
     The result goes to `out`, a float array shaped like `t`, which may be
     `t` itself; with out=None a new array is returned. The clamp mask is
-    taken from `t` before `out` is written.
+    taken from `t` before `out` is written. Outside the restriction interval
+    a clamped activation gives exactly 0; threshold breaks the tie at 0
+    downward (threshold(0) = 0).
     """
     if not np.isfinite(t).all():
         raise ValueError("activation input must be finite")
@@ -176,7 +137,8 @@ def _apply_activation_batch(act: ActivationSpec, t, out=None):
 def forward_batch(network: NetworkSpec, W, X):
     """Forward pass for a batch of weight vectors on a batch of points.
 
-    W: (n_samples, m) weight matrix, X: (n_points, input_dim).
+    W: (n_samples, m) weight matrix, each row a flat weight vector in layer
+    order, within each node [w_1..w_fanin, bias]; X: (n_points, input_dim).
     Returns (n_samples, n_points) real outputs of the single output node.
 
     Activations are carried node-major, as a (width, n_samples, n_points)
@@ -252,47 +214,15 @@ class ExplicitFinite:
     traces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        deduped = tuple(dict.fromkeys(self.traces))
-        if deduped != self.traces:
-            object.__setattr__(self, "traces", deduped)
         for t in self.traces:
             if len(t) != len(self.domain):
                 raise ConfigError("trace length must match domain size")
-
-
-BaselineClass = LinearThreshold | UnionOfMPoints | ExplicitFinite
-
-
-def baseline_membership(c: BaselineClass, parameter, x) -> int:
-    """Indicator of x in the set selected by `parameter` within class c.
-
-    LinearThreshold: parameter = (w, b); UnionOfMPoints: parameter = iterable
-    of <= capacity domain points; ExplicitFinite: parameter = trace index.
-    """
-    xt = tuple(x)
-    if isinstance(c, LinearThreshold):
-        w, b = parameter
-        if len(w) != c.dim or len(xt) != c.dim:
-            raise ValueError("weight/point dimension mismatch")
-        return 1 if sum(wi * xi for wi, xi in zip(w, xt)) + b > 0 else 0
-    if isinstance(c, UnionOfMPoints):
-        chosen = [tuple(p) for p in parameter]
-        if len(chosen) > c.capacity:
-            raise ValueError(f"parameter selects {len(chosen)} points > capacity {c.capacity}")
-        for p in chosen:
-            if p not in c.domain:
-                raise ValueError(f"point {p} not in declared domain")
-        return 1 if xt in chosen else 0
-    if isinstance(c, ExplicitFinite):
-        idx = int(parameter)
-        if not 0 <= idx < len(c.traces):
-            raise ValueError("trace index out of range")
-        try:
-            j = c.domain.index(xt)
-        except ValueError:
-            raise ValueError(f"point {xt} not in declared domain") from None
-        return c.traces[idx][j]
-    raise TypeError(f"not a baseline class: {c!r}")
+            for b in t:
+                if b not in (0, 1):
+                    raise ConfigError(f"trace entries must be 0 or 1, got {b!r}")
+        deduped = tuple(dict.fromkeys(self.traces))
+        if deduped != self.traces:
+            object.__setattr__(self, "traces", deduped)
 
 
 # --------------------------------------------------------------------------
@@ -363,7 +293,7 @@ def parse_class_spec(doc: dict):
         if bkind == "explicit_finite":
             return ExplicitFinite(
                 domain=tuple(tuple(float(v) for v in p) for p in _field(base, "domain", where)),
-                traces=tuple(tuple(int(b) for b in t) for t in _field(base, "traces", where)),
+                traces=tuple(tuple(t) for t in _field(base, "traces", where)),
             )
         raise ConfigError(f"unknown baseline kind {bkind!r}")
     raise ConfigError(f"unknown class spec kind {kind!r}")

@@ -6,14 +6,15 @@ function iff some u gives u . (x, 1) > 0 exactly on the label-1 points.
 In u-space each point is a hyperplane through the origin, and the
 realizable labelings are the sign vectors of the cells of that arrangement
 (Cover 1965; Edelsbrunner, Algorithms in Combinatorial Geometry, ch. 7).
-`enumerate_ltf_traces` lists those cells from the signs of determinants of
-the rows (x, 1), all hyperplanes at once. A batched float evaluation gives
-each determinant with its permanent P, and its sign counts where |det| >
-2 r^2 2^-53 P for r x r determinants, twice its forward error bound (a
-filtered predicate; Shewchuk 1997). The remaining signs come from integer
-Bareiss determinants of the points scaled exactly to integers. So the
-enumeration has no tolerance and does not depend on how the points are
-scaled.
+`enumerate_ltf_traces` lists those cells, as sorted distinct np.packbits
+rows (the trace-set format of `dichotomy.trace_set`), from the signs of
+determinants of the rows (x, 1), all hyperplanes at once. A batched float
+evaluation gives each determinant with its permanent P, and its sign
+counts where |det| > 2 r^2 2^-53 P for r x r determinants, twice its
+forward error bound (a filtered predicate; Shewchuk 1997). The remaining
+signs come from integer Bareiss determinants of the points scaled exactly
+to integers. So the enumeration has no tolerance and does not depend on
+how the points are scaled.
 
 `max_margin`/`is_realizable` decide one labeling by LP: it is realizable
 iff the optimal separation margin, maximized over weight vectors in the
@@ -77,18 +78,19 @@ def is_realizable(points: np.ndarray, labeling) -> bool:
     raise IndeterminateLabelingError(labeling, gamma)
 
 
-def enumerate_ltf_traces(points: np.ndarray) -> list[tuple[int, ...]]:
+def enumerate_ltf_traces(points: np.ndarray) -> np.ndarray:
     """All labelings of `points` realizable by affine threshold functions,
-    sorted. Exact: every side test is the sign of a determinant of the rows
-    (x, 1), decided by a float evaluation where its error bound allows and
-    by integer arithmetic otherwise."""
+    as sorted distinct np.packbits rows (unpack with count=len(points)).
+    Exact: every side test is the sign of a determinant of the rows (x, 1),
+    decided by a float evaluation where its error bound allows and by
+    integer arithmetic otherwise."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] == 0:
-        return [()]
+        return np.zeros((1, 0), dtype=np.uint8)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     rows = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    return list(map(tuple, _cells(_integer_lift(pts), rows).tolist()))
+    return _cells(_integer_lift(pts), rows)
 
 
 def _integer_lift(pts: np.ndarray) -> list[tuple[int, ...]]:
@@ -102,8 +104,8 @@ def _integer_lift(pts: np.ndarray) -> list[tuple[int, ...]]:
 def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
     """Sign vectors (1 for > 0, 0 for < 0) of u . v over all u that are
     nonzero on every v: the cells of the central arrangement of the v's,
-    as the sorted distinct rows of a uint8 matrix. `ints` and `floats` hold
-    the same v's up to one positive factor, as integers and as floats.
+    as sorted distinct np.packbits rows. `ints` and `floats` hold the same
+    v's up to one positive factor, as integers and as floats.
 
     With r the rank of the v's, every cell of this rank-r arrangement has a
     ray u_S in its closure, where S is a set of r - 1 independent v's and
@@ -116,7 +118,7 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
     cols = _bareiss(ints)[0]
     r = len(cols)
     if r == k:
-        return _all_patterns(k)
+        return np.packbits(_all_patterns(k), axis=1)
     # projecting onto r independent coordinates is one-to-one on the span,
     # so the cells keep their sign vectors; the dropped coordinates are the
     # unit-vector completion C of det[S; v; C]
@@ -142,13 +144,12 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
         if (key := z.tobytes()) in planes:
             continue
         planes.add(key)
-        sub = _cells([ints[i] for i in z], floats[z])
+        sub = np.unpackbits(_cells([ints[i] for i in z], floats[z]), axis=1, count=len(z))
         rays = np.stack([sign[c] > 0, sign[c] < 0]).astype(np.uint8)
         rows = np.repeat(rays, len(sub), axis=0)
         rows[:, z] = np.tile(sub, (2, 1))
         found.append(rows)
-    bits = np.concatenate(found)
-    return np.unpackbits(_unique_rows(np.packbits(bits, axis=1)), axis=1, count=k)
+    return _unique_rows(np.packbits(np.concatenate(found), axis=1))
 
 
 def _all_patterns(m: int) -> np.ndarray:

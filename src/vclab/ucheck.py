@@ -18,7 +18,7 @@ import numpy as np
 
 # sampled_trace_set is not called here; perfbench/tracer.py requires this
 # lookup site (REQUIRED_SITES), so the import stays
-from .dichotomy import Trace, sampled_trace_set, trace_set  # noqa: F401
+from .dichotomy import sampled_trace_set, trace_set  # noqa: F401
 from .errors import CapExceededError, ConfigError
 from .pointsets import PointSet
 
@@ -68,26 +68,6 @@ class UCExperimentResult:
             raise ValueError("failures cannot exceed trials")
 
 
-def true_loss(t: Trace, D: DiscreteDistribution) -> float:
-    """Probability mass of the support points the trace misclassifies."""
-    if len(t) != len(D.support):
-        raise ValueError("trace length != support size")
-    return float(
-        sum(p for p, b, y in zip(D.probabilities, t.bits, D.true_labels) if b != y)
-    )
-
-
-def empirical_loss(t: Trace, D: DiscreteDistribution, S) -> float:
-    """Fraction of the sampled support indices the trace misclassifies."""
-    S = list(S)
-    if not S:
-        raise ValueError("sample must be nonempty")
-    if len(t) != len(D.support):
-        raise ValueError("trace length != support size")
-    wrong = sum(1 for i in S if t.bits[i] != D.true_labels[i])
-    return wrong / len(S)
-
-
 def enumerate_support_traces(cls, support: PointSet, budget: int = 20000, seed: int = 0):
     """Trace set of the class on the support, as a (R, |support|) 0/1 array,
     plus the method tag. Exact for baselines, sampled for networks."""
@@ -123,9 +103,12 @@ class SupDeviation:
 def sup_deviation_exact(
     cls, D: DiscreteDistribution, S, budget: int = 20000, seed: int = 0
 ) -> SupDeviation:
-    """max over realizable traces t of |true_loss(t) - empirical_loss(t, S)|.
+    """max over realizable traces t of |L_D(t) - L_S(t)|, the true loss
+    (misclassified probability mass) against the empirical loss
+    (misclassified fraction of S).
 
-    S is a nonempty multiset of support indices. For sampled (network)
+    S is a nonempty multiset of support indices, run through the same
+    kernel as one trial of run_uc_experiment. For sampled (network)
     enumeration the value is a lower bound on the true supremum.
     """
     S = list(S)

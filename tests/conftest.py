@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vclab.hypotheses import _apply_activation_batch
-from vclab.linsep import _bareiss, _integer_lift, is_realizable
+from vclab.linsep import _bareiss, _integer_lift, enumerate_ltf_traces, is_realizable
 from vclab.pointsets import _GP_TOL, PointSet
 from vclab.ucheck import UCExperimentResult, _error_matrix
 
@@ -28,6 +28,14 @@ GP6 = PointSet(
     ),
     general_position=True,
 )
+
+
+def ltf_tuples(points) -> list[tuple[int, ...]]:
+    """linsep.enumerate_ltf_traces unpacked to sorted 0/1 tuples, the form of
+    the lp_ltf_traces and recursive_ltf_traces references."""
+    pts = np.asarray(points, dtype=float)
+    bits = np.unpackbits(enumerate_ltf_traces(pts), axis=1, count=pts.shape[0])
+    return list(map(tuple, bits.tolist()))
 
 
 def lp_ltf_traces(points) -> list[tuple[int, ...]]:

@@ -20,10 +20,10 @@ from vclab.bounds import (
     solve_k_rademacher,
 )
 from vclab.dichotomy import (
-    count_dichotomies_exact_ltf,
     estimate_vc_density,
     growth_samples,
     sauer_shelah_cap,
+    trace_set,
     vc_dim_bruteforce,
 )
 from vclab.hypotheses import (
@@ -65,7 +65,7 @@ def gp(n, d, seed):
 def test_criterion_1_cover_count_reproduction():
     start = time.monotonic()
     expected = [2, 4, 8, 14, 22, 32, 44, 58]
-    got = [count_dichotomies_exact_ltf(gp(n, 2, seed=300 + n)) for n in range(1, 9)]
+    got = [len(trace_set(LTF2, gp(n, 2, seed=300 + n))[0]) for n in range(1, 9)]
     elapsed = time.monotonic() - start
     report(1, got == expected and elapsed < 10.0,
            f"planar counts n=1..8 = {got}, {elapsed:.2f}s")
@@ -104,7 +104,7 @@ def test_criterion_3_vc_density_slopes():
 def test_criterion_4_sauer_shelah_cap_zero_violations():
     violations = []
     for n in range(1, 9):  # planar LTF, measured VC-dim 3
-        count = count_dichotomies_exact_ltf(gp(n, 2, seed=300 + n))
+        count = len(trace_set(LTF2, gp(n, 2, seed=300 + n))[0])
         if count > sauer_shelah_cap(3, n):
             violations.append(("ltf", n, count))
     for m in (1, 2, 3):  # union classes, measured VC-dim m

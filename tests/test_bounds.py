@@ -40,12 +40,12 @@ class TestDeviationGrowth:
         assert val == pytest.approx((4 + math.sqrt(2 * math.log(100))) / 1.0, rel=1e-12)
         assert val == pytest.approx(7.0348, abs=1e-3)
 
-    def test_oracle_tau_via_callback(self):
+    def test_oracle_tau_at_2k(self):
         # exact planar perceptron growth at 2k = 8: 2*(1+7+21) = 58
         from vclab.dichotomy import growth_function_oracle
         from vclab.hypotheses import LinearThreshold
 
-        tau = lambda n: growth_function_oracle(LinearThreshold(dim=2), n)
+        tau = growth_function_oracle(LinearThreshold(dim=2), 2 * 4)
         expected = (4 + math.sqrt(math.log(58))) / (0.2 * math.sqrt(8))
         assert deviation_bound_growth(tau, k=4, delta=0.2) == pytest.approx(expected)
 
@@ -162,12 +162,6 @@ class TestDeviationRademacher:
             deviation_bound_rademacher(k, m=3, delta=0.1) for k in range(10, 5000, 37)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_printed_m_denominator_variant(self):
-        as_printed = deviation_bound_rademacher(1000, m=4, delta=0.1, printed_m_denominator=True)
-        corrected = deviation_bound_rademacher(1000, m=4, delta=0.1)
-        # the printed variant's confidence term does not shrink with k
-        assert as_printed > corrected
 
 
 class TestKRademacher:

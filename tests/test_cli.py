@@ -200,6 +200,22 @@ class TestGrowthCommand:
         assert rc == 2
         assert "baseline" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["growth", "--method", "oracle", "--n", "2"],
+                                      ["vcdim", "--max-d", "2"]])
+    @pytest.mark.parametrize("bad", [2, 1.5, [1]])
+    def test_non_binary_explicit_trace_exits_2(self, tmp_path, capsys, argv, bad):
+        # a 2 would otherwise read as a fourth trace (growth 4) or fold into
+        # a 1 (three traces, VC-dimension 1); 1.5 must not be truncated to 1,
+        # and a nested list must not fail as unhashable
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"schema_version": 1, "kind": "baseline", "baseline": {
+            "kind": "explicit_finite", "domain": [[0], [1]],
+            "traces": [[0, bad], [0, 1], [1, 1], [0, 0]]}}))
+        out = tmp_path / "out.csv"
+        assert main([argv[0], "--class", str(spec), *argv[1:], "--output", str(out)]) == 2
+        assert f"trace entries must be 0 or 1, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVcdimCommand:
     def test_ltf(self, tmp_path):

@@ -8,29 +8,27 @@ from hypothesis import strategies as st
 
 from conftest import GP8
 from vclab.dichotomy import (
-    FitPolicy,
     GrowthEstimate,
     GrowthSample,
-    count_dichotomies_exact_ltf,
-    count_dichotomies_sampled,
+    as_network,
     estimate_vc_density,
     growth_function_oracle,
     growth_samples,
     is_shattered,
+    sampled_trace_set,
     sauer_shelah_cap,
-    trace,
+    trace_set,
     vc_dim_bruteforce,
 )
 from vclab.errors import CapExceededError
 from vclab.hypotheses import (
     ActivationSpec,
     ExplicitFinite,
-    Hypothesis,
     LayerSpec,
     LinearThreshold,
     NetworkSpec,
     UnionOfMPoints,
-    WeightVector,
+    forward_batch,
 )
 from vclab.pointsets import PointSet, random_general_position
 
@@ -46,17 +44,30 @@ def gp(n, d, seed):
     return random_general_position(n, d, np.random.default_rng(seed))
 
 
+def exact_count(B):
+    """Exact planar LTF dichotomy count of B."""
+    return len(trace_set(LTF2, B)[0])
+
+
+def sampled_count(B, budget, seed):
+    """Sampled lower bound on the planar LTF dichotomy count of B."""
+    return len(sampled_trace_set(LTF2, B, budget, seed))
+
+
+def bits(net, w, B):
+    """Trace of the network with weight vector w on B, as a 0/1 list."""
+    return (forward_batch(net, [w], B.as_array())[0] > 0).astype(int).tolist()
+
+
 class TestTrace:
     def test_zero_weight_network_constant_zero(self):
         net = NetworkSpec(input_dim=2, layers=(LayerSpec((THR, THR)), LayerSpec((THR,))))
-        h = Hypothesis(network=net, weights=WeightVector((0.0,) * net.weight_count))
         B = gp(3, 2, seed=5)
-        assert trace(h, B).bits == (0, 0, 0)
+        assert bits(net, (0.0,) * net.weight_count, B) == [0, 0, 0]
 
     def test_ltf_parameter_trace(self):
         B = PointSet(points=((0.0, 0.0), (1.0, 0.0)))
-        t = trace((LTF2, ((1.0, 0.0), -0.5)), B)
-        assert t.bits == (0, 1)
+        assert bits(as_network(LTF2), (1.0, 0.0, -0.5), B) == [0, 1]
 
     def test_tanh_net_trace_matches_forward_oracle(self):
         tanh = ActivationSpec(kind="tanh")
@@ -69,53 +80,47 @@ class TestTrace:
             h2 = math.tanh(-0.3 * x[0] + 0.8 * x[1] + 0.1)
             out = math.tanh(1.5 * h1 - 2.0 * h2 + 0.05)
             expected.append(1 if out > 0 else 0)
-        h = Hypothesis(network=net, weights=WeightVector(w))
-        assert trace(h, B).bits == tuple(expected)
+        assert bits(net, w, B) == expected
 
 
 class TestExactCounting:
     def test_single_point(self):
         B = PointSet(points=((0.3, 0.7),))
-        assert count_dichotomies_exact_ltf(B) == 2
+        assert exact_count(B) == 2
 
     def test_three_points_shattered(self):
-        assert count_dichotomies_exact_ltf(gp(3, 2, seed=11)) == 8
+        assert exact_count(gp(3, 2, seed=11)) == 8
 
     def test_four_points_cover_count(self):
         # closed-form cross-check: 2 * (C(3,0)+C(3,1)+C(3,2)) = 14
-        assert count_dichotomies_exact_ltf(gp(4, 2, seed=11)) == 14
+        assert exact_count(gp(4, 2, seed=11)) == 14
 
     def test_planar_cover_formula_through_n8(self):
         for n in range(1, 9):
             B = gp(n, 2, seed=100 + n)
             expected = 2 * sum(math.comb(n - 1, i) for i in range(3))
-            assert count_dichotomies_exact_ltf(B) == min(expected, 2**n)
+            assert exact_count(B) == min(expected, 2**n)
 
     def test_cap_enforced(self):
         pts = tuple((float(i), float(i * i % 7) + 0.01 * i) for i in range(21))
         with pytest.raises(CapExceededError):
-            count_dichotomies_exact_ltf(PointSet(points=pts))
+            exact_count(PointSet(points=pts))
 
 
 class TestSampledCounting:
     def test_budget_one_finds_one_trace(self):
-        assert count_dichotomies_sampled(LTF2, gp(4, 2, seed=3), budget=1, seed=0) == 1
-
-    def test_zero_box_constant_class(self):
-        # sampler confined to {0}: only the constant-0 hypothesis
-        B = gp(5, 2, seed=9)
-        assert count_dichotomies_sampled(LTF2, B, budget=500, seed=0, box=(0.0, 0.0)) == 1
+        assert sampled_count(gp(4, 2, seed=3), budget=1, seed=0) == 1
 
     def test_recovers_exact_count_at_high_budget(self):
         B = gp(4, 2, seed=21)
-        exact = count_dichotomies_exact_ltf(B)
-        assert count_dichotomies_sampled(LTF2, B, budget=100000, seed=7) == exact == 14
+        exact = exact_count(B)
+        assert sampled_count(B, budget=100000, seed=7) == exact == 14
 
     def test_lower_bound_never_exceeds_exact(self):
         for seed in range(4):
             B = gp(5, 2, seed=40 + seed)
-            exact = count_dichotomies_exact_ltf(B)
-            sampled = count_dichotomies_sampled(LTF2, B, budget=2000, seed=seed)
+            exact = exact_count(B)
+            sampled = sampled_count(B, budget=2000, seed=seed)
             assert sampled <= exact
 
     @given(b1=st.integers(1, 400), b2=st.integers(1, 400))
@@ -123,9 +128,7 @@ class TestSampledCounting:
     def test_monotone_in_budget_for_fixed_seed(self, b1, b2):
         B = PointSet(points=((0.2, 0.4), (-0.7, 0.1), (0.5, -0.9), (-0.1, -0.3)))
         lo, hi = sorted((b1, b2))
-        assert count_dichotomies_sampled(LTF2, B, lo, seed=13) <= count_dichotomies_sampled(
-            LTF2, B, hi, seed=13
-        )
+        assert sampled_count(B, lo, seed=13) <= sampled_count(B, hi, seed=13)
 
 
 class TestGrowthOracle:
@@ -148,7 +151,7 @@ class TestGrowthOracle:
     def test_ltf_matches_exact_counter(self):
         assert growth_function_oracle(LTF2, 4) == 14
         for n in range(1, 9):
-            assert growth_function_oracle(LTF2, n) == count_dichotomies_exact_ltf(
+            assert growth_function_oracle(LTF2, n) == exact_count(
                 gp(n, 2, seed=100 + n)
             )
 
@@ -250,7 +253,7 @@ class TestSauerShelah:
         # exact counts never exceed the cap at the brute-forced VC-dimension
         for n in range(1, 9):
             B = gp(n, 2, seed=100 + n)
-            assert count_dichotomies_exact_ltf(B) <= sauer_shelah_cap(3, n)
+            assert exact_count(B) <= sauer_shelah_cap(3, n)
         for m in (1, 2, 3):
             for n in range(1, 12):
                 assert growth_function_oracle(union(m), n) <= sauer_shelah_cap(m, n)
@@ -289,7 +292,7 @@ class TestDensityFit:
 
     def test_fit_range_uses_upper_half(self):
         g = self._synthetic([(n, n) for n in (4, 8, 16, 32, 64, 128)])
-        d = estimate_vc_density(g, FitPolicy(upper_fraction=0.5))
+        d = estimate_vc_density(g, upper_fraction=0.5)
         assert d.fit_range == (32, 128)
 
     def test_density_slope_bounded_by_vcdim(self):
@@ -310,5 +313,5 @@ class TestDensityFit:
 def test_sampled_count_on_gp8_respects_cover_bound():
     # every trace found by sampling is realizable, so counts stay below the
     # exact planar arrangement count
-    sampled = count_dichotomies_sampled(LTF2, GP8, budget=30000, seed=1)
+    sampled = sampled_count(GP8, budget=30000, seed=1)
     assert sampled <= growth_function_oracle(LTF2, 8) == 58

@@ -5,24 +5,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vclab.dichotomy import as_network, sampled_trace_set, trace_set
 from vclab.errors import ConfigError
 from vclab.hypotheses import (
     ACTIVATION_KINDS,
     ActivationSpec,
     ExplicitFinite,
-    Hypothesis,
     LayerSpec,
     LinearThreshold,
     NetworkSpec,
     UnionOfMPoints,
-    WeightVector,
     _apply_activation_batch,
-    apply_activation,
-    baseline_membership,
-    evaluate,
-    forward,
+    forward_batch,
     parse_class_spec,
 )
+from vclab.pointsets import PointSet
 
 THR = ActivationSpec(kind="threshold")
 TANH = ActivationSpec(kind="tanh")
@@ -35,40 +32,61 @@ def make_net(input_dim, widths, act=THR):
     )
 
 
+def act_at(act, t):
+    """The activation at one point, as a 1-element batch."""
+    return float(_apply_activation_batch(act, np.array([t], dtype=float))[0])
+
+
+def out_at(net, w, x):
+    """Real output of the network with weight vector w at the point x."""
+    return float(forward_batch(net, [w], [x])[0, 0])
+
+
+def label_at(net, w, x):
+    """Binary output of the network with weight vector w at x: 1 iff > 0."""
+    return int(out_at(net, w, x) > 0)
+
+
+def traces(cls, points):
+    """The class's exact trace set on `points`, as a set of 0/1 tuples."""
+    rows = trace_set(cls, PointSet(points=points))[0]
+    return set(map(tuple, np.unpackbits(rows, axis=1, count=len(points)).tolist()))
+
+
 class TestApplyActivation:
     def test_threshold_positive(self):
-        assert apply_activation(THR, 1.0) == 1.0
+        assert act_at(THR, 1.0) == 1.0
 
     def test_threshold_tie_is_zero(self):
-        assert apply_activation(THR, 0.0) == 0.0
+        assert act_at(THR, 0.0) == 0.0
 
     def test_clamp_outside_interval(self):
         act = ActivationSpec(kind="tanh", restriction=(-1.0, 1.0), clamp_outside=True)
-        assert apply_activation(act, 2.0) == 0.0
+        assert act_at(act, 2.0) == 0.0
 
     def test_tanh_reference_value(self):
         # independent reference: series evaluation of tanh at 0.5
-        assert apply_activation(TANH, 0.5) == pytest.approx(0.46211715726000974, abs=1e-12)
+        assert act_at(TANH, 0.5) == pytest.approx(0.46211715726000974, abs=1e-12)
 
     def test_polynomial_matches_direct_sum(self):
         act = ActivationSpec(kind="polynomial", coefficients=(1.0, -2.0, 0.5))
         t = 1.7
-        assert apply_activation(act, t) == pytest.approx(1.0 - 2.0 * t + 0.5 * t * t)
+        assert act_at(act, t) == pytest.approx(1.0 - 2.0 * t + 0.5 * t * t)
 
     def test_nonfinite_input_rejected(self):
         with pytest.raises(ValueError):
-            apply_activation(THR, float("nan"))
+            act_at(THR, float("nan"))
         with pytest.raises(ValueError):
-            apply_activation(TANH, float("inf"))
+            act_at(TANH, float("inf"))
 
     @given(st.floats(-50, 50))
     def test_clamped_agrees_inside_zero_outside(self, t):
         plain = ActivationSpec(kind="logistic")
         clamped = ActivationSpec(kind="logistic", restriction=(-2.0, 3.0), clamp_outside=True)
         if -2.0 <= t <= 3.0:
-            assert apply_activation(clamped, t) == apply_activation(plain, t)
+            assert act_at(clamped, t) == act_at(plain, t)
         else:
-            assert apply_activation(clamped, t) == 0.0
+            assert act_at(clamped, t) == 0.0
 
     def test_bad_restriction_rejected(self):
         with pytest.raises(ConfigError):
@@ -94,8 +112,8 @@ class TestNetworkSpec:
 
     def test_weight_vector_length_enforced(self):
         net = make_net(2, [1])
-        with pytest.raises(ConfigError):
-            Hypothesis(network=net, weights=WeightVector(values=(1.0, 2.0)))
+        with pytest.raises(ValueError, match="weight count"):
+            forward_batch(net, [(1.0, 2.0)], [(0.0, 0.0)])
 
 
 def _activation(kind, clamp):
@@ -135,13 +153,11 @@ class TestActivationOut:
 
 class TestEvaluate:
     def test_threshold_unit_positive_preactivation(self):
-        h = Hypothesis(network=make_net(2, [1]), weights=WeightVector((1.0, 0.0, 0.0)))
-        assert evaluate(h, (1.0, 5.0)) == 1
+        assert label_at(make_net(2, [1]), (1.0, 0.0, 0.0), (1.0, 5.0)) == 1
 
     def test_all_zero_weights_gives_zero(self):
         net = make_net(2, [2, 1])
-        h = Hypothesis(network=net, weights=WeightVector((0.0,) * net.weight_count))
-        assert evaluate(h, (3.0, -4.0)) == 0
+        assert label_at(net, (0.0,) * net.weight_count, (3.0, -4.0)) == 0
 
     def test_tanh_net_matches_straight_line_oracle(self):
         # independent straight-line forward pass for a fixed 2-2-1 tanh net
@@ -151,20 +167,19 @@ class TestEvaluate:
         h2 = math.tanh(1.2 * x[0] + 0.4 * x[1] - 0.5)
         out = math.tanh(0.9 * h1 - 1.1 * h2 + 0.2)
         expected = 1 if out > 0 else 0
-        h = Hypothesis(network=make_net(2, [2, 1], act=TANH), weights=WeightVector(w))
-        assert evaluate(h, x) == expected
-        assert forward(h.network, w, x) == pytest.approx(out, abs=1e-12)
+        net = make_net(2, [2, 1], act=TANH)
+        assert label_at(net, w, x) == expected
+        assert out_at(net, w, x) == pytest.approx(out, abs=1e-12)
 
     def test_dimension_mismatch(self):
-        h = Hypothesis(network=make_net(2, [1]), weights=WeightVector((1.0, 0.0, 0.0)))
-        with pytest.raises(ValueError):
-            evaluate(h, (1.0,))
+        B = PointSet(points=((1.0,), (2.0,)))
+        with pytest.raises(ValueError, match="input_dim"):
+            sampled_trace_set(make_net(2, [1]), B, budget=1, seed=0)
 
     def test_pure_function(self):
-        h = Hypothesis(network=make_net(2, [2, 1], act=TANH),
-                       weights=WeightVector((0.1,) * 9))
+        net = make_net(2, [2, 1], act=TANH)
         x = (0.4, 0.9)
-        assert all(evaluate(h, x) == evaluate(h, x) for _ in range(5))
+        assert all(out_at(net, (0.1,) * 9, x) == out_at(net, (0.1,) * 9, x) for _ in range(5))
 
     @settings(max_examples=60)
     @given(
@@ -184,9 +199,7 @@ class TestEvaluate:
         for row in (w[0:3], scaled[0:3]):
             assume(all(_normal_or_zero(v) for v in _first_node_steps(row, x)))
         assume(all(_normal_or_zero(v) for v in scaled[0:3]))
-        h0 = Hypothesis(network=net, weights=WeightVector(tuple(w)))
-        h1 = Hypothesis(network=net, weights=WeightVector(tuple(scaled)))
-        assert evaluate(h0, tuple(x)) == evaluate(h1, tuple(x))
+        assert label_at(net, w, x) == label_at(net, scaled, x)
 
     def test_threshold_rescaling_underflow(self):
         # 0.125 * 5e-324 rounds to 0.0: the scaled row turns the first hidden
@@ -195,9 +208,7 @@ class TestEvaluate:
         w = (0.0, 0.0, 5e-324, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0)
         scaled = (0.0, 0.0, 0.125 * 5e-324) + w[3:]
         assert scaled[2] == 0.0
-        h0 = Hypothesis(network=net, weights=WeightVector(w))
-        h1 = Hypothesis(network=net, weights=WeightVector(scaled))
-        assert (evaluate(h0, (0.0, 0.0)), evaluate(h1, (0.0, 0.0))) == (0, 1)
+        assert (label_at(net, w, (0.0, 0.0)), label_at(net, scaled, (0.0, 0.0))) == (0, 1)
 
 
 def _first_node_steps(row, x):
@@ -213,25 +224,28 @@ def _normal_or_zero(v):
 
 class TestBaselines:
     def test_union_membership(self):
+        # the subset {0, 2} of the domain is a trace: 1 on 0 and 2, 0 on 1
         c = UnionOfMPoints(capacity=2, domain=((0.0,), (1.0,), (2.0,)))
-        chosen = [(0.0,), (2.0,)]
-        assert baseline_membership(c, chosen, (0.0,)) == 1
-        assert baseline_membership(c, chosen, (1.0,)) == 0
+        assert (1, 0, 1) in traces(c, c.domain)
 
     def test_union_capacity_enforced(self):
         c = UnionOfMPoints(capacity=1, domain=((0.0,), (1.0,)))
-        with pytest.raises(ValueError):
-            baseline_membership(c, [(0.0,), (1.0,)], (0.0,))
+        assert traces(c, c.domain) == {(0, 0), (1, 0), (0, 1)}
 
     def test_linear_threshold_membership(self):
-        c = LinearThreshold(dim=2)
-        assert baseline_membership(c, ((1.0, 1.0), -1.0), (1.0, 1.0)) == 1
-        assert baseline_membership(c, ((1.0, 1.0), -1.0), (0.0, 0.0)) == 0
+        net = as_network(LinearThreshold(dim=2))
+        assert label_at(net, (1.0, 1.0, -1.0), (1.0, 1.0)) == 1
+        assert label_at(net, (1.0, 1.0, -1.0), (0.0, 0.0)) == 0
 
     def test_explicit_finite_dedupes(self):
         c = ExplicitFinite(domain=((0.0,), (1.0,)), traces=((0, 1), (0, 1), (1, 0)))
-        assert len(c.traces) == 2
-        assert baseline_membership(c, 0, (1.0,)) == 1
+        assert c.traces == ((0, 1), (1, 0))
+        assert traces(c, c.domain) == {(0, 1), (1, 0)}
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_explicit_finite_rejects_non_binary_entries(self, bad):
+        with pytest.raises(ConfigError, match="0 or 1"):
+            ExplicitFinite(domain=((0.0,), (1.0,)), traces=((0, bad), (0, 1), (1, 1), (0, 0)))
 
 
 class TestConfigParsing:

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import ltf_tuples
 from vclab.errors import IndeterminateLabelingError
-from vclab.linsep import enumerate_ltf_traces, is_realizable, max_margin
+from vclab.linsep import is_realizable, max_margin
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -42,7 +43,7 @@ def test_complement_symmetry():
 
 
 def test_enumerate_square_traces():
-    traces = enumerate_ltf_traces(SQUARE)
+    traces = ltf_tuples(SQUARE)
     assert len(traces) == 14
     assert len(set(traces)) == 14
     assert (1, 0, 0, 1) not in traces

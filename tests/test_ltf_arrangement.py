@@ -13,10 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import lp_ltf_traces, recursive_ltf_traces
+from conftest import lp_ltf_traces, ltf_tuples, recursive_ltf_traces
 from vclab import linsep
 from vclab.dichotomy import sauer_shelah_cap
-from vclab.linsep import enumerate_ltf_traces
 from vclab.pointsets import random_general_position
 
 
@@ -51,7 +50,7 @@ def gp_or_grid_sets(max_n):
 @example(pts=np.array([[0.0, 0], [1, 0], [0, 1], [0.0, 0]]))
 @settings(max_examples=50, deadline=None)
 def test_arrangement_matches_lp_sweep_on_degenerate_sets(pts):
-    traces = enumerate_ltf_traces(pts)
+    traces = ltf_tuples(pts)
     assert traces == lp_ltf_traces(pts)
     n, d = pts.shape
     assert len(traces) <= cover_count(n, d) <= sauer_shelah_cap(d + 1, n)
@@ -61,13 +60,13 @@ def test_arrangement_matches_lp_sweep_on_degenerate_sets(pts):
 @example(pts=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), factor=1e-8)
 @settings(max_examples=60, deadline=None)
 def test_traces_are_scale_invariant(pts, factor):
-    assert enumerate_ltf_traces(pts * factor) == enumerate_ltf_traces(pts)
+    assert ltf_tuples(pts * factor) == ltf_tuples(pts)
 
 
 @given(pts=gp_or_grid_sets(max_n=10))
 @settings(max_examples=60, deadline=None)
 def test_trace_set_closed_under_complement(pts):
-    traces = set(enumerate_ltf_traces(pts))
+    traces = set(ltf_tuples(pts))
     assert {tuple(1 - b for b in t) for t in traces} == traces
 
 
@@ -76,7 +75,7 @@ def test_trace_set_closed_under_complement(pts):
 def test_general_position_count_is_covers_count(nd, seed):
     n, d = nd
     pts = random_general_position(n, d, np.random.default_rng(seed)).as_array()
-    traces = enumerate_ltf_traces(pts)
+    traces = ltf_tuples(pts)
     assert len(traces) == cover_count(n, d)
 
 
@@ -121,7 +120,7 @@ def top_level_sides(pts):
                        [0, 0, 2, 2]]), factor=1.0)
 @settings(max_examples=60, deadline=None)
 def test_filtered_predicate_matches_recursive_reference_and_lp(pts, factor):
-    traces = enumerate_ltf_traces(pts * factor)
+    traces = ltf_tuples(pts * factor)
     assert traces == recursive_ltf_traces(pts * factor)
     # traces do not depend on scale (the reference is exact), so the LP
     # runs on the unscaled set, where its margins are O(1)
@@ -131,17 +130,17 @@ def test_filtered_predicate_matches_recursive_reference_and_lp(pts, factor):
 @given(pts=near_degenerate_sets(max_n=7), factor=SCALES)
 @settings(max_examples=60, deadline=None)
 def test_filtered_predicate_matches_recursive_reference_near_degeneracy(pts, factor):
-    assert enumerate_ltf_traces(pts * factor) == recursive_ltf_traces(pts * factor)
+    assert ltf_tuples(pts * factor) == recursive_ltf_traces(pts * factor)
 
 
 def test_near_collinear_set_takes_exact_fallback():
     side, certain = top_level_sides(NEAR_COLLINEAR)
     # det of (0,0), (1,1), (2, 2 + 2^-50) is 2^-50, below the error bound
     assert not certain[0, 2]
-    traces = enumerate_ltf_traces(NEAR_COLLINEAR)
+    traces = ltf_tuples(NEAR_COLLINEAR)
     assert traces == recursive_ltf_traces(NEAR_COLLINEAR)
     # exactly collinear the four points allow fewer traces
-    assert len(traces) > len(enumerate_ltf_traces(np.round(NEAR_COLLINEAR)))
+    assert len(traces) > len(ltf_tuples(np.round(NEAR_COLLINEAR)))
 
 
 @pytest.mark.parametrize("pts", EXTREME_SETS)
@@ -151,12 +150,12 @@ def test_extreme_magnitudes_are_exact_and_warning_free(pts):
     want = recursive_ltf_traces(pts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert enumerate_ltf_traces(pts) == want
+        assert ltf_tuples(pts) == want
 
 
 @pytest.mark.parametrize("n, d", [(128, 2), (20, 3), (20, 4)])
 def test_covers_count_at_scale(n, d):
     pts = random_general_position(n, d, np.random.default_rng(n + d)).as_array()
-    traces = enumerate_ltf_traces(pts)
+    traces = ltf_tuples(pts)
     assert len(traces) == cover_count(n, d)
     assert traces == sorted(set(traces))

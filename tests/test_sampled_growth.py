@@ -13,8 +13,8 @@ from conftest import CONFIG_DIR, loop_in_general_position, unique_packed_rows
 from vclab import dichotomy, pointsets
 from vclab.dichotomy import (
     as_network,
-    count_dichotomies_sampled,
     growth_function_oracle,
+    sampled_trace_set,
     sauer_shelah_cap,
 )
 from vclab.hypotheses import LinearThreshold, load_class_spec
@@ -137,7 +137,7 @@ STOCK_NET = load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json")
 def test_stock_net_sampled_counts_below_sauer_shelah(n, seed):
     # the stock net realizes half-lines and constants: VC-dimension 2, 2n traces
     B = random_general_position(n, 1, np.random.default_rng(seed))
-    count = count_dichotomies_sampled(STOCK_NET, B, budget=2000, seed=seed)
+    count = len(sampled_trace_set(STOCK_NET, B, budget=2000, seed=seed))
     assert count <= sauer_shelah_cap(2, n)
     assert count <= 2 * n
 
@@ -147,6 +147,6 @@ def test_stock_net_sampled_counts_below_sauer_shelah(n, seed):
 def test_threshold_unit_sampled_counts_below_cover_count(d, n, seed):
     cls = LinearThreshold(dim=d)
     B = random_general_position(n, d, np.random.default_rng(seed))
-    count = count_dichotomies_sampled(as_network(cls), B, budget=2000, seed=seed)
+    count = len(sampled_trace_set(as_network(cls), B, budget=2000, seed=seed))
     assert count <= growth_function_oracle(cls, n)
     assert count <= sauer_shelah_cap(d + 1, n)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR, einsum_forward_batch, lp_ltf_traces, unique_packed_rows
+from conftest import (
+    CONFIG_DIR,
+    einsum_forward_batch,
+    lp_ltf_traces,
+    recursive_ltf_traces,
+    unique_packed_rows,
+)
 from vclab import dichotomy
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import ConfigError
@@ -40,6 +46,33 @@ def test_ltf_rows_are_packed_lp_traces_and_cover_count(n, seed):
     assert np.array_equal(rows, expected)
     cover = 2 * sum(math.comb(n - 1, i) for i in range(3))
     assert len(rows) == min(cover, 2**n)
+
+
+# sets whose hyperplanes pass through more than d points, so linsep._cells
+# recurses: collinear points, a line plus off-line points, coplanar points in R^3
+DEGENERATE_SETS = [
+    ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)),
+    ((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (0.0, 1.0), (2.0, -1.0)),
+    ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, 0.0), (2.0, 3.0, 0.0),
+     (0.0, 0.0, 1.0)),
+]
+PACKED_LTF_CASES = (
+    [(d, PointSet(points=())) for d in (1, 2, 3, 4)]
+    + [(len(pts[0]), PointSet(points=pts)) for pts in DEGENERATE_SETS]
+    + [(d, random_general_position(n, d, np.random.default_rng(n)))
+       for d in (1, 2, 3, 4) for n in (1, d + 2, 9)]
+)
+
+
+@pytest.mark.parametrize("d, B", PACKED_LTF_CASES)
+def test_ltf_rows_are_packed_recursive_reference(d, B):
+    rows, exact = trace_set(LinearThreshold(d), B)
+    want = np.packbits(np.array(recursive_ltf_traces(B.as_array()), dtype=bool), axis=1)
+    assert exact and rows.dtype == np.uint8
+    assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
+    # strictly increasing as big-endian byte strings: sorted and distinct
+    keys = [r.tobytes() for r in rows]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**16), budget=st.integers(1, 3000))

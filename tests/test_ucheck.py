@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, GP6, GP8, loop_run_uc_experiment
-from vclab.dichotomy import Trace
 from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import ExplicitFinite, LinearThreshold, UnionOfMPoints, load_class_spec
 from vclab.pointsets import PointSet
@@ -17,12 +16,10 @@ from vclab.ucheck import (
     SAMPLED,
     DiscreteDistribution,
     _error_matrix,
-    empirical_loss,
     enumerate_support_traces,
     load_distribution,
     run_uc_experiment,
     sup_deviation_exact,
-    true_loss,
 )
 
 LTF2 = LinearThreshold(dim=2)
@@ -47,18 +44,30 @@ ONE_POINT = DiscreteDistribution(
 )
 
 
-def single_trace_class(D):
-    return ExplicitFinite(domain=D.support.points, traces=(D.true_labels,))
+def single_trace_class(D, trace=None):
+    return ExplicitFinite(domain=D.support.points, traces=(trace or D.true_labels,))
+
+
+def true_loss(trace, D):
+    """L_D of one trace: its error row from _error_matrix times p."""
+    errs = _error_matrix(single_trace_class(D, trace), D, 1, 0)[0]
+    return float(errs[0] @ np.array(D.probabilities))
+
+
+def empirical_loss(trace, D, S):
+    """L_S of one trace: its error row times the sample's per-point counts / k."""
+    errs = _error_matrix(single_trace_class(D, trace), D, 1, 0)[0]
+    return float(errs[0] @ np.bincount(S, minlength=len(D.support))) / len(S)
 
 
 class TestLosses:
     def test_perfect_classifier(self):
-        assert true_loss(Trace(bits=UNIFORM6.true_labels), UNIFORM6) == 0.0
+        assert true_loss(UNIFORM6.true_labels, UNIFORM6) == 0.0
 
     def test_complement_classifier(self):
         comp = tuple(1 - b for b in UNIFORM6.true_labels)
-        assert true_loss(Trace(bits=comp), UNIFORM6) == pytest.approx(1.0)
-        assert empirical_loss(Trace(bits=comp), UNIFORM6, [0, 3, 3, 5]) == 1.0
+        assert true_loss(comp, UNIFORM6) == pytest.approx(1.0)
+        assert empirical_loss(comp, UNIFORM6, [0, 3, 3, 5]) == 1.0
 
     def test_quarter_mass_wrong(self):
         D = DiscreteDistribution(
@@ -66,24 +75,20 @@ class TestLosses:
             probabilities=(0.25,) * 4,
             true_labels=(0, 0, 0, 0),
         )
-        assert true_loss(Trace(bits=(1, 0, 0, 0)), D) == pytest.approx(0.25)
+        assert true_loss((1, 0, 0, 0), D) == pytest.approx(0.25)
 
     def test_empirical_loss_direct_count(self):
         # errors exactly on index 2 of the sample (i, i, j)
-        t = Trace(bits=(1, 0, 0, 1, 0, 1))
+        t = (1, 0, 0, 1, 0, 1)
         wrong_on_j = tuple(
             b if idx != 2 else 1 - b for idx, b in enumerate(UNIFORM6.true_labels)
         )
-        assert empirical_loss(Trace(bits=wrong_on_j), UNIFORM6, [0, 0, 2]) == pytest.approx(1 / 3)
+        assert empirical_loss(wrong_on_j, UNIFORM6, [0, 0, 2]) == pytest.approx(1 / 3)
         assert empirical_loss(t, UNIFORM6, [0, 0, 0]) == 0.0
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            empirical_loss(Trace(bits=UNIFORM6.true_labels), UNIFORM6, [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            true_loss(Trace(bits=(0, 1)), UNIFORM6)
+            sup_deviation_exact(single_trace_class(UNIFORM6), UNIFORM6, [])
 
 
 class TestDistributionValidation:
