@@ -63,7 +63,6 @@ class BoundQuery:
 
 @dataclass(frozen=True)
 class BoundReport:
-    query: BoundQuery
     k_elementary: int
     k_rademacher: int
     k_solver_elementary: int
@@ -257,7 +256,6 @@ def bound_report(q: BoundQuery) -> BoundReport:
     k_sol_rad = solve_k_rademacher(q)
     logm = max(math.log(q.m), 1.0)  # m * ln m degenerates at m = 1
     return BoundReport(
-        query=q,
         k_elementary=k_el,
         k_rademacher=k_rad,
         k_solver_elementary=k_sol_el,

@@ -231,10 +231,7 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
         for r in rows
     )
     return dch.GrowthEstimate(
-        samples=samples,
-        class_id=rows[0]["class_id"],
-        policy="csv",
-        seed=int(rows[0]["seed"]),
+        samples=samples, class_id=rows[0]["class_id"], seed=int(rows[0]["seed"])
     )
 
 
@@ -295,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("vcdim", help="brute-force VC-dimension lower bound")
+    p = sub.add_parser("vcdim", help="VC-dimension (exact for baselines)")
     p.add_argument("--class", dest="class_spec", required=True)
     p.add_argument("--max-d", type=int, default=6)
     p.add_argument("--tries", type=int, default=12)

@@ -164,14 +164,13 @@ def growth_function_oracle(c, n: int):
         # Cover's count for n points in general position in R^d (2^n for n <= d+1)
         return 2 * sauer_shelah_cap(c.dim, n - 1) if n else 1
     if isinstance(c, ExplicitFinite):
-        if n >= len(c.domain):
-            return len(set(c.traces))
+        traces = np.reshape(c.traces, (len(c.traces), len(c.domain)))
         best = 0
-        subsets = itertools.combinations(range(len(c.domain)), n)
+        subsets = itertools.combinations(range(len(c.domain)), min(n, len(c.domain)))
         for count, idx in enumerate(subsets):
             if count > 100000:
                 raise CapExceededError("too many subsets for exhaustive growth count")
-            best = max(best, len({tuple(t[i] for i in idx) for t in c.traces}))
+            best = max(best, len(_packed(traces[:, list(idx)])))
         return best
     raise ConfigError(f"oracle growth needs a baseline class, not {class_id(c)}")
 
@@ -215,8 +214,8 @@ def is_shattered(cls, B: PointSet, budget: int = 20000, seed: int = 0) -> Shatte
 @dataclass(frozen=True)
 class VcDimResult:
     """`saturated=True` means a set of size max_d was shattered, so the
-    result reads ">= max_d". A plain value is a lower bound certified by a
-    shattered set plus failure to shatter anything larger among candidates."""
+    result reads ">= max_d". A plain value is exact for a baseline; for a
+    network it is a lower bound certified by a shattered set."""
 
     value: int
     saturated: bool
@@ -225,22 +224,13 @@ class VcDimResult:
         return f">={self.value}" if self.saturated else str(self.value)
 
 
-def _candidate_sets(cls, size: int, rng: np.random.Generator, tries: int):
-    """Structured candidates first (simplex vertices, domain subsets), then
-    random draws."""
-    if isinstance(cls, (UnionOfMPoints, ExplicitFinite)):
-        combos = itertools.islice(
-            itertools.combinations(cls.domain, size), tries
-        )
-        for combo in combos:
-            yield PointSet(points=combo)
-        return
-    dim = cls.dim if isinstance(cls, LinearThreshold) else cls.input_dim
-    if size == dim + 1:
-        yield simplex_vertices(dim)
-    n_random = max(tries - (1 if size == dim + 1 else 0), 1)
-    for _ in range(n_random):
-        yield random_general_position(size, dim, rng)
+def _candidate_sets(net: NetworkSpec, size: int, rng: np.random.Generator, tries: int):
+    """Simplex vertices first (at size input_dim + 1), then random draws."""
+    simplex = size == net.input_dim + 1
+    if simplex:
+        yield simplex_vertices(net.input_dim)
+    for _ in range(max(tries - simplex, 1)):
+        yield random_general_position(size, net.input_dim, rng)
 
 
 def vc_dim_bruteforce(
@@ -250,20 +240,22 @@ def vc_dim_bruteforce(
     tries: int = 12,
     budget: int = 20000,
 ) -> VcDimResult:
-    """Largest set size <= max_d for which some candidate point set is
-    shattered. Failure to find a shattered set is a lower-bound failure, not
-    a proof, except where shattering checks are exact and the class geometry
-    makes candidates exhaustive (the combinatorial baselines)."""
+    """VC-dimension up to max_d. A baseline's is exact: the largest n <= max_d
+    (and <= |domain| for the finite-domain classes) with oracle(n) = 2^n,
+    stepping n up until growth_function_oracle falls below 2^n; growth at
+    most doubles per point, so no larger n is shattered. A network's is the
+    largest size at which one of `tries` candidate point sets is shattered
+    by `budget` sampled weights; a miss there is not a proof."""
     if max_d > SHATTER_CAP:
         raise CapExceededError(f"max_d {max_d} exceeds shattering cap {SHATTER_CAP}")
-    rng = np.random.default_rng(seed)
     best = 0
+    if not isinstance(cls, NetworkSpec):
+        top = max_d if isinstance(cls, LinearThreshold) else min(max_d, len(cls.domain))
+        while best < top and growth_function_oracle(cls, best + 1) == 2 ** (best + 1):
+            best += 1
+        return VcDimResult(value=best, saturated=(best == max_d))
+    rng = np.random.default_rng(seed)
     for size in range(1, max_d + 1):
-        # once the closed-form growth falls below 2^size no set of this size
-        # is shattered, nor any larger one (growth at most doubles per point)
-        closed_form = isinstance(cls, (LinearThreshold, UnionOfMPoints))
-        if closed_form and growth_function_oracle(cls, size) < 2**size:
-            break
         for B in _candidate_sets(cls, size, rng, tries):
             if is_shattered(cls, B, budget=budget, seed=seed):
                 best = size
@@ -293,7 +285,6 @@ class GrowthSample:
 class GrowthEstimate:
     samples: tuple[GrowthSample, ...]
     class_id: str
-    policy: str
     seed: int
 
 
@@ -360,9 +351,7 @@ def growth_samples(
             samples.append(GrowthSample(n=n, count=best, exactness=tag))
     else:
         raise ConfigError(f"unknown growth method {method!r}")
-    return GrowthEstimate(
-        samples=tuple(samples), class_id=class_id(cls), policy=method, seed=seed
-    )
+    return GrowthEstimate(samples=tuple(samples), class_id=class_id(cls), seed=seed)
 
 
 def estimate_vc_density(g: GrowthEstimate, upper_fraction: float = 0.5) -> DensityEstimate:

@@ -155,6 +155,8 @@ def forward_batch(network: NetworkSpec, W, X):
     s, m = W.shape
     if m != network.weight_count:
         raise ValueError("weight matrix width != network weight count")
+    if X.ndim != 2 or X.shape[1] != network.input_dim:
+        raise ValueError(f"points must be (n, input_dim = {network.input_dim}), got {X.shape}")
     n = X.shape[0]
     values = X.T[:, None, :]  # (input_dim, 1, n_points)
     pos = 0
@@ -230,23 +232,42 @@ class ExplicitFinite:
 # --------------------------------------------------------------------------
 
 
-def _parse_activation(obj) -> ActivationSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ConfigError("activation must be an object with a 'kind' field")
-    restriction = obj.get("restriction")
-    return ActivationSpec(
-        kind=obj["kind"],
-        coefficients=tuple(obj.get("coefficients", ())),
-        restriction=tuple(restriction) if restriction is not None else None,
-        clamp_outside=bool(obj.get("clamp_outside", False)),
-    )
-
-
-def _field(obj: dict, key: str, where: str):
+def read_field(obj: dict, key: str, where: str):
     """obj[key], or a ConfigError naming the missing field."""
     if key not in obj:
         raise ConfigError(f"{where} missing field {key!r}")
     return obj[key]
+
+
+def read_list(value, field: str) -> list:
+    """`value` if it is a JSON list, else a ConfigError naming the field."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{field} must be a list, got {value!r}")
+    return value
+
+
+def read_points(value, field: str) -> tuple[tuple[float, ...], ...]:
+    """A JSON list of points, each a list of coordinates, as float tuples,
+    else a ConfigError naming the field."""
+    for p in read_list(value, field):
+        if not isinstance(p, list):
+            raise ConfigError(f"{field} must list points as lists, got {p!r}")
+    return tuple(tuple(float(v) for v in p) for p in value)
+
+
+def _parse_activation(obj) -> ActivationSpec:
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ConfigError("activation must be an object with a 'kind' field")
+    restriction = obj.get("restriction")
+    if restriction is not None:
+        restriction = tuple(read_list(restriction, "activation field 'restriction'"))
+    coefficients = read_list(obj.get("coefficients", []), "activation field 'coefficients'")
+    return ActivationSpec(
+        kind=obj["kind"],
+        coefficients=tuple(coefficients),
+        restriction=restriction,
+        clamp_outside=bool(obj.get("clamp_outside", False)),
+    )
 
 
 def parse_class_spec(doc: dict):
@@ -260,8 +281,8 @@ def parse_class_spec(doc: dict):
         net = doc.get("network")
         if not isinstance(net, dict):
             raise ConfigError("missing 'network' object")
-        input_dim = int(_field(net, "input_dim", "network spec"))
-        raw_layers = _field(net, "layers", "network spec")
+        input_dim = int(read_field(net, "input_dim", "network spec"))
+        raw_layers = read_list(read_field(net, "layers", "network spec"), "network field 'layers'")
         layers = []
         prev = input_dim
         for i, entry in enumerate(raw_layers):
@@ -273,7 +294,7 @@ def parse_class_spec(doc: dict):
                 raise ConfigError(
                     f"layer fan_in {fan_in} != previous layer width {prev}"
                 )
-            act = _parse_activation(_field(entry, "activation", f"network layers[{i}]"))
+            act = _parse_activation(read_field(entry, "activation", f"network layers[{i}]"))
             layers.append(LayerSpec(activations=(act,) * width))
             prev = width
         return NetworkSpec(input_dim=input_dim, layers=tuple(layers))
@@ -284,16 +305,17 @@ def parse_class_spec(doc: dict):
         bkind = base.get("kind")
         where = f"{bkind} baseline"
         if bkind == "linear_threshold":
-            return LinearThreshold(dim=int(_field(base, "dim", where)))
+            return LinearThreshold(dim=int(read_field(base, "dim", where)))
         if bkind == "union_of_points":
             return UnionOfMPoints(
-                capacity=int(_field(base, "capacity", where)),
-                domain=tuple(tuple(float(v) for v in p) for p in _field(base, "domain", where)),
+                capacity=int(read_field(base, "capacity", where)),
+                domain=read_points(read_field(base, "domain", where), f"{where} field 'domain'"),
             )
         if bkind == "explicit_finite":
+            traces = read_list(read_field(base, "traces", where), f"{where} field 'traces'")
             return ExplicitFinite(
-                domain=tuple(tuple(float(v) for v in p) for p in _field(base, "domain", where)),
-                traces=tuple(tuple(t) for t in _field(base, "traces", where)),
+                domain=read_points(read_field(base, "domain", where), f"{where} field 'domain'"),
+                traces=tuple(tuple(read_list(t, f"{where} field 'traces' entry")) for t in traces),
             )
         raise ConfigError(f"unknown baseline kind {bkind!r}")
     raise ConfigError(f"unknown class spec kind {kind!r}")

@@ -20,6 +20,7 @@ import numpy as np
 # lookup site (REQUIRED_SITES), so the import stays
 from .dichotomy import sampled_trace_set, trace_set  # noqa: F401
 from .errors import CapExceededError, ConfigError
+from .hypotheses import read_field, read_list, read_points
 from .pointsets import PointSet
 
 PROB_TOL = 1e-12
@@ -175,19 +176,12 @@ def load_distribution(path) -> DiscreteDistribution:
         raise ConfigError(f"invalid JSON in {path}: {e}") from None
     if not isinstance(doc, dict) or doc.get("schema_version") != 1:
         raise ConfigError("distribution spec needs schema_version = 1")
-    for key in ("support", "probabilities", "labels"):
-        if key not in doc:
-            raise ConfigError(f"distribution spec missing field {key!r}")
-        if not isinstance(doc[key], list):
-            raise ConfigError(f"distribution field {key!r} must be a list")
-    for p in doc["support"]:
-        if not isinstance(p, list):
-            raise ConfigError(f"distribution field 'support' must list points as lists, got {p!r}")
-    support = PointSet(
-        points=tuple(tuple(float(v) for v in p) for p in doc["support"])
+    support, probabilities, labels = (
+        read_list(read_field(doc, key, "distribution spec"), f"distribution field {key!r}")
+        for key in ("support", "probabilities", "labels")
     )
     return DiscreteDistribution(
-        support=support,
-        probabilities=tuple(float(p) for p in doc["probabilities"]),
-        true_labels=tuple(doc["labels"]),
+        support=PointSet(points=read_points(support, "distribution field 'support'")),
+        probabilities=tuple(float(p) for p in probabilities),
+        true_labels=tuple(labels),
     )

@@ -168,6 +168,32 @@ class TestGrowthCommand:
         err = capsys.readouterr().err
         assert err.startswith("vclab: invalid configuration") and field in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "baseline", "baseline": {"kind": "explicit_finite", "domain": [[0.0]],
+                                           "traces": [5]}},
+         "explicit_finite baseline field 'traces' entry must be a list, got 5"),
+        ({"kind": "baseline", "baseline": {"kind": "union_of_points", "capacity": 1,
+                                           "domain": 5}},
+         "union_of_points baseline field 'domain' must be a list, got 5"),
+        ({"kind": "baseline", "baseline": {"kind": "union_of_points", "capacity": 1,
+                                           "domain": [1, 2]}},
+         "union_of_points baseline field 'domain' must list points as lists, got 1"),
+        ({"kind": "network", "network": {"input_dim": 1, "layers": 5}},
+         "network field 'layers' must be a list, got 5"),
+        ({"kind": "network", "network": {"input_dim": 1, "layers": [
+            {"activation": {"kind": "tanh", "restriction": 5}}]}},
+         "activation field 'restriction' must be a list, got 5"),
+        ({"kind": "network", "network": {"input_dim": 1, "layers": [
+            {"activation": {"kind": "polynomial", "coefficients": 5}}]}},
+         "activation field 'coefficients' must be a list, got 5"),
+    ])
+    def test_scalar_in_list_field_exits_2_naming_field(self, tmp_path, capsys, spec, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, **spec}))
+        rc = main(["growth", "--class", str(bad), "--method", "oracle", "--n", "2"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_cap_exceeded_exits_3(self):
         rc = main(["growth", "--class", LTF2_JSON, "--n", "25", "--method", "exact"])
         assert rc == 3
@@ -224,6 +250,27 @@ class TestVcdimCommand:
         assert rc == 0
         rows = read_rows(out)
         assert rows[1][1] == "3"
+
+    def test_explicit_finite_is_exact_at_default_tries(self, tmp_path):
+        # eight traces shatter points 3, 4 and 5 of six; the baseline is
+        # answered from its growth oracle, not from a walk over a few subsets
+        spec = tmp_path / "late.json"
+        traces = [[0, 0, 0, *t] for t in itertools.product((0, 1), repeat=3)]
+        spec.write_text(json.dumps({"schema_version": 1, "kind": "baseline", "baseline": {
+            "kind": "explicit_finite", "domain": [[i] for i in range(6)], "traces": traces}}))
+        out = tmp_path / "vc.csv"
+        assert main(["vcdim", "--class", str(spec), "--max-d", "4", "--output", str(out)]) == 0
+        assert read_rows(out)[1] == ["explicit_finite_8traces", "3", "0", "1729"]
+
+    def test_explicit_finite_past_subset_cap_exits_3(self, tmp_path, capsys):
+        # two traces on 500 points shatter one point; the walk then needs
+        # all C(500, 2) = 124750 pairs, above the 100001-subset cap
+        spec = tmp_path / "wide.json"
+        traces = [[0] * 500, [1] + [0] * 499]
+        spec.write_text(json.dumps({"schema_version": 1, "kind": "baseline", "baseline": {
+            "kind": "explicit_finite", "domain": [[i] for i in range(500)], "traces": traces}}))
+        assert main(["vcdim", "--class", str(spec), "--max-d", "4"]) == 3
+        assert "too many subsets" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--max-d", "--tries", "--budget"])
     def test_nonpositive_count_exits_2_naming_flag(self, tmp_path, capsys, flag):

@@ -228,6 +228,21 @@ class TestVcDim:
         assert r.value == 2 and r.saturated
         assert str(r) == ">=2"
 
+    def test_explicit_finite_shattering_late_points(self):
+        # the traces shatter the last three of six points; the first 12
+        # domain subsets of size 2 and of size 3 each contain point 0, 1 or
+        # 2, which every trace labels 0, so a 12-subset walk reads 1
+        c = ExplicitFinite(
+            domain=tuple((float(i),) for i in range(6)),
+            traces=tuple((0, 0, 0, *t) for t in itertools.product((0, 1), repeat=3)),
+        )
+        r = vc_dim_bruteforce(c, max_d=4, tries=12)
+        assert (r.value, r.saturated) == (3, False)
+
+    def test_union_capacity_above_domain_size_is_domain_size(self):
+        r = vc_dim_bruteforce(union(5, domain_size=3), max_d=6)
+        assert (r.value, r.saturated) == (3, False)
+
 
 class TestSauerShelah:
     def test_d_zero(self):
@@ -264,7 +279,7 @@ class TestDensityFit:
         samples = tuple(
             GrowthSample(n=n, count=c, exactness="exact") for n, c in counts_by_n
         )
-        return GrowthEstimate(samples=samples, class_id="synthetic", policy="test", seed=0)
+        return GrowthEstimate(samples=samples, class_id="synthetic", seed=0)
 
     def test_exact_square_power_law(self):
         g = self._synthetic([(n, n * n) for n in (8, 16, 32, 64)])

@@ -176,6 +176,13 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="input_dim"):
             sampled_trace_set(make_net(2, [1]), B, budget=1, seed=0)
 
+    @pytest.mark.parametrize("x", [(1.0, 1.0, -5.0), (1.0,)])
+    def test_forward_batch_rejects_points_of_another_width(self, x):
+        # weights (1, 1, 0) would label (1, 1, -5) 1 if the third
+        # coordinate were silently dropped
+        with pytest.raises(ValueError, match="input_dim = 2"):
+            forward_batch(make_net(2, [1]), [(1.0, 1.0, 0.0)], [x])
+
     def test_pure_function(self):
         net = make_net(2, [2, 1], act=TANH)
         x = (0.4, 0.9)

@@ -124,17 +124,21 @@ def test_shattered_iff_all_labelings_present(data):
     ],
 )
 def test_vc_dim_stops_at_closed_form_ceiling(monkeypatch, cls, vc):
-    sizes = []
-    real = dichotomy.is_shattered
+    # a baseline is answered from its growth oracle alone, which is read at
+    # n = 1, 2, ... up to the first n it leaves unshattered
+    shattered, oracle_ns = [], []
+    real_oracle = dichotomy.growth_function_oracle
 
-    def spy(cls, B, **kw):
-        sizes.append(len(B))
-        return real(cls, B, **kw)
+    def oracle_spy(cls, n):
+        oracle_ns.append(n)
+        return real_oracle(cls, n)
 
-    monkeypatch.setattr(dichotomy, "is_shattered", spy)
+    monkeypatch.setattr(dichotomy, "is_shattered", lambda *a, **kw: shattered.append(a))
+    monkeypatch.setattr(dichotomy, "growth_function_oracle", oracle_spy)
     result = vc_dim_bruteforce(cls, max_d=16)
     assert (result.value, result.saturated) == (vc, False)
-    assert max(sizes) == vc
+    assert shattered == []
+    assert oracle_ns == list(range(1, vc + 2))
 
 
 def test_explicit_finite_rejects_points_outside_domain():
