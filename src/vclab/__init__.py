@@ -12,7 +12,6 @@ from .bounds import (
     k_elementary,
     k_rademacher,
     rademacher_cap,
-    solve_k_log_inequality,
 )
 from .dichotomy import (
     DensityEstimate,

@@ -2,8 +2,9 @@
 
 Two chains are implemented: an elementary one driven by the growth-function
 deviation bound, and a tighter one driven by a Massart-style Rademacher cap.
-Every closed-form sample size is back-verified numerically by re-evaluating
-the deviation bound it was derived from. All logs are natural.
+Each has a closed-form sample size, back-verified numerically by re-evaluating
+the deviation bound it was derived from, and a minimal one from the search
+`_least_k`. All logs are natural.
 """
 
 from __future__ import annotations
@@ -105,10 +106,8 @@ def _elementary_a(q: BoundQuery) -> float:
 
 
 def k_elementary(q: BoundQuery) -> int:
-    """ceil(a * ln a) with a = 4m / (eps^2 delta^2); floor of 1 when a <= 1."""
+    """ceil(a * ln a) with a = 4m / (eps^2 delta^2)."""
     a = _elementary_a(q)
-    if a <= 1.0:
-        return 1
     return math.ceil(a * math.log(a))
 
 
@@ -125,38 +124,6 @@ def _least_k(ok, lo: int) -> int:
         else:
             lo = mid
     return hi
-
-
-def solve_k_log_inequality(a: float, b: float) -> tuple[int, int]:
-    """Minimal integer k on the increasing branch with k >= a*ln(k) + b,
-    plus a closed-form sufficient k for cross-checking (solver <= closed form).
-
-    f(k) = k - a*ln(k) - b is convex with minimizer k = a, so the search
-    starts at max(1, ceil(a)) and doubles until satisfied. Raises
-    CapExceededError when the closed form is beyond the float range.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("a and b must be >= 0")
-    closed_form = 4.0 * a * math.log(2.0 * a) + 2.0 * b if a >= 1.0 else 2.0 * b + 2.0
-    if not math.isfinite(closed_form):
-        raise CapExceededError(f"k >= {a} * ln(k) + {b} exceeds the float range")
-
-    def ok(k: int) -> bool:
-        return k >= a * math.log(k) + b
-
-    lo = max(1, math.ceil(a))
-    if ok(lo):
-        k_min = lo
-        # walk down while the inequality still holds (f decreasing below a)
-        while k_min > 1 and ok(k_min - 1):
-            k_min -= 1
-    else:
-        k_min = _least_k(ok, lo)
-
-    sufficient = max(1, math.ceil(closed_form))
-    if not ok(sufficient):  # tiny-a edge cases
-        sufficient = max(sufficient, k_min)
-    return k_min, sufficient
 
 
 def rademacher_cap(k: int, m: int, C: float = 1.0) -> float:
@@ -207,20 +174,25 @@ def solve_k_rademacher(q: BoundQuery) -> int:
     """Minimal k >= 2 with deviation_bound_rademacher(k, ...) <= eps.
 
     The bound is strictly decreasing in k on k >= 2 for C' >= 2 (BoundQuery
-    enforces C' >= MIN_C_PRIME), so binary search applies.
-    """
+    enforces C' >= MIN_C_PRIME), so binary search applies from k = 2, where
+    the first term alone is sqrt(4m ln(2C')) >= sqrt(4 ln 4) > 1 > eps."""
 
     def ok(k: int) -> bool:
         return deviation_bound_rademacher(k, q.m, q.delta, q.constants) <= q.eps
 
-    return 2 if ok(2) else _least_k(ok, 2)
+    return _least_k(ok, 2)
 
 
 def solve_k_elementary(q: BoundQuery) -> int:
-    """Minimal k (increasing branch) with 2k >= (4m / (eps^2 delta^2)) * ln(2k),
-    reported as k."""
-    two_k, _ = solve_k_log_inequality(_elementary_a(q), 0.0)
-    return max(1, math.ceil(two_k / 2.0))
+    """Least k with 2k >= a ln(2k) on the increasing branch, a = 4m / (eps^2
+    delta^2); a cap when 4a ln(2a), a sufficient 2k, is beyond the float range."""
+    a = _elementary_a(q)
+    if not math.isfinite(4.0 * a * math.log(2.0 * a)):
+        raise CapExceededError(f"the k_elementary solver for eps = {q.eps}, delta = "
+                               f"{q.delta}, m = {q.m} exceeds the float range")
+    # x - a ln x is convex with its minimum at x = a, and a > 4 on every valid
+    # query (m >= 1, eps, delta < 1) makes it negative at ceil(a)
+    return math.ceil(_least_k(lambda x: x >= a * math.log(x), math.ceil(a)) / 2.0)
 
 
 def classical_reference_bounds(q: BoundQuery, vcdim) -> float:

@@ -245,7 +245,8 @@ def cmd_density(args):
 
 def cmd_ucheck(args):
     _require_in_unit_interval(("--eps", args.eps), ("--delta", args.delta))
-    _require_at_least(1, ("--k", args.k), ("--trials", args.trials), ("--m", args.m))
+    _require_at_least(1, ("--k", args.k), ("--trials", args.trials), ("--m", args.m),
+                      ("--budget", args.budget))
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
     if args.k is not None:

@@ -214,14 +214,11 @@ def is_shattered(cls, B: PointSet, budget: int = 20000, seed: int = 0) -> Shatte
 @dataclass(frozen=True)
 class VcDimResult:
     """`saturated=True` means a set of size max_d was shattered, so the
-    result reads ">= max_d". A plain value is exact for a baseline; for a
-    network it is a lower bound certified by a shattered set."""
+    VC-dimension is at least max_d. A plain value is exact for a baseline;
+    for a network it is a lower bound certified by a shattered set."""
 
     value: int
     saturated: bool
-
-    def __str__(self) -> str:
-        return f">={self.value}" if self.saturated else str(self.value)
 
 
 def _candidate_sets(net: NetworkSpec, size: int, rng: np.random.Generator, tries: int):

@@ -246,13 +246,22 @@ def read_list(value, field: str) -> list:
     return value
 
 
+def read_number(value, field: str, whole: bool = False):
+    """A JSON number, never a bool, as a float; with whole=True one with a
+    whole value (x % 1 == 0, so not inf or nan), as an int."""
+    kind = "whole number" if whole else "number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or whole and value % 1:
+        raise ConfigError(f"{field} must be a {kind}, got {value!r}")
+    return int(value) if whole else float(value)
+
+
 def read_points(value, field: str) -> tuple[tuple[float, ...], ...]:
     """A JSON list of points, each a list of coordinates, as float tuples,
     else a ConfigError naming the field."""
     for p in read_list(value, field):
         if not isinstance(p, list):
             raise ConfigError(f"{field} must list points as lists, got {p!r}")
-    return tuple(tuple(float(v) for v in p) for p in value)
+    return tuple(tuple(read_number(v, f"{field} coordinate") for v in p) for p in value)
 
 
 def _parse_activation(obj) -> ActivationSpec:
@@ -260,13 +269,20 @@ def _parse_activation(obj) -> ActivationSpec:
         raise ConfigError("activation must be an object with a 'kind' field")
     restriction = obj.get("restriction")
     if restriction is not None:
-        restriction = tuple(read_list(restriction, "activation field 'restriction'"))
+        field = "activation field 'restriction'"
+        if len(read_list(restriction, field)) != 2:
+            raise ConfigError(f"{field} must have two entries, got {restriction!r}")
+        restriction = tuple(read_number(v, f"{field} entry") for v in restriction)
     coefficients = read_list(obj.get("coefficients", []), "activation field 'coefficients'")
+    clamp_outside = obj.get("clamp_outside", False)
+    if not isinstance(clamp_outside, bool):
+        raise ConfigError(f"activation field 'clamp_outside' must be a bool, got {clamp_outside!r}")
     return ActivationSpec(
         kind=obj["kind"],
-        coefficients=tuple(coefficients),
+        coefficients=tuple(read_number(c, "activation field 'coefficients' entry")
+                           for c in coefficients),
         restriction=restriction,
-        clamp_outside=bool(obj.get("clamp_outside", False)),
+        clamp_outside=clamp_outside,
     )
 
 
@@ -281,15 +297,19 @@ def parse_class_spec(doc: dict):
         net = doc.get("network")
         if not isinstance(net, dict):
             raise ConfigError("missing 'network' object")
-        input_dim = int(read_field(net, "input_dim", "network spec"))
+        input_dim = read_field(net, "input_dim", "network spec")
+        input_dim = read_number(input_dim, "network field 'input_dim'", whole=True)
         raw_layers = read_list(read_field(net, "layers", "network spec"), "network field 'layers'")
         layers = []
         prev = input_dim
         for i, entry in enumerate(raw_layers):
             if not isinstance(entry, dict):
                 raise ConfigError(f"network layers[{i}] must be an object, got {entry!r}")
-            width = int(entry.get("width", 1))
-            fan_in = int(entry.get("fan_in", prev))
+            where = f"network layers[{i}] field"
+            width = read_number(entry.get("width", 1), f"{where} 'width'", whole=True)
+            if width < 1:
+                raise ConfigError(f"{where} 'width' must be >= 1, got {width}")
+            fan_in = read_number(entry.get("fan_in", prev), f"{where} 'fan_in'", whole=True)
             if fan_in != prev:
                 raise ConfigError(
                     f"layer fan_in {fan_in} != previous layer width {prev}"
@@ -305,10 +325,12 @@ def parse_class_spec(doc: dict):
         bkind = base.get("kind")
         where = f"{bkind} baseline"
         if bkind == "linear_threshold":
-            return LinearThreshold(dim=int(read_field(base, "dim", where)))
+            dim = read_field(base, "dim", where)
+            return LinearThreshold(dim=read_number(dim, f"{where} field 'dim'", whole=True))
         if bkind == "union_of_points":
+            capacity = read_field(base, "capacity", where)
             return UnionOfMPoints(
-                capacity=int(read_field(base, "capacity", where)),
+                capacity=read_number(capacity, f"{where} field 'capacity'", whole=True),
                 domain=read_points(read_field(base, "domain", where), f"{where} field 'domain'"),
             )
         if bkind == "explicit_finite":
@@ -321,12 +343,17 @@ def parse_class_spec(doc: dict):
     raise ConfigError(f"unknown class spec kind {kind!r}")
 
 
-def load_class_spec(path):
-    """Load a network or baseline class from a versioned JSON file."""
+def read_json_object(path) -> dict:
+    """The top-level object of a JSON file, else a ConfigError."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"invalid JSON in {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
-    return parse_class_spec(doc)
+    return doc
+
+
+def load_class_spec(path):
+    """Load a network or baseline class from a versioned JSON file."""
+    return parse_class_spec(read_json_object(path))

@@ -1,4 +1,4 @@
-"""Finite point sets in R^n, with general-position checks and generators."""
+"""Finite point sets in R^n, general-position checks run on drawn points, and generators."""
 
 from __future__ import annotations
 
@@ -40,11 +40,9 @@ def in_general_position(points: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class PointSet:
-    """Distinct points in R^n. If `general_position` is asserted, the
-    determinant check above must pass (d <= 3)."""
+    """Distinct points in R^n, all of one dimension."""
 
     points: tuple[tuple[float, ...], ...]
-    general_position: bool = False
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
@@ -52,9 +50,6 @@ class PointSet:
         dims = {len(p) for p in self.points}
         if len(dims) > 1:
             raise ConfigError("points must share a dimension")
-        if self.general_position and len(self.points) > 0:
-            if not in_general_position(self.as_array()):
-                raise ConfigError("points are not in general position")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -67,25 +62,17 @@ class PointSet:
         return np.array(self.points, dtype=float)
 
 
-def from_array(arr, general_position: bool = False) -> PointSet:
-    pts = tuple(tuple(float(v) for v in row) for row in np.asarray(arr, dtype=float))
-    return PointSet(points=pts, general_position=general_position)
-
-
 def random_general_position(k: int, d: int, rng: np.random.Generator) -> PointSet:
     """Draw k points uniformly from [-1, 1]^d, retrying until the
     general-position check passes (for d <= 3; higher d is accepted as-is,
     degenerate draws there have probability 0)."""
     for _ in range(_GP_MAX_TRIES):
         pts = rng.uniform(-1.0, 1.0, size=(k, d))
-        try:
-            return from_array(pts, general_position=d <= 3)
-        except ConfigError:
-            continue
+        if d > 3 or in_general_position(pts):
+            return PointSet(points=tuple(map(tuple, pts.tolist())))
     raise RuntimeError("failed to draw a general-position point set")
 
 
 def simplex_vertices(d: int) -> PointSet:
     """The d+1 vertices of the standard simplex in R^d (origin + unit basis)."""
-    pts = np.vstack([np.zeros(d), np.eye(d)])
-    return from_array(pts)
+    return PointSet(points=tuple(map(tuple, np.vstack([np.zeros(d), np.eye(d)]).tolist())))

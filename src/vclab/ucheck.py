@@ -9,10 +9,8 @@ class's finite trace set.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +18,7 @@ import numpy as np
 # lookup site (REQUIRED_SITES), so the import stays
 from .dichotomy import sampled_trace_set, trace_set  # noqa: F401
 from .errors import CapExceededError, ConfigError
-from .hypotheses import read_field, read_list, read_points
+from .hypotheses import read_field, read_json_object, read_list, read_number, read_points
 from .pointsets import PointSet
 
 PROB_TOL = 1e-12
@@ -170,11 +168,8 @@ def run_uc_experiment(
 def load_distribution(path) -> DiscreteDistribution:
     """Load a finite-support distribution from a versioned JSON file with
     fields support (list of points), probabilities, labels."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"invalid JSON in {path}: {e}") from None
-    if not isinstance(doc, dict) or doc.get("schema_version") != 1:
+    doc = read_json_object(path)
+    if doc.get("schema_version") != 1:
         raise ConfigError("distribution spec needs schema_version = 1")
     support, probabilities, labels = (
         read_list(read_field(doc, key, "distribution spec"), f"distribution field {key!r}")
@@ -182,6 +177,7 @@ def load_distribution(path) -> DiscreteDistribution:
     )
     return DiscreteDistribution(
         support=PointSet(points=read_points(support, "distribution field 'support'")),
-        probabilities=tuple(float(p) for p in probabilities),
+        probabilities=tuple(read_number(p, "distribution field 'probabilities' entry")
+                            for p in probabilities),
         true_labels=tuple(labels),
     )

@@ -7,18 +7,17 @@ import pytest
 
 from vclab.hypotheses import _apply_activation_batch
 from vclab.linsep import _bareiss, _integer_lift, enumerate_ltf_traces, is_realizable
-from vclab.pointsets import _GP_TOL, PointSet
+from vclab.pointsets import _GP_TOL, PointSet, in_general_position
 from vclab.ucheck import UCExperimentResult, _error_matrix
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
-# fixed general-position planar sets (checked by the PointSet constructor)
+# fixed general-position planar sets (checked below)
 GP8 = PointSet(
     points=(
         (0.3517, -0.5714), (-0.3811, 0.5989), (0.9916, -0.7155), (-0.8425, -0.6384),
         (-0.2807, -0.6608), (0.1775, 0.2336), (-0.7892, 0.1315), (-0.9907, -0.0698),
     ),
-    general_position=True,
 )
 
 GP6 = PointSet(
@@ -26,8 +25,8 @@ GP6 = PointSet(
         (0.5719, 0.1023), (-0.5122, -0.3311), (-0.3626, -0.2197),
         (0.6026, -0.8184), (-0.2528, 0.5826), (0.5173, 0.208),
     ),
-    general_position=True,
 )
+assert in_general_position(GP8.as_array()) and in_general_position(GP6.as_array())
 
 
 def ltf_tuples(points) -> list[tuple[int, ...]]:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vclab.bounds import (
@@ -17,7 +17,6 @@ from vclab.bounds import (
     k_rademacher,
     rademacher_cap,
     solve_k_elementary,
-    solve_k_log_inequality,
     solve_k_rademacher,
 )
 from vclab.errors import CapExceededError
@@ -74,36 +73,32 @@ class TestKElementary:
         assert k_elementary(BoundQuery(m=1, eps=0.999, delta=0.999)) >= 1
 
 
-class TestSolveKLog:
-    def test_no_log_term(self):
-        assert solve_k_log_inequality(0.0, 0.5)[0] == 1
-        assert solve_k_log_inequality(0.0, 3.0)[0] == 3
+class TestSolveKElementary:
+    # near a = 1e15, rounding in a * ln x no longer tells neighbouring x apart
+    @given(
+        m=st.integers(1, 1000),
+        eps=st.floats(1e-3, 1, exclude_max=True),
+        delta=st.floats(1e-3, 1, exclude_max=True),
+    )
+    @settings(max_examples=200)
+    def test_least_solution(self, m, eps, delta):
+        a = 4.0 * m / (eps**2 * delta**2)
+        assume(a <= 1e9)
+        two_k = 2 * solve_k_elementary(BoundQuery(m=m, eps=eps, delta=delta))
+        assert two_k >= a * math.log(two_k)
+        assert two_k - 2 < a * math.log(two_k - 2)
 
-    def test_a4_b0(self):
-        k, sufficient = solve_k_log_inequality(4.0, 0.0)
-        assert k == 9
-        assert 9 >= 4 * math.log(9)
-        assert 8 < 4 * math.log(8)
-        assert k <= sufficient
+    def test_reference_value(self):
+        # a = 4 / (0.5^2 0.5^2) = 64: 381 is the least x >= 64 ln x, so 2k = 382
+        assert solve_k_elementary(BoundQuery(m=1, eps=0.5, delta=0.5)) == 191
+        assert 381 >= 64 * math.log(381) and 380 < 64 * math.log(380)
 
-    @given(a=st.floats(0, 50), b=st.floats(0, 50))
-    @settings(max_examples=80)
-    def test_solution_and_minimality(self, a, b):
-        k, sufficient = solve_k_log_inequality(a, b)
-        assert k >= a * math.log(k) + b
-        assert sufficient >= a * math.log(sufficient) + b
-        assert k <= sufficient
-        if k > max(1, math.ceil(a)):
-            assert k - 1 < a * math.log(k - 1) + b
-
-    @pytest.mark.parametrize("a, b", [(-1.0, 0.0), (0.0, -0.5)])
-    def test_negative_coefficients_rejected(self, a, b):
-        with pytest.raises(ValueError, match=r"^a and b must be >= 0$"):
-            solve_k_log_inequality(a, b)
-
-    def test_closed_form_beyond_float_range_is_a_cap(self):
-        with pytest.raises(CapExceededError, match="exceeds the float range"):
-            solve_k_log_inequality(1e305, 0.0)
+    def test_solver_closed_form_beyond_float_range_is_a_cap(self):
+        # a ln a is finite here, so k_elementary is not capped, but 4a ln(2a) is not
+        q = BoundQuery(m=1, eps=0.1, delta=5e-152)
+        assert k_elementary(q) > 0
+        with pytest.raises(CapExceededError, match="eps = 0.1, delta = 5e-152, m = 1 exceeds"):
+            solve_k_elementary(q)
 
 
 class TestFloatRange:

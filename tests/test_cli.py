@@ -106,6 +106,9 @@ class TestBoundsCommand:
         (["--m", "3", "--eps", "1e-151", "--delta", "0.1"], "exceeds the float range"),
         (["--m", "3", "--eps", "0.1", "--delta", "0.1", "--c-hat", "1e308"],
          "k_rademacher for eps = 0.1, delta = 0.1, m = 3, C_hat = 1e+308"),
+        # a ln a is finite, 4a ln(2a) is not: the solver's range check exits 3
+        (["--m", "1", "--eps", "0.1", "--delta", "5e-152"],
+         "k_elementary solver for eps = 0.1, delta = 5e-152, m = 1 exceeds the float range"),
     ])
     def test_sample_size_beyond_float_range_exits_3(self, capsys, args, message):
         rc = main(["bounds", *args])
@@ -193,6 +196,67 @@ class TestGrowthCommand:
         rc = main(["growth", "--class", str(bad), "--method", "oracle", "--n", "2"])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "linear_threshold", "dim": [2]},
+         "linear_threshold baseline field 'dim' must be a whole number, got [2]"),
+        ({"kind": "linear_threshold", "dim": 2.7},
+         "linear_threshold baseline field 'dim' must be a whole number, got 2.7"),
+        ({"kind": "linear_threshold", "dim": True},
+         "linear_threshold baseline field 'dim' must be a whole number, got True"),
+        ({"kind": "union_of_points", "capacity": 2.5, "domain": [[0.0]]},
+         "union_of_points baseline field 'capacity' must be a whole number, got 2.5"),
+        ({"kind": "union_of_points", "capacity": 1, "domain": [[0.0], [None]]},
+         "union_of_points baseline field 'domain' coordinate must be a number, got None"),
+    ])
+    def test_bad_baseline_scalar_exits_2_naming_field(self, tmp_path, capsys, spec, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "kind": "baseline", "baseline": spec}))
+        rc = main(["growth", "--class", str(bad), "--method", "oracle", "--n", "2"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("network", "input_dim", "1", "network field 'input_dim' must be a whole number, got '1'"),
+        ("layer", "fan_in", True,
+         "network layers[0] field 'fan_in' must be a whole number, got True"),
+        ("layer", "width", 0, "network layers[0] field 'width' must be >= 1, got 0"),
+        ("layer", "width", -1, "network layers[0] field 'width' must be >= 1, got -1"),
+        ("activation", "coefficients", ["a"],
+         "activation field 'coefficients' entry must be a number, got 'a'"),
+        ("activation", "restriction", [0, "x"],
+         "activation field 'restriction' entry must be a number, got 'x'"),
+        ("activation", "restriction", [None, 1],
+         "activation field 'restriction' entry must be a number, got None"),
+        ("activation", "restriction", [0, 1, 2],
+         "activation field 'restriction' must have two entries, got [0, 1, 2]"),
+        ("activation", "clamp_outside", "no",
+         "activation field 'clamp_outside' must be a bool, got 'no'"),
+    ])
+    def test_bad_network_scalar_exits_2_naming_field(
+        self, tmp_path, capsys, part, key, value, message
+    ):
+        act = {"kind": "polynomial", "coefficients": [0.0, 1.0]}
+        layer = {"fan_in": 1, "width": 1, "activation": act}
+        net = {"input_dim": 1, "layers": [layer, {"activation": {"kind": "threshold"}}]}
+        {"network": net, "layer": layer, "activation": act}[part][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "kind": "network", "network": net}))
+        rc = main(["growth", "--class", str(bad), "--n", "2"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_whole_float_scalar_reads_as_int(self, tmp_path):
+        spec = tmp_path / "ltf.json"
+        spec.write_text(json.dumps({"schema_version": 1, "kind": "baseline",
+                                    "baseline": {"kind": "linear_threshold", "dim": 2.0}}))
+        rows = []
+        for path in (str(spec), LTF2_JSON):
+            out = tmp_path / "g.csv"
+            assert main(["growth", "--class", path, "--n", "4", "--method", "oracle",
+                         "--output", str(out)]) == 0
+            rows.append(read_rows(out))
+        assert rows[0] == rows[1]
 
     def test_cap_exceeded_exits_3(self):
         rc = main(["growth", "--class", LTF2_JSON, "--n", "25", "--method", "exact"])
@@ -423,6 +487,12 @@ class TestUcheckCommand:
          "probabilities must be finite and nonnegative, got nan"),
         ("labels", 1, "distribution field 'labels' must be a list"),
         ("support", [1, 2, 3], "distribution field 'support' must list points as lists, got 1"),
+        ("probabilities", ["0.5", 0.25, 0.25],
+         "distribution field 'probabilities' entry must be a number, got '0.5'"),
+        ("probabilities", [True, 0.0, 0.0],
+         "distribution field 'probabilities' entry must be a number, got True"),
+        ("support", [[0.0, 0.0], ["1.0", 0.0], [0.0, 1.0]],
+         "distribution field 'support' coordinate must be a number, got '1.0'"),
     ])
     def test_bad_distribution_value_exits_2_naming_field(
         self, tmp_path, capsys, field, value, message
@@ -446,6 +516,8 @@ class TestUcheckCommand:
         (["--eps", "0.1", "--delta", "0.1", "--k", "5", "--trials", "0"],
          "--trials must be >= 1, got 0"),
         (["--eps", "0.1", "--delta", "0.1", "--m", "0"], "--m must be >= 1, got 0"),
+        (["--eps", "0.1", "--delta", "0.1", "--k", "5", "--budget", "0"],
+         "--budget must be >= 1, got 0"),
     ])
     def test_bad_argument_exits_2_naming_flag(self, tmp_path, capsys, args, message):
         out = tmp_path / "uc.csv"

@@ -1,0 +1,83 @@
+"""Dead-code checks on the package modules (all of src/vclab but __init__.py):
+every imported name is used by its module, and every module-level private
+name is referenced outside its own definition somewhere in src/, tests/,
+scripts/ or perfbench/."""
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "vclab").glob("*.py") if p.name != "__init__.py")
+SEARCHED = sorted(
+    p for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
+)
+
+
+def _references(tree: ast.AST):
+    """(name, line) for every read of a name: a loaded variable, an
+    attribute, a `from` import, or a string naming it (getattr, setattr)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, first line, last line) of each module-level private function,
+    class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append(name)
+    assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def test_every_private_name_is_referenced():
+    sites = defaultdict(list)  # name -> [(path, line)]
+    for p in SEARCHED:
+        for name, line in _references(ast.parse(p.read_text())):
+            sites[name].append((p, line))
+    unreferenced = [
+        f"{path.name}: {name}"
+        for path in MODULES
+        for name, first, last in _private_definitions(ast.parse(path.read_text()))
+        if all(p == path and first <= line <= last for p, line in sites[name])
+    ]
+    assert not unreferenced, f"private names nothing references: {unreferenced}"

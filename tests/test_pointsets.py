@@ -1,9 +1,7 @@
 import numpy as np
-import pytest
 
 from vclab import pointsets
-from vclab.errors import ConfigError
-from vclab.pointsets import PointSet, in_general_position, random_general_position
+from vclab.pointsets import in_general_position, random_general_position
 
 
 class CountingRng:
@@ -18,6 +16,18 @@ class CountingRng:
         return self.rng.uniform(*args, **kwargs)
 
 
+class ScriptedRng:
+    """Returns the given arrays as successive uniform draws."""
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def uniform(self, low, high, size):
+        draw = self.draws.pop(0)
+        assert draw.shape == size
+        return draw
+
+
 def test_one_general_position_check_per_draw(monkeypatch):
     real = pointsets.in_general_position
     calls = []
@@ -30,7 +40,7 @@ def test_one_general_position_check_per_draw(monkeypatch):
     monkeypatch.setattr(pointsets, "in_general_position", counting)
     rng = CountingRng(5)
     B = random_general_position(6, 2, rng)
-    assert len(B) == 6 and B.general_position
+    assert len(B) == 6 and in_general_position(B.as_array())
     assert rng.draws == 2
     assert len(calls) == rng.draws
 
@@ -44,7 +54,6 @@ def test_high_dimension_accepted_unchecked(monkeypatch):
     B = random_general_position(7, 5, rng)
     expected = np.random.default_rng(3).uniform(-1.0, 1.0, size=(7, 5))
     assert np.array_equal(B.as_array(), expected)
-    assert not B.general_position
 
 
 def test_affinely_dependent_small_sets_rejected():
@@ -52,7 +61,8 @@ def test_affinely_dependent_small_sets_rejected():
     collinear = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     assert not in_general_position(collinear)
     assert not in_general_position(np.array([[0.0, 0.0], [1e-12, 0.0]]))
-    with pytest.raises(ConfigError):
-        PointSet(points=tuple(map(tuple, collinear)), general_position=True)
+    rng = ScriptedRng([collinear, np.eye(3)])
+    assert random_general_position(3, 3, rng).points == tuple(map(tuple, np.eye(3)))
+    assert rng.draws == []
     assert in_general_position(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert in_general_position(np.array([[0.5, -0.5]]))
