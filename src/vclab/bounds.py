@@ -175,12 +175,18 @@ def solve_k_rademacher(q: BoundQuery) -> int:
 
     The bound is strictly decreasing in k on k >= 2 for C' >= 2 (BoundQuery
     enforces C' >= MIN_C_PRIME), so binary search applies from k = 2, where
-    the first term alone is sqrt(4m ln(2C')) >= sqrt(4 ln 4) > 1 > eps."""
+    the first term alone is sqrt(4m ln(2C')) >= sqrt(4 ln 4) > 1 > eps. A
+    cap when the search passes the float range (k ~ 1e308), where k no longer
+    converts to a float."""
 
     def ok(k: int) -> bool:
         return deviation_bound_rademacher(k, q.m, q.delta, q.constants) <= q.eps
 
-    return _least_k(ok, 2)
+    try:
+        return _least_k(ok, 2)
+    except OverflowError:
+        raise CapExceededError(f"the k_rademacher solver for eps = {q.eps}, delta = "
+                               f"{q.delta}, m = {q.m} exceeds the float range") from None
 
 
 def solve_k_elementary(q: BoundQuery) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
@@ -267,7 +268,10 @@ def cmd_ucheck(args):
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The vclab argument parser, built once per process: parse_args leaves
+    a parser unchanged, and a rebuild costs more than a small command."""
     parser = argparse.ArgumentParser(
         prog="vclab",
         description="growth functions, VC-density, and sample-complexity bounds at desk scale",

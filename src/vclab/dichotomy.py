@@ -28,7 +28,7 @@ from .hypotheses import (
     UnionOfMPoints,
     forward_batch,
 )
-from .pointsets import PointSet, random_general_position, simplex_vertices
+from .pointsets import PointSet, random_general_position, simplex_vertices, subset_chunks
 
 # exact LTF enumeration visits the C(n, d) hyperplanes through d of the
 # points at once: filtered float determinants give the n sides of each (an
@@ -39,6 +39,8 @@ EXACT_LTF_POINT_CAP = 20
 EXACT_LTF_DIM_CAP = 4
 SHATTER_CAP = 16
 TRACE_CAP = 200000
+# index subsets the explicit-finite growth oracle visits at most
+ORACLE_SUBSET_CAP = 100001
 FIT_MIN_POINTS = 3
 # weight-row x point entries per sampled forward-pass block: one (rows, n)
 # float plane is 512 KB, which stays in a per-core L2 cache at any n
@@ -63,9 +65,34 @@ def as_network(cls) -> NetworkSpec:
 # --------------------------------------------------------------------------
 
 
+def _packbits_rows(bits) -> np.ndarray:
+    """np.packbits(bits, axis=1) for a 0/1 matrix, by one np.packbits call:
+    the rows are written into a zero-padded (rows, 8 ceil(n/8)) bool buffer,
+    which is packed flattened, so no loop runs per row."""
+    bits = np.asarray(bits, dtype=bool)
+    r, n = bits.shape
+    w = -(-n // 8)
+    buf = np.zeros((r, 8 * w), dtype=bool)
+    buf[:, :n] = bits
+    return np.packbits(buf.reshape(-1)).reshape(r, w)
+
+
 def _packed(bits) -> np.ndarray:
     """Distinct rows of a 0/1 matrix as sorted np.packbits rows."""
-    return linsep._unique_rows(np.packbits(np.asarray(bits, dtype=bool), axis=1))
+    return linsep._unique_rows(_packbits_rows(bits))
+
+
+def _distinct_per_subset(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """len(_packed(traces[:, s])) for every row s of `idx`, from one dedupe:
+    each projected trace is packed behind its subset's row number as an
+    8-byte big-endian key, so distinct rows count distinct traces per
+    subset."""
+    t = traces.shape[0]
+    c, r = idx.shape
+    bits = traces[:, idx].transpose(1, 0, 2).reshape(c * t, r)
+    keys = np.repeat(np.arange(c, dtype=">u8").view(np.uint8).reshape(c, 8), t, axis=0)
+    rows = linsep._unique_rows(np.hstack([keys, _packbits_rows(bits)]))
+    return np.bincount(rows[:, :8].copy().view(">u8")[:, 0].astype(np.intp), minlength=c)
 
 
 def trace_set(
@@ -164,13 +191,17 @@ def growth_function_oracle(c, n: int):
         # Cover's count for n points in general position in R^d (2^n for n <= d+1)
         return 2 * sauer_shelah_cap(c.dim, n - 1) if n else 1
     if isinstance(c, ExplicitFinite):
-        traces = np.reshape(c.traces, (len(c.traces), len(c.domain)))
+        k, t = len(c.domain), len(c.traces)
+        r = min(n, k)
+        if math.comb(k, r) > ORACLE_SUBSET_CAP:
+            raise CapExceededError("too many subsets for exhaustive growth count")
+        traces = np.reshape(c.traces, (t, k)).astype(bool)
+        # subsets per dedupe, so one call packs about _BLOCK_ENTRIES bits
+        step = max(1, _BLOCK_ENTRIES // max(t * r, 1))
         best = 0
-        subsets = itertools.combinations(range(len(c.domain)), min(n, len(c.domain)))
-        for count, idx in enumerate(subsets):
-            if count > 100000:
-                raise CapExceededError("too many subsets for exhaustive growth count")
-            best = max(best, len(_packed(traces[:, list(idx)])))
+        for chunk in subset_chunks(k, r):
+            for a in range(0, len(chunk), step):
+                best = max(best, int(_distinct_per_subset(traces, chunk[a : a + step]).max()))
         return best
     raise ConfigError(f"oracle growth needs a baseline class, not {class_id(c)}")
 

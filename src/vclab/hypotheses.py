@@ -141,14 +141,21 @@ def forward_batch(network: NetworkSpec, W, X):
     order, within each node [w_1..w_fanin, bias]; X: (n_points, input_dim).
     Returns (n_samples, n_points) real outputs of the single output node.
 
-    Activations are carried node-major, as a (width, n_samples, n_points)
-    array per layer, so each node reads contiguous (n_samples, n_points)
-    planes of the layer below and the layer needs no stacking. A node's
-    pre-activation is summed in its own plane of that buffer, in the fixed
-    order w_1 a_1 + w_2 a_2 + ... + w_fanin a_fanin, then the bias is added;
-    its activation then overwrites the plane in place
-    (_apply_activation_batch with out=pre), so threshold, tanh, relu and
-    identity nodes allocate no temporary plane.
+    Activations are carried node-major and point-major, as a (width,
+    n_points, n_samples) array per layer: numpy runs a ufunc's inner loop
+    along the last axis, so every multiply, add and activation loops over
+    the weight rows, the long axis at the block sizes the sampler uses,
+    rather than once per weight row over the points. W is transposed once,
+    so each node reads contiguous (n_samples,) weight rows; the inputs
+    broadcast as (n_points, 1) columns. A node's pre-activation is summed in
+    its own plane of the layer buffer, in the fixed order w_1 a_1 + w_2 a_2
+    + ... + w_fanin a_fanin (each product after the first formed in one
+    scratch plane per layer), then the bias is added; its activation then overwrites the
+    plane in place (_apply_activation_batch with out=pre), so threshold,
+    tanh, relu and identity nodes allocate no temporary plane. Each entry
+    sees the same float operations in the same order in any layout, so the
+    values do not depend on it; the result is one transposed, C-contiguous
+    copy of the output plane.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -158,20 +165,22 @@ def forward_batch(network: NetworkSpec, W, X):
     if X.ndim != 2 or X.shape[1] != network.input_dim:
         raise ValueError(f"points must be (n, input_dim = {network.input_dim}), got {X.shape}")
     n = X.shape[0]
-    values = X.T[:, None, :]  # (input_dim, 1, n_points)
+    Wt = np.ascontiguousarray(W.T)  # (m, n_samples)
+    values = X.T[:, :, None]  # (input_dim, n_points, 1)
     pos = 0
     for i, layer in enumerate(network.layers):
         fan_in = network.fan_in(i)
-        out = np.empty((layer.width, s, n))
+        out = np.empty((layer.width, n, s))
+        scratch = np.empty((n, s)) if fan_in > 1 else None
         for node, act in enumerate(layer.activations):
-            pre = np.multiply(values[0], W[:, pos, None], out=out[node])
+            pre = np.multiply(values[0], Wt[pos], out=out[node])
             for j in range(1, fan_in):
-                pre += values[j] * W[:, pos + j, None]
-            pre += W[:, pos + fan_in, None]
+                pre += np.multiply(values[j], Wt[pos + j], out=scratch)
+            pre += Wt[pos + fan_in]
             pos += fan_in + 1
             _apply_activation_batch(act, pre, out=pre)
         values = out
-    return values[0]
+    return values[0].T.copy()
 
 
 # --------------------------------------------------------------------------
@@ -248,11 +257,20 @@ def read_list(value, field: str) -> list:
 
 def read_number(value, field: str, whole: bool = False):
     """A JSON number, never a bool, as a float; with whole=True one with a
-    whole value (x % 1 == 0, so not inf or nan), as an int."""
+    whole value (x % 1 == 0, so not inf or nan), as an int. JSON integers
+    are unbounded, so a float past the float range is a ConfigError too."""
     kind = "whole number" if whole else "number"
     if isinstance(value, bool) or not isinstance(value, (int, float)) or whole and value % 1:
         raise ConfigError(f"{field} must be a {kind}, got {value!r}")
-    return int(value) if whole else float(value)
+    if whole:
+        return int(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(
+            f"{field} must be a number within the float range, got an integer of "
+            f"{len(str(abs(value)))} digits"
+        ) from None
 
 
 def read_points(value, field: str) -> tuple[tuple[float, ...], ...]:

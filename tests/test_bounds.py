@@ -124,6 +124,15 @@ class TestFloatRange:
             with pytest.raises(CapExceededError, match=f"eps = {eps}, delta = 0.1, m = 3"):
                 f(q)
 
+    def test_k_rademacher_solver_beyond_float_range_is_a_cap(self):
+        # the search passes k ~ 1e308, where k no longer converts to a float
+        q = BoundQuery(m=100, eps=1e-151, delta=0.999)
+        with pytest.raises(CapExceededError, match="eps = 1e-151, delta = 0.999, m = 100"):
+            solve_k_rademacher(q)
+        # a little inside the float range the solver still answers, with an exact integer
+        k = solve_k_rademacher(BoundQuery(m=100, eps=1e-140, delta=0.999))
+        assert 1e280 < k < 1e308 and isinstance(k, int)
+
 
 class TestRademacherCap:
     def test_single_vector(self):

@@ -216,6 +216,17 @@ class TestGrowthCommand:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    def test_integer_coordinate_beyond_float_range_exits_2_naming_field(self, tmp_path, capsys):
+        # JSON integers are unbounded: 1e400 written out in digits parses as an int
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"schema_version": 1, "kind": "baseline", "baseline": {"kind": '
+                       '"union_of_points", "capacity": 1, "domain": [[0.0], [1' + "0" * 400 + ']]}}')
+        rc = main(["growth", "--class", str(bad), "--method", "oracle", "--n", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("vclab: invalid configuration: union_of_points baseline field "
+                              "'domain' coordinate must be a number within the float range")
+
     @pytest.mark.parametrize("part, key, value, message", [
         ("network", "input_dim", "1", "network field 'input_dim' must be a whole number, got '1'"),
         ("layer", "fan_in", True,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GP8
+from vclab import dichotomy, pointsets
 from vclab.dichotomy import (
     GrowthEstimate,
     GrowthSample,
@@ -177,6 +178,32 @@ class TestGrowthOracle:
         )
         assert growth_function_oracle(c, 3) == 4
         assert growth_function_oracle(c, 1) == 2
+
+    @pytest.mark.parametrize("chunk, entries", [(1 << 15, 1 << 16), (7, 5)])
+    def test_explicit_finite_equals_per_subset_reference(self, monkeypatch, chunk, entries):
+        # subsets deduped a chunk at a time agree with one dedupe per subset
+        monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
+        monkeypatch.setattr(dichotomy, "_BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(chunk)
+        for k, t in [(0, 3), (1, 0), (4, 1), (6, 9), (9, 40), (11, 5)]:
+            traces = tuple(map(tuple, rng.integers(0, 2, size=(t, k)).tolist()))
+            c = ExplicitFinite(domain=tuple((float(i),) for i in range(k)), traces=traces)
+            rows = np.reshape(c.traces, (len(c.traces), k))
+            for n in range(k + 2):
+                want = max((len(dichotomy._packed(rows[:, list(idx)]))
+                            for idx in itertools.combinations(range(k), min(n, k))), default=0)
+                assert growth_function_oracle(c, n) == want
+
+    @pytest.mark.parametrize("k, capped", [(100001, False), (100002, True)])
+    def test_explicit_finite_subset_cap_is_exact(self, k, capped):
+        # n = 1 visits the k singletons; more than 100001 subsets is a cap
+        c = ExplicitFinite(domain=tuple((float(i),) for i in range(k)),
+                           traces=((0,) * k, (0,) * (k - 1) + (1,)))
+        if capped:
+            with pytest.raises(CapExceededError, match="too many subsets"):
+                growth_function_oracle(c, 1)
+        else:
+            assert growth_function_oracle(c, 1) == 2
 
     def test_big_values_exact_integers(self):
         # unbounded ints: no overflow at large n

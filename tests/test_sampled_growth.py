@@ -65,6 +65,50 @@ def test_byte_view_dedupe_equals_np_unique_rows(bits):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 300])
+def test_flat_pack_equals_np_unique_rows_at_every_width(rows):
+    rng = np.random.default_rng(rows)
+    for width in range(131):
+        bits = rng.integers(0, 2, size=(rows, width)).astype(bool)
+        bits[rows // 2:] = bits[: rows - rows // 2]  # repeated rows
+        assert np.array_equal(dichotomy._packbits_rows(bits), np.packbits(bits, axis=1))
+        got = dichotomy._packed(bits)
+        want = unique_packed_rows(bits)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, pointsets._GP_CHUNK])
+def test_subset_chunks_equal_itertools_combinations(monkeypatch, chunk):
+    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
+    for k in range(13):
+        for r in range(5):  # r > k included: no subsets
+            chunks = list(pointsets.subset_chunks(k, r))
+            assert all(c.dtype == np.intp and 0 < len(c) <= chunk for c in chunks)
+            want = list(itertools.combinations(range(k), r))
+            got = np.concatenate(chunks) if chunks else np.empty((0, r), dtype=np.intp)
+            assert got.shape == (len(want), r)
+            assert list(map(tuple, got.tolist())) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, pointsets._GP_CHUNK])
+def test_general_position_equals_per_subset_reference(monkeypatch, chunk):
+    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for d in (1, 2, 3):
+        for k in (d + 1, d + 2, 9):
+            pts = rng.uniform(-1.0, 1.0, size=(k, d))
+            assert in_general_position(pts) == loop_in_general_position(pts)
+            # the last d+1 points are made exactly collinear (d = 2) or
+            # coplanar (d = 3), or coincide (d = 1): the last subset visited
+            pts[-1] = pts[-2] + 2.0 * (pts[-2] - pts[-d - 1])
+            assert not loop_in_general_position(pts)
+            assert not in_general_position(pts)
+    grid = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [3, 0]], dtype=float)
+    assert not in_general_position(grid) and not loop_in_general_position(grid)
+    assert in_general_position(grid[[0, 1, 3, 4]]) == loop_in_general_position(grid[[0, 1, 3, 4]])
+
+
 @given(d=st.integers(1, 3), extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_batched_general_position_equals_loop_on_random_sets(d, extra, seed):

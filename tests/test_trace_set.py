@@ -235,6 +235,51 @@ TANH_2D_NET = NetworkSpec(
 )
 
 
+@pytest.mark.parametrize("net", [STOCK_NET, TANH_2D_NET], ids=["stock", "tanh2d"])
+@pytest.mark.parametrize("s, n", [
+    (20000, 3), (4096, 16), (1024, 64), (512, 128), (64, 1024), (1, 300), (300, 1),
+])
+def test_point_major_forward_equals_einsum_at_block_shapes(net, s, n):
+    # the sampler's block shapes (weight rows x points, about 2^16 entries)
+    # and the two extremes: weight rows and points carried in either layout
+    # give the same float values, bit for bit
+    rng = np.random.default_rng(s * 1000 + n)
+    W = rng.uniform(-3.0, 3.0, size=(s, net.weight_count))
+    X = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+    got = forward_batch(net, W, X)
+    assert got.shape == (s, n) and got.flags.c_contiguous
+    assert np.array_equal(got, einsum_forward_batch(net, W, X))
+
+
+def test_forward_sums_each_node_in_the_documented_order():
+    # w_1 a_1 + ... + w_fanin a_fanin, then the bias, one rounding per
+    # operation: a Python float loop in that order gives the same bits, and
+    # any other order of four or five terms would not (identity and relu
+    # nodes add no rounding of their own)
+    net = NetworkSpec(4, (
+        LayerSpec((ActivationSpec("identity"), ActivationSpec("relu")) * 2),
+        LayerSpec((ActivationSpec("identity"),)),
+    ))
+    rng = np.random.default_rng(3)
+    W = rng.uniform(-3.0, 3.0, size=(40, net.weight_count))
+    X = rng.uniform(-2.0, 2.0, size=(30, 4))
+    want = np.empty((40, 30))
+    for i, w in enumerate(W.tolist()):
+        for p, x in enumerate(X.tolist()):
+            hidden = []
+            for node in range(4):
+                v = w[5 * node] * x[0]
+                for j in range(1, 4):
+                    v += w[5 * node + j] * x[j]
+                v += w[5 * node + 4]
+                hidden.append(max(v, 0.0) if node % 2 else v)
+            v = w[20] * hidden[0]
+            for j in range(1, 4):
+                v += w[20 + j] * hidden[j]
+            want[i, p] = v + w[24]
+    assert np.array_equal(forward_batch(net, W, X), want)
+
+
 @pytest.mark.parametrize("cls, n, dim", [(STOCK_NET, 128, 1), (TANH_2D_NET, 64, 2)])
 def test_sampled_trace_set_same_rows_as_einsum_pass(monkeypatch, cls, n, dim):
     B = random_general_position(n, dim, np.random.default_rng(11))
