@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ from . import bounds as bnd
 from . import dichotomy as dch
 from . import ucheck as uc
 from .errors import CapExceededError, ConfigError
-from .hypotheses import load_class_spec
+from .hypotheses import LinearThreshold, NetworkSpec, load_class_spec
 
 DEFAULT_SEED = 1729
 
@@ -44,17 +45,13 @@ DENSITY_COLUMNS = ["class_id", "slope", "n_min", "n_max", "residual"]
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.10g}"
-    return str(x)
+    return f"{x:.10g}" if isinstance(x, float) else str(x)
 
 
 def _resolve_output(path: str) -> Path:
+    # joining an absolute path onto VCLAB_OUTPUT_DIR gives the absolute path
     out_dir = os.environ.get("VCLAB_OUTPUT_DIR")
-    p = Path(path)
-    if out_dir and not p.is_absolute():
-        p = Path(out_dir) / p
-    return p
+    return Path(out_dir) / path if out_dir else Path(path)
 
 
 def write_csv(path, columns, rows) -> None:
@@ -69,21 +66,13 @@ def write_csv(path, columns, rows) -> None:
 
 def emit_plot_data(series, path) -> None:
     """Write a two-column-per-series CSV (label_x, label_y pairs) for
-    external plotting. Shorter series are padded with empty cells."""
+    external plotting; every x and y list has the same length."""
     series = list(series)
-    if not series:
-        raise ValueError("series list must be nonempty")
-    header = []
-    for xs, ys, label in series:
-        if len(xs) != len(ys):
-            raise ValueError(f"series {label!r}: x/y length mismatch")
-        header += [f"{label}_x", f"{label}_y"]
-    depth = max(len(xs) for xs, _, _ in series)
-    rows = [
-        [v for xs, ys, _ in series for v in ((xs[i], ys[i]) if i < len(xs) else ("", ""))]
-        for i in range(depth)
-    ]
-    write_csv(path, header, rows)
+    columns = [v for xs, ys, _ in series for v in (xs, ys)]
+    if len({len(c) for c in columns}) != 1:
+        raise ValueError("series must be nonempty, with x and y lists of one length")
+    header = [f"{label}_{axis}" for _, _, label in series for axis in "xy"]
+    write_csv(path, header, zip(*columns))
 
 
 # --------------------------------------------------------------------------
@@ -93,19 +82,13 @@ def emit_plot_data(series, path) -> None:
 
 def bounds_rows(ms, epss, deltas, constants=bnd.BoundConstants()) -> list[list]:
     """BOUNDS_COLUMNS rows over the (m, eps, delta) grid."""
-    rows = []
-    for m in ms:
-        for eps in epss:
-            for delta in deltas:
-                q = bnd.BoundQuery(m=m, eps=eps, delta=delta, constants=constants)
-                r = bnd.bound_report(q)
-                rows.append([
-                    m, eps, delta,
-                    r.k_elementary, r.k_rademacher,
-                    r.k_solver_elementary, r.k_solver_rademacher,
-                    r.classical_m2, r.classical_m4, r.classical_mlogm,
-                ])
-    return rows
+    grid = itertools.product(ms, epss, deltas)
+    reports = ((q, bnd.bound_report(bnd.BoundQuery(*q, constants=constants))) for q in grid)
+    return [
+        [*q, r.k_elementary, r.k_rademacher, r.k_solver_elementary, r.k_solver_rademacher,
+         r.classical_m2, r.classical_m4, r.classical_mlogm]
+        for q, r in reports
+    ]
 
 
 def growth_rows(estimate: dch.GrowthEstimate) -> list[list]:
@@ -141,12 +124,13 @@ def _print_table(columns, rows) -> None:
         print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
 
 
-def _floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+def _parse_list(parse, flag: str, text: str) -> list:
+    """The comma-separated values of a list flag, else a ConfigError naming
+    the flag."""
+    try:
+        return [parse(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError(f"{flag} must list {parse.__name__}s, got {text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -154,30 +138,28 @@ def _ints(text: str) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-def _require_at_least(least, *flags) -> None:
-    """ConfigError naming the first (flag, value) pair whose value is below
-    `least`; None means the flag was left out."""
-    for flag, value in flags:
-        if value is not None and value < least:
-            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+# (test, phrase) pairs for _require; NaN fails every test
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_IN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
 
 
-def _require_in_unit_interval(*flags) -> None:
-    """ConfigError naming the first (flag, value) pair whose value is not in
-    the open interval (0, 1)."""
+def _require(rule, *flags) -> None:
+    """ConfigError naming the first (flag, value) pair whose value fails the
+    rule's test, as "flag must be <phrase>"; None means the flag was left out."""
+    test, phrase = rule
     for flag, value in flags:
-        if not 0 < value < 1:
-            raise ConfigError(f"{flag} must be in (0, 1), got {value}")
+        if value is not None and not test(value):
+            raise ConfigError(f"{flag} must be {phrase}, got {value}")
 
 
 def cmd_bounds(args):
-    ms = _ints(args.m)
-    _require_at_least(1, *(("--m", m) for m in ms))
-    eps, delta = _floats(args.eps), _floats(args.delta)
-    _require_in_unit_interval(*(("--eps", e) for e in eps), *(("--delta", d) for d in delta))
-    for flag, value in (("--c-prime", args.c_prime), ("--c-hat", args.c_hat)):
-        if not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be finite and positive, got {value}")
+    ms = _parse_list(int, "--m", args.m)
+    eps, delta = _parse_list(float, "--eps", args.eps), _parse_list(float, "--delta", args.delta)
+    _require(_AT_LEAST_1, *(("--m", m) for m in ms))
+    _require(_IN_UNIT_INTERVAL, *(("--eps", e) for e in eps), *(("--delta", d) for d in delta))
+    _require((lambda v: math.isfinite(v) and v > 0, "finite and positive"),
+             ("--c-prime", args.c_prime), ("--c-hat", args.c_hat))
     if args.c_prime < bnd.MIN_C_PRIME:
         raise ConfigError(
             f"--c-prime must be >= {bnd.MIN_C_PRIME:g} (the Rademacher solver "
@@ -188,78 +170,78 @@ def cmd_bounds(args):
 
 
 def cmd_growth(args):
-    ns = _ints(args.n)
-    _require_at_least(0, *(("--n", n) for n in ns))
-    _require_at_least(1, ("--draws", args.draws), ("--budget", args.budget))
+    ns = _parse_list(int, "--n", args.n)
+    _require(_AT_LEAST_0, *(("--n", n) for n in ns))
+    _require(_AT_LEAST_1, ("--draws", args.draws))
     cls = load_class_spec(args.class_spec)
-    estimate = dch.growth_samples(
-        cls,
-        ns,
-        method=args.method,
-        draws=args.draws,
-        budget=args.budget,
-        seed=args.seed,
-    )
+    estimate = dch.growth_samples(cls, ns, method=args.method, draws=args.draws,
+                                  budget=args.budget, seed=args.seed)
     return GROWTH_COLUMNS, growth_rows(estimate)
 
 
 def cmd_vcdim(args):
-    _require_at_least(
-        1, ("--max-d", args.max_d), ("--tries", args.tries), ("--budget", args.budget)
-    )
+    _require(_AT_LEAST_1, ("--max-d", args.max_d), ("--tries", args.tries))
     cls = load_class_spec(args.class_spec)
-    result = dch.vc_dim_bruteforce(
-        cls, max_d=args.max_d, seed=args.seed, tries=args.tries, budget=args.budget
-    )
+    result = dch.vc_dim_bruteforce(cls, max_d=args.max_d, seed=args.seed, tries=args.tries,
+                                   budget=args.budget)
     columns = ["class_id", "vc_dim", "saturated", "seed"]
     return columns, [[dch.class_id(cls), result.value, int(result.saturated), args.seed]]
 
 
 def read_growth_csv(path) -> dch.GrowthEstimate:
-    """Parse the growth CSV schema back into a GrowthEstimate."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != GROWTH_COLUMNS:
-            raise ConfigError(
-                f"{path}: expected growth CSV columns {GROWTH_COLUMNS}, "
-                f"got {reader.fieldnames}"
-            )
-        rows = list(reader)
+    """Parse the growth CSV schema back into a GrowthEstimate. A non-UTF-8
+    file, a cell that is not an integer, a sample GrowthSample rejects, and an
+    n or count past the float range (the fit logs floats) are ConfigErrors."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            columns, rows = reader.fieldnames, list(reader)
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise ConfigError(f"{path}: not a UTF-8 CSV file: {e}") from None
+    if columns != GROWTH_COLUMNS:
+        raise ConfigError(f"{path}: expected growth CSV columns {GROWTH_COLUMNS}, got {columns}")
     if not rows:
         raise ConfigError(f"{path}: growth CSV has no data rows")
-    samples = tuple(
-        dch.GrowthSample(n=int(r["n"]), count=int(r["count"]), exactness=r["exactness"])
-        for r in rows
-    )
-    return dch.GrowthEstimate(
-        samples=samples, class_id=rows[0]["class_id"], seed=int(rows[0]["seed"])
-    )
+    samples = []
+    for i, r in enumerate(rows, start=1):
+        where = f"{path} data row {i}"
+        for key in ("n", "count", "seed"):
+            try:
+                r[key] = int(r[key])
+            except (TypeError, ValueError):  # TypeError: the row is short of the cell
+                raise ConfigError(f"{where}: {key} must be an integer, got {r[key]!r}") from None
+        try:
+            samples.append(dch.GrowthSample(n=r["n"], count=r["count"], exactness=r["exactness"]))
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None
+        if max(r["n"], r["count"]) > sys.float_info.max:
+            raise ConfigError(f"{where}: n and count must be within the float range")
+    return dch.GrowthEstimate(samples=tuple(samples), class_id=rows[0]["class_id"],
+                              seed=rows[0]["seed"])
 
 
 def cmd_density(args):
-    if not 0 < args.fit_fraction <= 1:
-        raise ConfigError(f"--fit-fraction must be in (0, 1], got {args.fit_fraction}")
+    _require((lambda v: 0 < v <= 1, "in (0, 1]"), ("--fit-fraction", args.fit_fraction))
     estimate = read_growth_csv(args.input)
     density = dch.estimate_vc_density(estimate, upper_fraction=args.fit_fraction)
     return DENSITY_COLUMNS, [density_row(estimate.class_id, density)]
 
 
 def cmd_ucheck(args):
-    _require_in_unit_interval(("--eps", args.eps), ("--delta", args.delta))
-    _require_at_least(1, ("--k", args.k), ("--trials", args.trials), ("--m", args.m),
-                      ("--budget", args.budget))
+    _require(_IN_UNIT_INTERVAL, ("--eps", args.eps), ("--delta", args.delta))
+    _require(_AT_LEAST_1, ("--k", args.k), ("--trials", args.trials), ("--m", args.m))
+    if args.k is None and args.m is None:
+        raise ConfigError("ucheck needs either --k or --m (for k_elementary)")
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
-    if args.k is not None:
-        k = args.k
-    else:
-        if args.m is None:
-            raise ConfigError("ucheck needs either --k or --m (for k_elementary)")
-        k = bnd.k_elementary(bnd.BoundQuery(m=args.m, eps=args.eps, delta=args.delta))
-    result = uc.run_uc_experiment(
-        cls, dist, eps=args.eps, k=k, trials=args.trials, seed=args.seed,
-        budget=args.budget,
-    )
+    if isinstance(cls, (LinearThreshold, NetworkSpec)):
+        dim = dch.as_network(cls).input_dim
+        if dist.support.dim != dim:
+            raise ConfigError(f"--dist support points have dimension {dist.support.dim}; "
+                              f"--class {dch.class_id(cls)} takes dimension {dim}")
+    k = args.k or bnd.k_elementary(bnd.BoundQuery(m=args.m, eps=args.eps, delta=args.delta))
+    result = uc.run_uc_experiment(cls, dist, eps=args.eps, k=k, trials=args.trials,
+                                  seed=args.seed, budget=args.budget)
     return UC_COLUMNS, [uc_row(result, args.eps, args.delta)]
 
 
@@ -278,65 +260,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bounds", help="compute both sample-complexity bounds")
+    # flags shared by subcommands, declared once: every subcommand writes a
+    # CSV, and growth, vcdim and ucheck also read a class and draw weights
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--output")
+    run = argparse.ArgumentParser(add_help=False, parents=[out])
+    run.add_argument("--class", dest="class_spec", required=True, help="class spec JSON")
+    run.add_argument("--budget", type=int, default=20000)
+    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+
+    p = sub.add_parser("bounds", parents=[out], help="compute both sample-complexity bounds")
     p.add_argument("--m", required=True, help="weight count(s), comma separated")
     p.add_argument("--eps", required=True, help="accuracy value(s), comma separated")
     p.add_argument("--delta", required=True, help="confidence value(s), comma separated")
     p.add_argument("--c-prime", type=float, default=2.0)
     p.add_argument("--c-hat", type=float, default=64.0)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("growth", help="growth-function samples for a class")
-    p.add_argument("--class", dest="class_spec", required=True, help="class spec JSON")
+    p = sub.add_parser("growth", parents=[run], help="growth-function samples for a class")
     p.add_argument("--n", required=True, help="set size(s), comma separated")
     p.add_argument("--method", choices=["auto", "oracle", "exact", "sampled"], default="auto")
     p.add_argument("--draws", type=int, default=3)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("vcdim", help="VC-dimension (exact for baselines)")
-    p.add_argument("--class", dest="class_spec", required=True)
+    p = sub.add_parser("vcdim", parents=[run], help="VC-dimension (exact for baselines)")
     p.add_argument("--max-d", type=int, default=6)
     p.add_argument("--tries", type=int, default=12)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_vcdim)
 
-    p = sub.add_parser("density", help="fit a VC-density slope to a growth CSV")
+    p = sub.add_parser("density", parents=[out], help="fit a VC-density slope to a growth CSV")
     p.add_argument("--input", required=True, help="growth CSV produced by `vclab growth`")
     p.add_argument("--fit-fraction", type=float, default=0.5)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_density)
 
-    p = sub.add_parser("ucheck", help="Monte Carlo uniform-convergence experiment")
-    p.add_argument("--class", dest="class_spec", required=True)
+    p = sub.add_parser("ucheck", parents=[run], help="Monte Carlo uniform-convergence experiment")
     p.add_argument("--dist", required=True, help="distribution spec JSON")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--k", type=int, help="sample size; omit to use k_elementary(--m)")
     p.add_argument("--m", type=int, help="weight count for k_elementary when --k is omitted")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--budget", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--output")
     p.set_defaults(func=cmd_ucheck)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. Exit codes: 2 for a ConfigError (bad flag or
+    file), 3 for a CapExceededError (a cap or the float range), 4 for an
+    OSError; any other exception is a bug and propagates with its traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # growth, vcdim and ucheck share --budget and --seed; other commands lack them
+        _require(_AT_LEAST_1, ("--budget", vars(args).get("budget")))
+        _require(_AT_LEAST_0, ("--seed", vars(args).get("seed")))
         columns, rows = args.func(args)
         _print_table(columns, rows)
         if args.output:
             write_csv(args.output, columns, rows)
-    except (ConfigError, ValueError) as e:
+    except ConfigError as e:
         print(f"vclab: invalid configuration: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except CapExceededError as e:

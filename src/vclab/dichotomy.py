@@ -303,7 +303,8 @@ class GrowthSample:
     exactness: str  # "exact" | "lower_bound"
 
     def __post_init__(self):
-        if not (1 <= self.count <= 2**self.n):
+        # (count - 1).bit_length() <= n is count <= 2^n without forming 2^n
+        if not (1 <= self.count and (self.count - 1).bit_length() <= self.n):
             raise ValueError(f"count {self.count} outside [1, 2^{self.n}]")
         if self.exactness not in ("exact", "lower_bound"):
             raise ValueError(f"bad exactness tag {self.exactness!r}")
@@ -386,23 +387,24 @@ def estimate_vc_density(g: GrowthEstimate, upper_fraction: float = 0.5) -> Densi
     """Least-squares slope of log(count) against log(n) (natural logs; the
     slope is base-invariant) over the `upper_fraction` largest n values,
     never fewer than FIT_MIN_POINTS (lower-order terms pollute small n).
-    Counts that decrease with n and fit a negative slope raise ValueError."""
+    Samples the fit cannot use, and counts that decrease with n and fit a
+    negative slope, raise ConfigError."""
     samples = sorted(g.samples, key=lambda s: s.n)
     if len(samples) < 3:
-        raise ValueError("need at least 3 growth samples")
+        raise ConfigError("need at least 3 growth samples")
     ns = [s.n for s in samples]
     if ns[0] < 1:
-        raise ValueError(f"growth samples need n >= 1 (log n), got n = {ns[0]}")
-    if max(ns) < 4 * min(ns):
-        raise ValueError("set sizes must span at least a factor of 4")
+        raise ConfigError(f"growth samples need n >= 1 (log n), got n = {ns[0]}")
+    if len(set(ns)) < len(ns) or max(ns) < 4 * min(ns):
+        raise ConfigError("set sizes must be distinct and span at least a factor of 4")
     take = max(FIT_MIN_POINTS, math.ceil(len(samples) * upper_fraction))
     fit = samples[-take:]
-    x = np.log([s.n for s in fit])
+    x = np.log([float(s.n) for s in fit])
     y = np.log([float(s.count) for s in fit])
     slope, intercept = np.polyfit(x, y, 1)
     # nondecreasing counts fit slope >= 0 (Chebyshev's sum inequality): below 0 is rounding
     if slope < 0 and any(a.count > b.count for a, b in zip(fit, fit[1:])):
-        raise ValueError(f"fitted VC-density slope {slope:.6g} < 0: growth counts decrease with n")
+        raise ConfigError(f"fitted VC-density slope {slope:.6g} < 0: growth counts decrease with n")
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return DensityEstimate(
         slope=max(float(slope), 0.0),

@@ -1,6 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps these onto distinct exit codes, so keep the hierarchy flat.
+The CLI maps ConfigError to exit 2 and CapExceededError to exit 3, so keep
+the hierarchy flat. Both are ValueErrors as well: to a library caller they
+are bad arguments, whichever type it catches.
 """
 
 
@@ -8,12 +10,12 @@ class VclabError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(VclabError):
+class ConfigError(VclabError, ValueError):
     """A config file or run configuration failed validation."""
 
 
-class CapExceededError(VclabError):
-    """A combinatorial cap (set size, dimension, enumeration budget) was exceeded."""
+class CapExceededError(VclabError, ValueError):
+    """A cap (set size, dimension, enumeration budget, float range) was exceeded."""
 
 
 class IndeterminateLabelingError(VclabError):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CapExceededError, ConfigError
 
 ACTIVATION_KINDS = ("threshold", "logistic", "tanh", "relu", "polynomial", "identity")
 
@@ -91,7 +91,8 @@ class NetworkSpec:
 
 def _apply_activation_batch(act: ActivationSpec, t, out=None):
     """Evaluate the activation elementwise on a float array; raises
-    ValueError if any input is not finite, before anything is written.
+    CapExceededError if any input is not finite, before anything is written:
+    from finite points and weights, only an overflow gets there.
 
     The result goes to `out`, a float array shaped like `t`, which may be
     `t` itself; with out=None a new array is returned. The clamp mask is
@@ -100,7 +101,7 @@ def _apply_activation_batch(act: ActivationSpec, t, out=None):
     downward (threshold(0) = 0).
     """
     if not np.isfinite(t).all():
-        raise ValueError("activation input must be finite")
+        raise CapExceededError("activation input must be finite: the forward pass overflowed")
     clamp = None
     if act.restriction is not None and act.clamp_outside:
         a, b = act.restriction
@@ -273,13 +274,21 @@ def read_number(value, field: str, whole: bool = False):
         ) from None
 
 
+def _read_finite(value, field: str) -> float:
+    """read_number, refusing the NaN and infinities Python's json accepts."""
+    x = read_number(value, field)
+    if not np.isfinite(x):
+        raise ConfigError(f"{field} must be a finite number, got {x}")
+    return x
+
+
 def read_points(value, field: str) -> tuple[tuple[float, ...], ...]:
-    """A JSON list of points, each a list of coordinates, as float tuples,
-    else a ConfigError naming the field."""
+    """A JSON list of points, each a list of finite coordinates, as float
+    tuples, else a ConfigError naming the field."""
     for p in read_list(value, field):
         if not isinstance(p, list):
             raise ConfigError(f"{field} must list points as lists, got {p!r}")
-    return tuple(tuple(read_number(v, f"{field} coordinate") for v in p) for p in value)
+    return tuple(tuple(_read_finite(v, f"{field} coordinate") for v in p) for p in value)
 
 
 def _parse_activation(obj) -> ActivationSpec:
@@ -290,14 +299,14 @@ def _parse_activation(obj) -> ActivationSpec:
         field = "activation field 'restriction'"
         if len(read_list(restriction, field)) != 2:
             raise ConfigError(f"{field} must have two entries, got {restriction!r}")
-        restriction = tuple(read_number(v, f"{field} entry") for v in restriction)
+        restriction = tuple(_read_finite(v, f"{field} entry") for v in restriction)
     coefficients = read_list(obj.get("coefficients", []), "activation field 'coefficients'")
     clamp_outside = obj.get("clamp_outside", False)
     if not isinstance(clamp_outside, bool):
         raise ConfigError(f"activation field 'clamp_outside' must be a bool, got {clamp_outside!r}")
     return ActivationSpec(
         kind=obj["kind"],
-        coefficients=tuple(read_number(c, "activation field 'coefficients' entry")
+        coefficients=tuple(_read_finite(c, "activation field 'coefficients' entry")
                            for c in coefficients),
         restriction=restriction,
         clamp_outside=clamp_outside,
@@ -353,6 +362,8 @@ def parse_class_spec(doc: dict):
             )
         if bkind == "explicit_finite":
             traces = read_list(read_field(base, "traces", where), f"{where} field 'traces'")
+            if not traces:
+                raise ConfigError(f"{where} field 'traces' must list at least one trace")
             return ExplicitFinite(
                 domain=read_points(read_field(base, "domain", where), f"{where} field 'domain'"),
                 traces=tuple(tuple(read_list(t, f"{where} field 'traces' entry")) for t in traces),
@@ -362,10 +373,10 @@ def parse_class_spec(doc: dict):
 
 
 def read_json_object(path) -> dict:
-    """The top-level object of a JSON file, else a ConfigError."""
+    """The top-level object of a UTF-8 JSON file, else a ConfigError."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"invalid JSON in {path}: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")

@@ -42,7 +42,8 @@ def max_margin(points: np.ndarray, labeling) -> float:
     from label-0 points (w.x + b <= -gamma), with |w_j| <= 1 and bounded bias.
 
     gamma* is always >= 0 (w = 0, b = 0 is feasible); it is > 0 iff the
-    labeling is strictly linearly separable within the box.
+    labeling is strictly linearly separable within the box. scipy, imported
+    here, comes with the `test` extra: no CLI path calls this LP reference.
     """
     from scipy.optimize import linprog
 

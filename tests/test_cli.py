@@ -564,6 +564,124 @@ class TestUcheckCommand:
         assert rc == 2
 
 
+def _spec_json(**doc) -> str:
+    return json.dumps({"schema_version": 1, **doc})
+
+
+def _growth_csv_text(*rows) -> str:
+    return "n,count,exactness,seed,class_id\n" + "".join(f"{r}\n" for r in rows)
+
+
+UNIT_DIST = {"support": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+             "probabilities": [0.5, 0.25, 0.25], "labels": [0, 1, 1]}
+UCHECK = ["--eps", "0.1", "--delta", "0.1", "--k", "10", "--trials", "1"]
+
+# (argv, files written under the test directory {d}, exit code, stderr fragment):
+# one row per bad-input route, each a typed error raised where the input is read
+BAD_INPUT_ROUTES = [
+    (["growth", "--class", LTF2_JSON, "--n", "4,x"], {}, 2, "--n must list ints, got '4,x'"),
+    (["bounds", "--m", "1", "--eps", "0.1,abc", "--delta", "0.1"], {}, 2,
+     "--eps must list floats, got '0.1,abc'"),
+    (["growth", "--class", NET_JSON, "--n", "4", "--seed", "-1"], {}, 2,
+     "--seed must be >= 0, got -1"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *UCHECK, "--seed", "-1"], {}, 2,
+     "--seed must be >= 0, got -1"),
+    # growth CSV cells, then the density fit checks
+    (["density", "--input", "{d}/g.csv"], {"g.csv": _growth_csv_text("8,x,exact,0,c")}, 2,
+     "g.csv data row 1: count must be an integer, got 'x'"),
+    (["density", "--input", "{d}/g.csv"], {"g.csv": _growth_csv_text("8,5,exact,0,c", "9,2")},
+     2, "g.csv data row 2: seed must be an integer, got None"),
+    (["density", "--input", "{d}/g.csv"], {"g.csv": _growth_csv_text("1,5,exact,0,c")}, 2,
+     "g.csv data row 1: count 5 outside [1, 2^1]"),
+    (["density", "--input", "{d}/g.csv"], {"g.csv": _growth_csv_text("1,1,maybe,0,c")}, 2,
+     "g.csv data row 1: bad exactness tag 'maybe'"),
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,c", f"1200,{2**1199},exact,0,c")}, 2,
+     "g.csv data row 2: n and count must be within the float range"),
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,c", "32,40,exact,0,c", "32,50,exact,0,c")}, 2,
+     "set sizes must be distinct and span at least a factor of 4"),
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,c", "32,40,exact,0,c")}, 2,
+     "need at least 3 growth samples"),
+    # files that are not UTF-8
+    (["density", "--input", "{d}/g.csv"], {"g.csv": b"n,count,exactness,seed,class_id\n8,\xff"},
+     2, "g.csv: not a UTF-8 CSV file"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"], {"c.json": b'{"a": "\xff"}'}, 2,
+     "c.json: 'utf-8' codec can't decode"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": b'{"a": "\xff"}'}, 2, "p.json: 'utf-8' codec can't decode"),
+    # ucheck support dimension against the class's
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(**{**UNIT_DIST, "support": [[0.0], [1.0], [2.0]]})}, 2,
+     "--dist support points have dimension 1; --class linear_threshold_d2 takes dimension 2"),
+    (["ucheck", "--class", NET_JSON, "--dist", DIST_JSON, *UCHECK], {}, 2,
+     "--dist support points have dimension 2; --class network_m4 takes dimension 1"),
+    # non-finite JSON numbers: Python's json reads NaN, Infinity and -Infinity
+    (["ucheck", "--class", UNION2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(**{**UNIT_DIST, "support": [[0.0], [float("nan")], [2.0]]})}, 2,
+     "distribution field 'support' coordinate must be a finite number, got nan"),
+    (["growth", "--class", "{d}/c.json", "--n", "2,3"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 1, "layers": [
+         {"activation": {"kind": "polynomial", "coefficients": [float("nan"), 1.0]}},
+         {"activation": {"kind": "threshold"}}]})}, 2,
+     "activation field 'coefficients' entry must be a finite number, got nan"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 1, "layers": [
+         {"activation": {"kind": "tanh", "restriction": [-float("inf"), 0.0]}}]})}, 2,
+     "activation field 'restriction' entry must be a finite number, got -inf"),
+    (["vcdim", "--class", "{d}/c.json"],
+     {"c.json": _spec_json(kind="baseline", baseline={
+         "kind": "union_of_points", "capacity": 1, "domain": [[0.0], [float("inf")]]})}, 2,
+     "union_of_points baseline field 'domain' coordinate must be a finite number, got inf"),
+    # an explicit_finite class with no traces
+    *((argv, {"c.json": _spec_json(kind="baseline", baseline={
+        "kind": "explicit_finite", "domain": [[0.0]], "traces": []})}, 2,
+       "explicit_finite baseline field 'traces' must list at least one trace")
+      for argv in (["growth", "--class", "{d}/c.json", "--n", "1", "--method", "oracle"],
+                   ["vcdim", "--class", "{d}/c.json"])),
+    # a valid net whose forward pass overflows: 1e308 t^2 feeds the output node
+    (["growth", "--class", "{d}/c.json", "--n", "4", "--budget", "50"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 1, "layers": [
+         {"width": 2, "activation": {"kind": "polynomial", "coefficients": [0, 0, 1e308]}},
+         {"activation": {"kind": "threshold"}}]})}, 3,
+     "cap exceeded: activation input must be finite: the forward pass overflowed"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, files, code, message", BAD_INPUT_ROUTES)
+def test_bad_input_exits_with_its_code_naming_the_input(tmp_path, capsys, argv, files, code,
+                                                        message):
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    out = tmp_path / "out.csv"
+    rc = main([a.format(d=tmp_path) for a in argv] + ["--output", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_library_value_error_propagates_as_a_bug(monkeypatch):
+    # only ConfigError exits 2; a ValueError from inside the library is a bug
+    def broken(q):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(vclab.bounds, "bound_report", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["bounds", "--m", "1", "--eps", "0.1", "--delta", "0.1"])
+
+
+def test_density_reads_n_beyond_int64(tmp_path):
+    growth = tmp_path / "g.csv"
+    growth.write_text(_growth_csv_text(*(f"{10**e},{e},lower_bound,0,c" for e in (20, 21, 22))))
+    out = tmp_path / "d.csv"
+    assert main(["density", "--input", str(growth), "--output", str(out)]) == 0
+    assert read_rows(out)[1][2:4] == [str(10**20), str(10**22)]
+
+
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -591,6 +709,10 @@ class TestEmitPlotData:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_plot_data([], tmp_path / "plot.csv")
+
+    def test_unequal_lengths_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_plot_data([([1, 2], [1, 2], "a"), ([1], [1], "b")], tmp_path / "plot.csv")
 
     def test_growth_curve_matches_oracle(self, tmp_path):
         from vclab.dichotomy import growth_function_oracle

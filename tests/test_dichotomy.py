@@ -300,6 +300,19 @@ class TestSauerShelah:
                 assert growth_function_oracle(union(m), n) <= sauer_shelah_cap(m, n)
 
 
+@pytest.mark.parametrize("n, count, ok", [
+    (70, 2**70, True), (70, 2**70 + 1, False), (1, 0, False), (0, 1, True), (0, 2, False),
+    # 2^n is never formed, so a huge n costs nothing
+    (10**18, 5, True),
+])
+def test_growth_sample_count_range(n, count, ok):
+    if ok:
+        GrowthSample(n=n, count=count, exactness="exact")
+    else:
+        with pytest.raises(ValueError, match=f"count {count} outside"):
+            GrowthSample(n=n, count=count, exactness="exact")
+
+
 class TestDensityFit:
     def _synthetic(self, counts_by_n):
         samples = tuple(
