@@ -10,6 +10,7 @@ the deviation bound it was derived from, and a minimal one from the search
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import CapExceededError
@@ -88,20 +89,36 @@ def deviation_bound_growth(tau_2k, k: int, delta: float) -> float:
         raise ValueError("delta must be in (0, 1)")
     if tau_2k < 1:
         raise ValueError("growth value must be >= 1")
-    return (4.0 + math.sqrt(math.log(tau_2k))) / (delta * math.sqrt(2.0 * k))
+    return _deviation_growth(math.log(tau_2k), k, delta)
+
+
+def _deviation_growth(log_tau: float, k: int, delta: float) -> float:
+    """deviation_bound_growth from ln tau(2k), so tau itself is never formed."""
+    return (4.0 + math.sqrt(log_tau)) / (delta * math.sqrt(2.0 * k))
+
+
+def _in_float_range(quantity: str, q: BoundQuery, compute, extra: str = ""):
+    """compute() if it is finite; else, or when it overflows (an integer past
+    the float range, a division by an underflowed 0), the CapExceededError
+    "<quantity> for eps = ..., delta = ..., m = ...<extra> exceeds the float
+    range", naming an m past the float range by its digit count."""
+    try:
+        value = compute()
+        if math.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    m = q.m if q.m <= sys.float_info.max else f"an integer of {len(str(q.m))} digits"
+    raise CapExceededError(f"{quantity} for eps = {q.eps}, delta = {q.delta}, m = {m}{extra} "
+                           "exceeds the float range")
 
 
 def _elementary_a(q: BoundQuery) -> float:
     """a = 4m / (eps^2 delta^2). Raises CapExceededError when a * ln a, the
-    size of k_elementary, is beyond the float range; that includes eps^2
-    delta^2 underflowing to 0."""
-    divisor = q.eps**2 * q.delta**2
-    a = 4.0 * q.m / divisor if divisor else math.inf
-    if not math.isfinite(a * math.log(a)):
-        raise CapExceededError(
-            f"k_elementary for eps = {q.eps}, delta = {q.delta}, m = {q.m} "
-            "exceeds the float range"
-        )
+    size of k_elementary, is beyond the float range; that includes an m past
+    it and eps^2 delta^2 underflowing to 0."""
+    a = _in_float_range("k_elementary", q, lambda: 4.0 * q.m / (q.eps**2 * q.delta**2))
+    _in_float_range("k_elementary", q, lambda: a * math.log(a))
     return a
 
 
@@ -158,15 +175,9 @@ def k_rademacher(q: BoundQuery) -> int:
     """ceil(C_hat * [(m/eps^2) * ln(2m/eps^2) + ln(4/delta)/eps^2]),
     floored at 1. Raises CapExceededError beyond the float range."""
     c = q.constants
-    val = c.C_hat * (
-        (q.m / q.eps**2) * math.log(2.0 * q.m / q.eps**2)
-        + math.log(4.0 / q.delta) / q.eps**2
-    )
-    if not math.isfinite(val):
-        raise CapExceededError(
-            f"k_rademacher for eps = {q.eps}, delta = {q.delta}, m = {q.m}, "
-            f"C_hat = {c.C_hat} exceeds the float range"
-        )
+    val = _in_float_range("k_rademacher", q, lambda: c.C_hat * (
+        (q.m / q.eps**2) * math.log(2.0 * q.m / q.eps**2) + math.log(4.0 / q.delta) / q.eps**2
+    ), f", C_hat = {c.C_hat}")
     return max(1, math.ceil(val))
 
 
@@ -178,24 +189,15 @@ def solve_k_rademacher(q: BoundQuery) -> int:
     the first term alone is sqrt(4m ln(2C')) >= sqrt(4 ln 4) > 1 > eps. A
     cap when the search passes the float range (k ~ 1e308), where k no longer
     converts to a float."""
-
-    def ok(k: int) -> bool:
-        return deviation_bound_rademacher(k, q.m, q.delta, q.constants) <= q.eps
-
-    try:
-        return _least_k(ok, 2)
-    except OverflowError:
-        raise CapExceededError(f"the k_rademacher solver for eps = {q.eps}, delta = "
-                               f"{q.delta}, m = {q.m} exceeds the float range") from None
+    return _in_float_range(
+        "the k_rademacher solver", q, lambda: _least_k(lambda k: back_verify_rademacher(q, k), 2))
 
 
 def solve_k_elementary(q: BoundQuery) -> int:
     """Least k with 2k >= a ln(2k) on the increasing branch, a = 4m / (eps^2
     delta^2); a cap when 4a ln(2a), a sufficient 2k, is beyond the float range."""
     a = _elementary_a(q)
-    if not math.isfinite(4.0 * a * math.log(2.0 * a)):
-        raise CapExceededError(f"the k_elementary solver for eps = {q.eps}, delta = "
-                               f"{q.delta}, m = {q.m} exceeds the float range")
+    _in_float_range("the k_elementary solver", q, lambda: 4.0 * a * math.log(2.0 * a))
     # x - a ln x is convex with its minimum at x = a, and a > 4 on every valid
     # query (m >= 1, eps, delta < 1) makes it negative at ceil(a)
     return math.ceil(_least_k(lambda x: x >= a * math.log(x), math.ceil(a)) / 2.0)
@@ -210,15 +212,14 @@ def classical_reference_bounds(q: BoundQuery, vcdim) -> float:
 
 
 def back_verify_elementary(q: BoundQuery, k: int) -> bool:
-    """Recompute the growth deviation bound at k with tau(2k) = (2k)^m.
+    """Recompute the growth deviation bound at k with tau(2k) = (2k)^m, from
+    ln tau = m ln(2k): the integer (2k)^m has about m log10(2k) digits.
 
     Only meaningful in the regime m*ln(2k) >= 16, where absorbing the
     additive 4 into a factor 2 is valid; outside it, returns True vacuously.
     """
-    if q.m * math.log(2 * k) < 16.0:
-        return True
-    tau = (2 * k) ** q.m
-    return deviation_bound_growth(tau, k, q.delta) <= q.eps
+    log_tau = q.m * math.log(2 * k)
+    return log_tau < 16.0 or _deviation_growth(log_tau, k, q.delta) <= q.eps
 
 
 def back_verify_rademacher(q: BoundQuery, k: int) -> bool:
@@ -227,12 +228,17 @@ def back_verify_rademacher(q: BoundQuery, k: int) -> bool:
 
 def bound_report(q: BoundQuery) -> BoundReport:
     """Evaluate both chains, their solver-minimal counterparts, the
-    back-verification flags, and the classical comparison columns."""
+    back-verification flags, and the classical comparison columns; a column
+    beyond the float range is a CapExceededError naming it."""
     k_el = k_elementary(q)
     k_rad = k_rademacher(q)
     k_sol_el = solve_k_elementary(q)
     k_sol_rad = solve_k_rademacher(q)
     logm = max(math.log(q.m), 1.0)  # m * ln m degenerates at m = 1
+
+    def classical(column: str, vcdim) -> float:
+        return _in_float_range(column, q, lambda: classical_reference_bounds(q, vcdim))
+
     return BoundReport(
         k_elementary=k_el,
         k_rademacher=k_rad,
@@ -240,7 +246,7 @@ def bound_report(q: BoundQuery) -> BoundReport:
         k_solver_rademacher=k_sol_rad,
         verified_elementary=back_verify_elementary(q, k_el),
         verified_rademacher=back_verify_rademacher(q, k_rad),
-        classical_m2=classical_reference_bounds(q, q.m**2),
-        classical_m4=classical_reference_bounds(q, q.m**4),
-        classical_mlogm=classical_reference_bounds(q, q.m * logm),
+        classical_m2=classical("classical_m2", q.m**2),
+        classical_m4=classical("classical_m4", q.m**4),
+        classical_mlogm=classical("classical_mlogm", q.m * logm),
     )

@@ -125,12 +125,15 @@ def _print_table(columns, rows) -> None:
 
 
 def _parse_list(parse, flag: str, text: str) -> list:
-    """The comma-separated values of a list flag, else a ConfigError naming
-    the flag."""
+    """The comma-separated values of a list flag, at least one, else a
+    ConfigError naming the flag."""
     try:
-        return [parse(v) for v in text.split(",") if v]
+        values = [parse(v) for v in text.split(",") if v]
     except ValueError:
-        raise ConfigError(f"{flag} must list {parse.__name__}s, got {text!r}") from None
+        values = []
+    if not values:
+        raise ConfigError(f"{flag} must list {parse.__name__}s, got {text!r}")
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -160,11 +163,8 @@ def cmd_bounds(args):
     _require(_IN_UNIT_INTERVAL, *(("--eps", e) for e in eps), *(("--delta", d) for d in delta))
     _require((lambda v: math.isfinite(v) and v > 0, "finite and positive"),
              ("--c-prime", args.c_prime), ("--c-hat", args.c_hat))
-    if args.c_prime < bnd.MIN_C_PRIME:
-        raise ConfigError(
-            f"--c-prime must be >= {bnd.MIN_C_PRIME:g} (the Rademacher solver "
-            f"needs a bound that decreases in k), got {args.c_prime}"
-        )
+    _require((lambda v: v >= bnd.MIN_C_PRIME, f">= {bnd.MIN_C_PRIME:g} (the Rademacher solver "
+              "needs a bound that decreases in k)"), ("--c-prime", args.c_prime))
     constants = bnd.BoundConstants(C_prime=args.c_prime, C_hat=args.c_hat)
     return BOUNDS_COLUMNS, bounds_rows(ms, eps, delta, constants)
 

@@ -11,7 +11,6 @@ sampling, so counts are certified lower bounds.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -65,21 +64,9 @@ def as_network(cls) -> NetworkSpec:
 # --------------------------------------------------------------------------
 
 
-def _packbits_rows(bits) -> np.ndarray:
-    """np.packbits(bits, axis=1) for a 0/1 matrix, by one np.packbits call:
-    the rows are written into a zero-padded (rows, 8 ceil(n/8)) bool buffer,
-    which is packed flattened, so no loop runs per row."""
-    bits = np.asarray(bits, dtype=bool)
-    r, n = bits.shape
-    w = -(-n // 8)
-    buf = np.zeros((r, 8 * w), dtype=bool)
-    buf[:, :n] = bits
-    return np.packbits(buf.reshape(-1)).reshape(r, w)
-
-
 def _packed(bits) -> np.ndarray:
     """Distinct rows of a 0/1 matrix as sorted np.packbits rows."""
-    return linsep._unique_rows(_packbits_rows(bits))
+    return linsep.unique_rows(linsep.pack_rows(bits))
 
 
 def _distinct_per_subset(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -91,7 +78,7 @@ def _distinct_per_subset(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
     c, r = idx.shape
     bits = traces[:, idx].transpose(1, 0, 2).reshape(c * t, r)
     keys = np.repeat(np.arange(c, dtype=">u8").view(np.uint8).reshape(c, 8), t, axis=0)
-    rows = linsep._unique_rows(np.hstack([keys, _packbits_rows(bits)]))
+    rows = linsep.unique_rows(np.hstack([keys, linsep.pack_rows(bits)]))
     return np.bincount(rows[:, :8].copy().view(">u8")[:, 0].astype(np.intp), minlength=c)
 
 
@@ -117,20 +104,21 @@ def trace_set(
             raise CapExceededError(f"dimension {cls.dim} exceeds exact LTF cap {EXACT_LTF_DIM_CAP}")
         return linsep.enumerate_ltf_traces(B.as_array()), True
     if isinstance(cls, UnionOfMPoints):
-        in_dom = [i for i, p in enumerate(B.points) if p in cls.domain]
+        in_dom = np.array([i for i, p in enumerate(B.points) if p in cls.domain], np.intp)
         sizes = range(min(cls.capacity, len(in_dom)) + 1)
         total = sum(math.comb(len(in_dom), r) for r in sizes)
         if total > TRACE_CAP:
             raise CapExceededError(f"{total} traces exceed trace cap {TRACE_CAP}")
-        bits = np.zeros((total, k), dtype=bool)
-        subsets = (c for r in sizes for c in itertools.combinations(in_dom, r))
-        for row, subset in zip(bits, subsets):
-            row[list(subset)] = True
+        bits = np.zeros((total, k), dtype=bool)  # one row per subset of size <= capacity
+        top = 0
+        for r in sizes:
+            for chunk in subset_chunks(len(in_dom), r):
+                bits[np.arange(top, top + len(chunk))[:, None], in_dom[chunk]] = True
+                top += len(chunk)
         return _packed(bits), True
     if isinstance(cls, ExplicitFinite):
-        for p in B.points:
-            if p not in cls.domain:
-                raise ConfigError(f"point {p} outside the declared domain")
+        if outside := [p for p in B.points if p not in cls.domain]:
+            raise ConfigError(f"point {outside[0]} outside the declared domain")
         idx = [cls.domain.index(p) for p in B.points]
         traces = np.reshape(cls.traces, (len(cls.traces), len(cls.domain)))
         return _packed(traces[:, idx]), True
@@ -141,9 +129,7 @@ def trace_set(
 
 def default_weight_box(B: PointSet) -> tuple[float, float]:
     """Symmetric sampling box wide enough that biases can offset any point."""
-    if len(B) == 0:
-        return (-1.0, 1.0)
-    r = 1.0 + float(np.max(np.abs(B.as_array())))
+    r = 1.0 + float(np.abs(B.as_array()).max(initial=0.0))
     return (-r, r)
 
 
@@ -169,13 +155,10 @@ def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
     X = B.as_array().reshape(len(B), net.input_dim)
     found = []
     rows = max(1, _BLOCK_ENTRIES // max(len(B), 1))
-    drawn = 0
-    while drawn < budget:
-        take = min(rows, budget - drawn)
-        W = rng.uniform(lo, hi, size=(take, net.weight_count))
-        drawn += take
+    for drawn in range(0, budget, rows):
+        W = rng.uniform(lo, hi, size=(min(rows, budget - drawn), net.weight_count))
         found.append(_packed(forward_batch(net, W, X) > 0))
-    return linsep._unique_rows(np.concatenate(found))
+    return linsep.unique_rows(np.concatenate(found))
 
 
 def growth_function_oracle(c, n: int):
@@ -198,11 +181,8 @@ def growth_function_oracle(c, n: int):
         traces = np.reshape(c.traces, (t, k)).astype(bool)
         # subsets per dedupe, so one call packs about _BLOCK_ENTRIES bits
         step = max(1, _BLOCK_ENTRIES // max(t * r, 1))
-        best = 0
-        for chunk in subset_chunks(k, r):
-            for a in range(0, len(chunk), step):
-                best = max(best, int(_distinct_per_subset(traces, chunk[a : a + step]).max()))
-        return best
+        return max(int(_distinct_per_subset(traces, chunk[a : a + step]).max())
+                   for chunk in subset_chunks(k, r) for a in range(0, len(chunk), step))
     raise ConfigError(f"oracle growth needs a baseline class, not {class_id(c)}")
 
 
@@ -284,10 +264,9 @@ def vc_dim_bruteforce(
         return VcDimResult(value=best, saturated=(best == max_d))
     rng = np.random.default_rng(seed)
     for size in range(1, max_d + 1):
-        for B in _candidate_sets(cls, size, rng, tries):
-            if is_shattered(cls, B, budget=budget, seed=seed):
-                best = size
-                break
+        if any(is_shattered(cls, B, budget=budget, seed=seed)
+               for B in _candidate_sets(cls, size, rng, tries)):
+            best = size
     return VcDimResult(value=best, saturated=(best == max_d))
 
 

@@ -145,18 +145,19 @@ def forward_batch(network: NetworkSpec, W, X):
     Activations are carried node-major and point-major, as a (width,
     n_points, n_samples) array per layer: numpy runs a ufunc's inner loop
     along the last axis, so every multiply, add and activation loops over
-    the weight rows, the long axis at the block sizes the sampler uses,
-    rather than once per weight row over the points. W is transposed once,
-    so each node reads contiguous (n_samples,) weight rows; the inputs
-    broadcast as (n_points, 1) columns. A node's pre-activation is summed in
-    its own plane of the layer buffer, in the fixed order w_1 a_1 + w_2 a_2
-    + ... + w_fanin a_fanin (each product after the first formed in one
-    scratch plane per layer), then the bias is added; its activation then overwrites the
-    plane in place (_apply_activation_batch with out=pre), so threshold,
-    tanh, relu and identity nodes allocate no temporary plane. Each entry
-    sees the same float operations in the same order in any layout, so the
-    values do not depend on it; the result is one transposed, C-contiguous
-    copy of the output plane.
+    the weight rows, the long axis at the sampler's block sizes. W is
+    transposed once, so each node reads contiguous (n_samples,) weight rows;
+    the inputs broadcast as (n_points, 1) columns. A node's pre-activation
+    is summed in its own plane of the layer buffer, in the fixed order
+    w_1 a_1 + ... + w_fanin a_fanin (products after the first in one scratch
+    plane per layer), plus the bias; its activation then overwrites the
+    plane in place, so threshold, tanh, relu and identity nodes allocate no
+    temporary plane. Each entry sees the same float operations in the same
+    order in any layout, so the values do not depend on it.
+
+    An overflow is a CapExceededError, without numpy warnings: at the input
+    of an activation, or at a polynomial output node, the one activation
+    that can map finite inputs to a non-finite output.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -169,18 +170,21 @@ def forward_batch(network: NetworkSpec, W, X):
     Wt = np.ascontiguousarray(W.T)  # (m, n_samples)
     values = X.T[:, :, None]  # (input_dim, n_points, 1)
     pos = 0
-    for i, layer in enumerate(network.layers):
-        fan_in = network.fan_in(i)
-        out = np.empty((layer.width, n, s))
-        scratch = np.empty((n, s)) if fan_in > 1 else None
-        for node, act in enumerate(layer.activations):
-            pre = np.multiply(values[0], Wt[pos], out=out[node])
-            for j in range(1, fan_in):
-                pre += np.multiply(values[j], Wt[pos + j], out=scratch)
-            pre += Wt[pos + fan_in]
-            pos += fan_in + 1
-            _apply_activation_batch(act, pre, out=pre)
-        values = out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, layer in enumerate(network.layers):
+            fan_in = network.fan_in(i)
+            out = np.empty((layer.width, n, s))
+            scratch = np.empty((n, s)) if fan_in > 1 else None
+            for node, act in enumerate(layer.activations):
+                pre = np.multiply(values[0], Wt[pos], out=out[node])
+                for j in range(1, fan_in):
+                    pre += np.multiply(values[j], Wt[pos + j], out=scratch)
+                pre += Wt[pos + fan_in]
+                pos += fan_in + 1
+                _apply_activation_batch(act, pre, out=pre)
+            values = out
+    if network.layers[-1].activations[0].kind == "polynomial" and not np.isfinite(values).all():
+        raise CapExceededError("network output must be finite: the forward pass overflowed")
     return values[0].T.copy()
 
 
@@ -232,9 +236,7 @@ class ExplicitFinite:
             for b in t:
                 if b not in (0, 1):
                     raise ConfigError(f"trace entries must be 0 or 1, got {b!r}")
-        deduped = tuple(dict.fromkeys(self.traces))
-        if deduped != self.traces:
-            object.__setattr__(self, "traces", deduped)
+        object.__setattr__(self, "traces", tuple(dict.fromkeys(self.traces)))
 
 
 # --------------------------------------------------------------------------

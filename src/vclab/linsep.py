@@ -7,8 +7,9 @@ In u-space each point is a hyperplane through the origin, and the
 realizable labelings are the sign vectors of the cells of that arrangement
 (Cover 1965; Edelsbrunner, Algorithms in Combinatorial Geometry, ch. 7).
 `enumerate_ltf_traces` lists those cells, as sorted distinct np.packbits
-rows (the trace-set format of `dichotomy.trace_set`), from the signs of
-determinants of the rows (x, 1), all hyperplanes at once. A batched float
+rows (the trace-set format of `dichotomy.trace_set`, which `pack_rows` and
+`unique_rows` make of any 0/1 matrix), from the signs of determinants of
+the rows (x, 1), all hyperplanes at once. A batched float
 evaluation gives each determinant with its permanent P, and its sign
 counts where |det| > 2 r^2 2^-53 P for r x r determinants, twice its
 forward error bound (a filtered predicate; Shewchuk 1997). The remaining
@@ -119,7 +120,7 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
     cols = _bareiss(ints)[0]
     r = len(cols)
     if r == k:
-        return np.packbits(_all_patterns(k), axis=1)
+        return pack_rows(_all_patterns(k))
     # projecting onto r independent coordinates is one-to-one on the span,
     # so the cells keep their sign vectors; the dropped coordinates are the
     # unit-vector completion C of det[S; v; C]
@@ -150,7 +151,7 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
         rows = np.repeat(rays, len(sub), axis=0)
         rows[:, z] = np.tile(sub, (2, 1))
         found.append(rows)
-    return _unique_rows(np.packbits(np.concatenate(found), axis=1))
+    return unique_rows(pack_rows(np.concatenate(found)))
 
 
 def _all_patterns(m: int) -> np.ndarray:
@@ -230,7 +231,19 @@ def _float_sides(floats: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, n
     return side, certain
 
 
-def _unique_rows(packed: np.ndarray) -> np.ndarray:
+def pack_rows(bits) -> np.ndarray:
+    """The rows of a 0/1 matrix packed as np.packbits packs them along axis 1,
+    by one flat np.packbits call: the rows are written into a zero-padded
+    (rows, 8 ceil(n/8)) bool buffer, so no loop runs per row."""
+    bits = np.asarray(bits, dtype=bool)
+    r, n = bits.shape
+    w = -(-n // 8)
+    buf = np.zeros((r, 8 * w), dtype=bool)
+    buf[:, :n] = bits
+    return np.packbits(buf.reshape(-1)).reshape(r, w)
+
+
+def unique_rows(packed: np.ndarray) -> np.ndarray:
     """np.unique(packed, axis=0) for a uint8 matrix of w-byte rows.
 
     Each row is zero-padded to whole 8-byte words and read as big-endian

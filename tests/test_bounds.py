@@ -133,6 +133,28 @@ class TestFloatRange:
         k = solve_k_rademacher(BoundQuery(m=100, eps=1e-140, delta=0.999))
         assert 1e280 < k < 1e308 and isinstance(k, int)
 
+    @pytest.mark.parametrize("f", [k_elementary, k_rademacher, solve_k_elementary,
+                                   solve_k_rademacher, bound_report])
+    def test_m_beyond_float_range_is_a_cap_naming_its_digits(self, f):
+        q = BoundQuery(m=10**399, eps=0.1, delta=0.1)
+        with pytest.raises(CapExceededError, match="delta = 0.1, m = an integer of 400 digits"):
+            f(q)
+
+    @pytest.mark.parametrize("m,column", [
+        (10**77, "classical_m4"),  # m^4 fits a float, m^4 / eps^2 does not
+        (10**78, "classical_m4"),  # m^4 itself does not fit
+        (10**155, "classical_m2"),
+    ])
+    def test_classical_column_beyond_float_range_is_a_cap_naming_it(self, m, column):
+        with pytest.raises(CapExceededError) as e:
+            bound_report(BoundQuery(m=m, eps=0.1, delta=0.1))
+        want = f"{column} for eps = 0.1, delta = 0.1, m = {m} exceeds the float range"
+        assert str(e.value) == want
+
+    def test_m_just_inside_classical_range_gives_a_row(self):
+        r = bound_report(BoundQuery(m=10**76, eps=0.1, delta=0.1))
+        assert r.classical_m4 == pytest.approx(1e306) and r.verified_elementary
+
 
 class TestRademacherCap:
     def test_single_vector(self):
@@ -216,6 +238,50 @@ class TestBackVerification:
         k = solve_k_rademacher(q)
         assert deviation_bound_rademacher(k, q.m, q.delta) <= q.eps
         assert deviation_bound_rademacher(k - 1, q.m, q.delta) > q.eps
+
+
+def exact_back_verify_elementary(q, k):
+    """back_verify_elementary through the exact integer tau(2k) = (2k)^m."""
+    if q.m * math.log(2 * k) < 16.0:
+        return True
+    return deviation_bound_growth((2 * k) ** q.m, k, q.delta) <= q.eps
+
+
+def least_exact_k(q, hi):
+    """Least k in the regime m ln(2k) >= 16 at which the exact deviation
+    bound is <= eps, given that it is at hi; the bound decreases in k there."""
+    lo = math.ceil(math.exp(16.0 / q.m) / 2) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if deviation_bound_growth((2 * mid) ** q.m, mid, q.delta) <= q.eps:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestBackVerificationFromLogTau:
+    @pytest.mark.parametrize("m", range(1, 65))
+    def test_equals_exact_integer_reference(self, m):
+        outcomes = set()
+        for eps in (0.05, 0.1, 0.2, 0.5):
+            for delta in (0.01, 0.1, 0.5, 0.9):
+                q = BoundQuery(m=m, eps=eps, delta=delta)
+                k_sol = solve_k_elementary(q)
+                k_min = least_exact_k(q, k_sol)  # where the exact check turns True
+                for k in (k_elementary(q), k_sol, k_sol - 1, k_min, k_min - 1,
+                          *(2**j for j in range(45))):
+                    want = exact_back_verify_elementary(q, k)
+                    assert back_verify_elementary(q, k) == want, (q, k)
+                    outcomes.add(want)
+        assert outcomes == {True, False}
+
+    def test_report_at_a_billion_weights_is_finite(self):
+        r = bound_report(BoundQuery(m=10**9, eps=0.1, delta=0.1))
+        assert r.verified_elementary and r.verified_rademacher
+        for value in (r.k_elementary, r.k_rademacher, r.k_solver_elementary,
+                      r.k_solver_rademacher, r.classical_m2, r.classical_m4, r.classical_mlogm):
+            assert math.isfinite(value) and value > 0
 
 
 class TestClassicalReference:

@@ -572,6 +572,16 @@ def _growth_csv_text(*rows) -> str:
     return "n,count,exactness,seed,class_id\n" + "".join(f"{r}\n" for r in rows)
 
 
+# 1-input nets whose forward pass overflows: at a hidden polynomial layer
+# (1e308 t^2 feeds the output node), and at a polynomial output node, where
+# the true value at t = 0.5 is -5.15e307 but float evaluation gives +inf
+POLY_HIDDEN = [{"width": 2, "activation": {"kind": "polynomial", "coefficients": [0, 0, 1e308]}},
+               {"activation": {"kind": "threshold"}}]
+POLY_OUTPUT = [{"width": 1, "activation": {"kind": "polynomial",
+                                           "coefficients": [-1.79e308, 1.7e308, 1.7e308]}}]
+HUGE_M = str(10**399)
+HUGE_M_CAP = "k_elementary for eps = 0.1, delta = 0.1, m = an integer of 400 digits exceeds"
+
 UNIT_DIST = {"support": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
              "probabilities": [0.5, 0.25, 0.25], "labels": [0, 1, 1]}
 UCHECK = ["--eps", "0.1", "--delta", "0.1", "--k", "10", "--trials", "1"]
@@ -646,6 +656,28 @@ BAD_INPUT_ROUTES = [
          {"width": 2, "activation": {"kind": "polynomial", "coefficients": [0, 0, 1e308]}},
          {"activation": {"kind": "threshold"}}]})}, 3,
      "cap exceeded: activation input must be finite: the forward pass overflowed"),
+    (["growth", "--class", "{d}/c.json", "--n", "2,4,8"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 1, "layers": POLY_OUTPUT})}, 3,
+     "cap exceeded: network output must be finite: the forward pass overflowed"),
+    # list flags that list nothing
+    (["bounds", "--m", ",", "--eps", "0.1", "--delta", "0.1"], {}, 2,
+     "--m must list ints, got ','"),
+    (["bounds", "--m", "1", "--eps", ",", "--delta", "0.1"], {}, 2,
+     "--eps must list floats, got ','"),
+    (["bounds", "--m", "1", "--eps", "0.1", "--delta", ""], {}, 2,
+     "--delta must list floats, got ''"),
+    (["growth", "--class", UNION2_JSON, "--n", ",", "--method", "oracle"], {}, 2,
+     "--n must list ints, got ','"),
+    # m past the float range, or a bounds column past it
+    (["bounds", "--m", str(10**78), "--eps", "0.1", "--delta", "0.1"], {}, 3,
+     f"classical_m4 for eps = 0.1, delta = 0.1, m = {10**78} exceeds the float range"),
+    (["bounds", "--m", HUGE_M, "--eps", "0.1", "--delta", "0.1"], {}, 3,
+     HUGE_M_CAP),
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, "--eps", "0.1", "--delta", "0.1",
+      "--trials", "1", "--m", str(10**78)], {}, 3, "exceeds the sampler's limit 2^63 - 1"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, "--eps", "0.1", "--delta", "0.1",
+      "--trials", "1", "--m", HUGE_M], {}, 3,
+     HUGE_M_CAP),
 ]
 
 
@@ -662,6 +694,25 @@ def test_bad_input_exits_with_its_code_naming_the_input(tmp_path, capsys, argv, 
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layers", [POLY_HIDDEN, POLY_OUTPUT], ids=["hidden", "output"])
+def test_forward_overflow_exits_3_without_numpy_warnings(tmp_path, capsys, layers):
+    spec = tmp_path / "c.json"
+    spec.write_text(_spec_json(kind="network", network={"input_dim": 1, "layers": layers}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["growth", "--class", str(spec), "--n", "2,4,8", "--budget", "2000"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("vclab: cap exceeded: ")
+
+
+@pytest.mark.parametrize("m", ["1000000", "10000000"])
+def test_bounds_at_millions_of_weights(tmp_path, m):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--m", m, "--eps", "0.1", "--delta", "0.1", "--output", str(out)]) == 0
+    row = read_rows(out)[1]
+    assert row[0] == m and all(float(v) > 0 for v in row[3:])
 
 
 def test_library_value_error_propagates_as_a_bug(monkeypatch):

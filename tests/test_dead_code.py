@@ -1,7 +1,8 @@
 """Dead-code checks on the package modules (all of src/vclab but __init__.py):
 every imported name is used by its module, and every module-level private
 name is referenced outside its own definition somewhere in src/, tests/,
-scripts/ or perfbench/."""
+scripts/ or perfbench/. Private names also stay private: no src/vclab module
+reads one of another vclab module."""
 
 import ast
 from collections import defaultdict
@@ -81,3 +82,51 @@ def test_every_private_name_is_referenced():
         if all(p == path and first <= line <= last for p, line in sites[name])
     ]
     assert not unreferenced, f"private names nothing references: {unreferenced}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_reads(tree: ast.Module):
+    """(module.name, line) for each private name of another vclab module that
+    the tree reads: `from .m import _x`, or `m._x` where m is bound by
+    `from . import m [as alias]` (or the absolute `vclab` forms)."""
+    modules = {}  # local name -> vclab module name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = ("vclab." + (node.module or "") if node.level else node.module).rstrip(".")
+            for alias in node.names:
+                if source == "vclab":
+                    modules[alias.asname or alias.name] = alias.name
+                elif source.startswith("vclab.") and _private(alias.name):
+                    yield f"{source.removeprefix('vclab.')}.{alias.name}", node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("vclab.") and alias.asname:
+                    modules[alias.asname] = alias.name.removeprefix("vclab.")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and _private(node.attr)):
+            yield f"{modules[node.value.id]}.{node.attr}", node.lineno
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "vclab").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    reads = [f"{name} (line {line})" for name, line in _private_reads(ast.parse(path.read_text()))]
+    assert not reads, f"{path.name} reads private names of other vclab modules: {reads}"
+
+
+def test_private_read_check_sees_every_import_form():
+    source = """
+from . import linsep
+from . import bounds as bnd
+from .pointsets import _GP_TOL, subset_chunks
+from vclab.dichotomy import _packed
+import vclab.hypotheses as hyp
+linsep._cells(1); bnd._least_k; hyp._parse_activation; linsep.unique_rows; bnd.__name__
+"""
+    found = sorted(name for name, _ in _private_reads(ast.parse(source)))
+    assert found == ["bounds._least_k", "dichotomy._packed", "hypotheses._parse_activation",
+                     "linsep._cells", "pointsets._GP_TOL"]

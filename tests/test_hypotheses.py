@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vclab.dichotomy import as_network, sampled_trace_set, trace_set
-from vclab.errors import ConfigError
+from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import (
     ACTIVATION_KINDS,
     ActivationSpec,
@@ -227,6 +227,20 @@ def _first_node_steps(row, x):
 
 def _normal_or_zero(v):
     return v == 0 or abs(v) >= 2.0**-1022
+
+
+class TestOutputOverflow:
+    POLY = ActivationSpec(kind="polynomial", coefficients=(-1.79e308, 1.7e308, 1.7e308))
+
+    def test_polynomial_output_overflow_is_a_cap(self):
+        # the true value at t = 0.5 is -5.15e307; float evaluation overflows to +inf
+        net = NetworkSpec(input_dim=1, layers=(LayerSpec((self.POLY,)),))
+        with pytest.raises(CapExceededError, match="network output must be finite"):
+            forward_batch(net, [[1.0, 0.0]], [[0.5]])
+
+    def test_finite_polynomial_output_passes(self):
+        net = NetworkSpec(input_dim=1, layers=(LayerSpec((self.POLY,)),))
+        assert forward_batch(net, [[0.0, 0.0]], [[0.5]])[0, 0] == -1.79e308
 
 
 class TestBaselines:

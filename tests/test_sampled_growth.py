@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, loop_in_general_position, unique_packed_rows
-from vclab import dichotomy, pointsets
+from vclab import dichotomy, linsep, pointsets
 from vclab.dichotomy import (
     as_network,
     growth_function_oracle,
@@ -71,7 +71,7 @@ def test_flat_pack_equals_np_unique_rows_at_every_width(rows):
     for width in range(131):
         bits = rng.integers(0, 2, size=(rows, width)).astype(bool)
         bits[rows // 2:] = bits[: rows - rows // 2]  # repeated rows
-        assert np.array_equal(dichotomy._packbits_rows(bits), np.packbits(bits, axis=1))
+        assert np.array_equal(linsep.pack_rows(bits), np.packbits(bits, axis=1))
         got = dichotomy._packed(bits)
         want = unique_packed_rows(bits)
         assert got.dtype == want.dtype and got.shape == want.shape

@@ -13,7 +13,7 @@ from conftest import (
     recursive_ltf_traces,
     unique_packed_rows,
 )
-from vclab import dichotomy
+from vclab import dichotomy, pointsets
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import ConfigError
 from vclab.hypotheses import (
@@ -96,6 +96,25 @@ def test_union_count_is_binomial_sum(capacity, coords):
     rows, exact = trace_set(cls, B)
     assert exact
     assert len(rows) == sum(math.comb(inside, i) for i in range(min(capacity, inside) + 1))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, pointsets._GP_CHUNK])
+@pytest.mark.parametrize("capacity", [0, 1, 2, 3, 7])
+@pytest.mark.parametrize("coords", [(), (9,), (0, 9, 2, -1, 4), (4, 3, 2, 1, 0),
+                                    (0, 1, 2, 3, 4, 7, 8)])
+def test_union_rows_equal_itertools_reference(monkeypatch, chunk, capacity, coords):
+    # domain 0..4: coordinates outside it are points B has but the domain lacks
+    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
+    cls = UnionOfMPoints(capacity=capacity, domain=tuple((float(i),) for i in range(5)))
+    B = PointSet(points=tuple((float(c),) for c in coords))
+    inside = [i for i, c in enumerate(coords) if 0 <= c < 5]
+    subsets = [s for r in range(capacity + 1) for s in itertools.combinations(inside, r)]
+    bits = np.zeros((len(subsets), len(coords)), dtype=bool)
+    for row, s in zip(bits, subsets):
+        row[list(s)] = True
+    rows, exact = trace_set(cls, B)
+    assert exact
+    assert np.array_equal(rows, unique_packed_rows(bits))
 
 
 @given(data=st.data())
