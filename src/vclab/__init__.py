@@ -2,7 +2,6 @@
 sample-complexity bounds of small neural hypothesis classes."""
 
 from .bounds import (
-    BoundConstants,
     BoundQuery,
     BoundReport,
     bound_report,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CapExceededError
 
@@ -20,34 +20,26 @@ from .errors import CapExceededError
 MIN_C_PRIME = 2.0
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """C_prime = 2C absorbs the 2^m factor, where C caps the trace-set growth
-    (|A| <= C * k^m; C = 1 at the default), and C_hat is the outer
-    multiplicative constant of the closed-form tighter bound. C_hat is not
-    derivable from first principles here; the default is chosen so the
-    back-verification invariant holds on the standard test grid."""
-
-    C_prime: float = 2.0
-    C_hat: float = 64.0
-
-    def __post_init__(self):
-        for name, value in (("C_prime", self.C_prime), ("C_hat", self.C_hat)):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+def _check_constant(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """One (m, eps, delta) point of the bounds grid. Its constants must have
-    C_prime >= MIN_C_PRIME, the range in which solve_k_rademacher is exact;
-    BoundConstants alone also serves smaller C_prime for evaluating
-    deviation_bound_rademacher directly."""
+    """One (m, eps, delta) point of the bounds grid and the constants of the
+    Rademacher chain. C_prime = 2C absorbs the 2^m factor, where C caps the
+    trace-set growth (|A| <= C * k^m; C = 1 at the default); it must be at
+    least MIN_C_PRIME, the range in which solve_k_rademacher is exact. C_hat
+    is the outer multiplicative constant of the closed-form tighter bound. It
+    is not derivable from first principles here; the default is chosen so
+    the back-verification invariant holds on the standard test grid."""
 
     m: int
     eps: float
     delta: float
-    constants: BoundConstants = field(default_factory=BoundConstants)
+    c_prime: float = 2.0
+    c_hat: float = 64.0
 
     def __post_init__(self):
         if self.m < 1:
@@ -56,10 +48,12 @@ class BoundQuery:
             raise ValueError("eps must be in (0, 1)")
         if not (0 < self.delta < 1):
             raise ValueError("delta must be in (0, 1)")
-        if self.constants.C_prime < MIN_C_PRIME:
+        _check_constant("C_prime", self.c_prime)
+        _check_constant("C_hat", self.c_hat)
+        if self.c_prime < MIN_C_PRIME:
             raise ValueError(
                 f"C_prime must be >= {MIN_C_PRIME:g} for the Rademacher solver, "
-                f"got {self.constants.C_prime}"
+                f"got {self.c_prime}"
             )
 
 
@@ -155,18 +149,14 @@ def rademacher_cap(k: int, m: int, C: float = 1.0) -> float:
     return math.sqrt(2.0 * log_size / k)
 
 
-def deviation_bound_rademacher(
-    k: int,
-    m: int,
-    delta: float,
-    constants: BoundConstants = BoundConstants(),
-) -> float:
-    """sqrt(8m * ln(C'k) / k) + sqrt(2 * ln(4/delta) / k)."""
+def deviation_bound_rademacher(k: int, m: int, delta: float, c_prime: float = 2.0) -> float:
+    """sqrt(8m * ln(C'k) / k) + sqrt(2 * ln(4/delta) / k), C' = c_prime finite, > 0."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
-    first = math.sqrt(8.0 * m * math.log(constants.C_prime * k) / k)
+    _check_constant("C_prime", c_prime)
+    first = math.sqrt(8.0 * m * math.log(c_prime * k) / k)
     second = math.sqrt(2.0 * math.log(4.0 / delta) / k)
     return first + second
 
@@ -174,10 +164,9 @@ def deviation_bound_rademacher(
 def k_rademacher(q: BoundQuery) -> int:
     """ceil(C_hat * [(m/eps^2) * ln(2m/eps^2) + ln(4/delta)/eps^2]),
     floored at 1. Raises CapExceededError beyond the float range."""
-    c = q.constants
-    val = _in_float_range("k_rademacher", q, lambda: c.C_hat * (
+    val = _in_float_range("k_rademacher", q, lambda: q.c_hat * (
         (q.m / q.eps**2) * math.log(2.0 * q.m / q.eps**2) + math.log(4.0 / q.delta) / q.eps**2
-    ), f", C_hat = {c.C_hat}")
+    ), f", C_hat = {q.c_hat}")
     return max(1, math.ceil(val))
 
 
@@ -223,7 +212,7 @@ def back_verify_elementary(q: BoundQuery, k: int) -> bool:
 
 
 def back_verify_rademacher(q: BoundQuery, k: int) -> bool:
-    return deviation_bound_rademacher(k, q.m, q.delta, q.constants) <= q.eps
+    return deviation_bound_rademacher(k, q.m, q.delta, q.c_prime) <= q.eps
 
 
 def bound_report(q: BoundQuery) -> BoundReport:

@@ -80,10 +80,10 @@ def emit_plot_data(series, path) -> None:
 # --------------------------------------------------------------------------
 
 
-def bounds_rows(ms, epss, deltas, constants=bnd.BoundConstants()) -> list[list]:
+def bounds_rows(ms, epss, deltas, c_prime=2.0, c_hat=64.0) -> list[list]:
     """BOUNDS_COLUMNS rows over the (m, eps, delta) grid."""
     grid = itertools.product(ms, epss, deltas)
-    reports = ((q, bnd.bound_report(bnd.BoundQuery(*q, constants=constants))) for q in grid)
+    reports = ((q, bnd.bound_report(bnd.BoundQuery(*q, c_prime, c_hat))) for q in grid)
     return [
         [*q, r.k_elementary, r.k_rademacher, r.k_solver_elementary, r.k_solver_rademacher,
          r.classical_m2, r.classical_m4, r.classical_mlogm]
@@ -124,6 +124,18 @@ def _print_table(columns, rows) -> None:
         print("  ".join(v.rjust(w) for v, w in zip(r, widths)))
 
 
+def _shown(text) -> str:
+    """repr(text) for an error message; but an integer literal in it (or in
+    one of its comma-separated parts) too long for int(), past
+    sys.get_int_max_str_digits() digits, is named by its digit count."""
+    limit = sys.get_int_max_str_digits()
+    for part in text.split(",") if isinstance(text, str) else ():
+        digits = part.strip().lstrip("+-")
+        if 0 < limit < len(digits) and digits.isdecimal():
+            return f"an integer of {len(digits)} digits, over Python's {limit}-digit limit"
+    return repr(text)
+
+
 def _parse_list(parse, flag: str, text: str) -> list:
     """The comma-separated values of a list flag, at least one, else a
     ConfigError naming the flag."""
@@ -132,7 +144,7 @@ def _parse_list(parse, flag: str, text: str) -> list:
     except ValueError:
         values = []
     if not values:
-        raise ConfigError(f"{flag} must list {parse.__name__}s, got {text!r}")
+        raise ConfigError(f"{flag} must list {parse.__name__}s, got {_shown(text)}")
     return values
 
 
@@ -165,8 +177,7 @@ def cmd_bounds(args):
              ("--c-prime", args.c_prime), ("--c-hat", args.c_hat))
     _require((lambda v: v >= bnd.MIN_C_PRIME, f">= {bnd.MIN_C_PRIME:g} (the Rademacher solver "
               "needs a bound that decreases in k)"), ("--c-prime", args.c_prime))
-    constants = bnd.BoundConstants(C_prime=args.c_prime, C_hat=args.c_hat)
-    return BOUNDS_COLUMNS, bounds_rows(ms, eps, delta, constants)
+    return BOUNDS_COLUMNS, bounds_rows(ms, eps, delta, args.c_prime, args.c_hat)
 
 
 def cmd_growth(args):
@@ -209,7 +220,8 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
             try:
                 r[key] = int(r[key])
             except (TypeError, ValueError):  # TypeError: the row is short of the cell
-                raise ConfigError(f"{where}: {key} must be an integer, got {r[key]!r}") from None
+                got = _shown(r[key])
+                raise ConfigError(f"{where}: {key} must be an integer, got {got}") from None
         try:
             samples.append(dch.GrowthSample(n=r["n"], count=r["count"], exactness=r["exactness"]))
         except ValueError as e:
@@ -228,18 +240,23 @@ def cmd_density(args):
 
 
 def cmd_ucheck(args):
+    # --m is read here, not by argparse, so an over-long value is not echoed
+    try:
+        m = None if args.m is None else int(args.m)
+    except ValueError:
+        raise ConfigError(f"--m must be an int, got {_shown(args.m)}") from None
     _require(_IN_UNIT_INTERVAL, ("--eps", args.eps), ("--delta", args.delta))
-    _require(_AT_LEAST_1, ("--k", args.k), ("--trials", args.trials), ("--m", args.m))
-    if args.k is None and args.m is None:
+    _require(_AT_LEAST_1, ("--k", args.k), ("--trials", args.trials), ("--m", m))
+    if args.k is None and m is None:
         raise ConfigError("ucheck needs either --k or --m (for k_elementary)")
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
     if isinstance(cls, (LinearThreshold, NetworkSpec)):
-        dim = dch.as_network(cls).input_dim
+        dim = cls.dim if isinstance(cls, LinearThreshold) else cls.input_dim
         if dist.support.dim != dim:
             raise ConfigError(f"--dist support points have dimension {dist.support.dim}; "
                               f"--class {dch.class_id(cls)} takes dimension {dim}")
-    k = args.k or bnd.k_elementary(bnd.BoundQuery(m=args.m, eps=args.eps, delta=args.delta))
+    k = args.k or bnd.k_elementary(bnd.BoundQuery(m=m, eps=args.eps, delta=args.delta))
     result = uc.run_uc_experiment(cls, dist, eps=args.eps, k=k, trials=args.trials,
                                   seed=args.seed, budget=args.budget)
     return UC_COLUMNS, [uc_row(result, args.eps, args.delta)]
@@ -298,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--k", type=int, help="sample size; omit to use k_elementary(--m)")
-    p.add_argument("--m", type=int, help="weight count for k_elementary when --k is omitted")
+    p.add_argument("--m", help="weight count for k_elementary when --k is omitted")
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=cmd_ucheck)
 

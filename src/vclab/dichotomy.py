@@ -19,6 +19,7 @@ import numpy as np
 from . import linsep
 from .errors import CapExceededError, ConfigError
 from .hypotheses import (
+    WEIGHT_CAP,
     ActivationSpec,
     ExplicitFinite,
     LayerSpec,
@@ -42,7 +43,8 @@ TRACE_CAP = 200000
 ORACLE_SUBSET_CAP = 100001
 FIT_MIN_POINTS = 3
 # weight-row x point entries per sampled forward-pass block: one (rows, n)
-# float plane is 512 KB, which stays in a per-core L2 cache at any n
+# float plane is 512 KB, which stays in a per-core L2 cache at any n; the
+# block's weights and layer buffers stay within WEIGHT_CAP = 4 such planes
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -96,12 +98,9 @@ def trace_set(
     """
     k = len(B)
     if isinstance(cls, LinearThreshold):
-        if k > EXACT_LTF_POINT_CAP:
-            raise CapExceededError(f"|B| = {k} exceeds exact LTF cap {EXACT_LTF_POINT_CAP}")
+        _check_exact_ltf(cls, k)
         if k and B.dim != cls.dim:
             raise ValueError(f"point dim {B.dim} != class dim {cls.dim}")
-        if cls.dim > EXACT_LTF_DIM_CAP:
-            raise CapExceededError(f"dimension {cls.dim} exceeds exact LTF cap {EXACT_LTF_DIM_CAP}")
         return linsep.enumerate_ltf_traces(B.as_array()), True
     if isinstance(cls, UnionOfMPoints):
         in_dom = np.array([i for i, p in enumerate(B.points) if p in cls.domain], np.intp)
@@ -127,6 +126,15 @@ def trace_set(
     raise TypeError(f"no trace set for {cls!r}")
 
 
+def _check_exact_ltf(cls: LinearThreshold, k: int) -> None:
+    """The caps of exact LTF enumeration on k points, which growth_samples
+    checks before it draws them."""
+    if k > EXACT_LTF_POINT_CAP:
+        raise CapExceededError(f"|B| = {k} exceeds exact LTF cap {EXACT_LTF_POINT_CAP}")
+    if cls.dim > EXACT_LTF_DIM_CAP:
+        raise CapExceededError(f"dimension {cls.dim} exceeds exact LTF cap {EXACT_LTF_DIM_CAP}")
+
+
 def default_weight_box(B: PointSet) -> tuple[float, float]:
     """Symmetric sampling box wide enough that biases can offset any point."""
     r = 1.0 + float(np.abs(B.as_array()).max(initial=0.0))
@@ -140,25 +148,37 @@ def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
     weight vector. Monotone in budget for a fixed seed: the first `budget`
     draws of a longer run coincide with a shorter run's draws.
 
-    Weights are drawn and evaluated in blocks of about _BLOCK_ENTRIES
-    weight-row x point entries (at least one row), so memory is bounded by
-    the block, not by `budget` or |B|. The generator fills each block row by
-    row, one double at a time, so the weights, and hence the traces, are the
-    same for any block size."""
+    Weights are drawn and evaluated in blocks of _block_rows weight rows, so
+    memory is bounded by the block, not by `budget`, |B|, the layer widths
+    or m. The generator fills each block row by row, one double at a time,
+    so the weights, and hence the traces, are the same for any block size."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     net = as_network(cls)
     if len(B) and B.dim != net.input_dim:
         raise ValueError(f"point dim {B.dim} != network input_dim {net.input_dim}")
+    rows = _block_rows(net, len(B))
     lo, hi = default_weight_box(B)
     rng = np.random.default_rng(seed)
     X = B.as_array().reshape(len(B), net.input_dim)
     found = []
-    rows = max(1, _BLOCK_ENTRIES // max(len(B), 1))
     for drawn in range(0, budget, rows):
         W = rng.uniform(lo, hi, size=(min(rows, budget - drawn), net.weight_count))
         found.append(_packed(forward_batch(net, W, X) > 0))
     return linsep.unique_rows(np.concatenate(found))
+
+
+def _block_rows(net: NetworkSpec, n: int) -> int:
+    """Weight rows per sampled block on n points: _BLOCK_ENTRIES // n (at
+    least 1), fewer where the weights (rows x m) or a layer buffer (width x
+    n x rows) would pass WEIGHT_CAP entries. NetworkSpec keeps m within it;
+    a layer too wide for even one row on n points is a CapExceededError."""
+    widest = max(layer.width for layer in net.layers)
+    if widest * n > WEIGHT_CAP:
+        raise CapExceededError(f"a layer of width {widest} on {n} points exceeds the weight "
+                               f"cap {WEIGHT_CAP} for one weight row")
+    rows = min(_BLOCK_ENTRIES // max(n, 1), WEIGHT_CAP // max(net.weight_count, widest * n))
+    return max(1, rows)
 
 
 def growth_function_oracle(c, n: int):
@@ -343,16 +363,20 @@ def growth_samples(
     if method == "oracle":
         samples = [GrowthSample(n, growth_function_oracle(cls, n), "exact") for n in ns]
     elif method in ("exact", "sampled"):
-        if method == "exact" and not isinstance(cls, LinearThreshold):
+        if method == "sampled":
+            view = as_network(cls)
+            dim = view.input_dim
+        elif isinstance(cls, LinearThreshold):
+            _check_exact_ltf(cls, max(ns, default=0))
+            view, dim = cls, cls.dim
+        else:
             raise ConfigError("exact growth counting is only available for linear_threshold")
-        net = as_network(cls)
-        view = cls if method == "exact" else net
         rng = np.random.default_rng(seed)
         samples = []
         for n in ns:
             best, exact = 0, True
             for j in range(draws):
-                B = random_general_position(n, net.input_dim, rng)
+                B = random_general_position(n, dim, rng)
                 rows, exact = trace_set(view, B, budget, seed + j)
                 best = max(best, len(rows))
             tag = "exact" if exact else "lower_bound"
@@ -369,8 +393,8 @@ def estimate_vc_density(g: GrowthEstimate, upper_fraction: float = 0.5) -> Densi
     Samples the fit cannot use, and counts that decrease with n and fit a
     negative slope, raise ConfigError."""
     samples = sorted(g.samples, key=lambda s: s.n)
-    if len(samples) < 3:
-        raise ConfigError("need at least 3 growth samples")
+    if len(samples) < FIT_MIN_POINTS:
+        raise ConfigError(f"need at least {FIT_MIN_POINTS} growth samples")
     ns = [s.n for s in samples]
     if ns[0] < 1:
         raise ConfigError(f"growth samples need n >= 1 (log n), got n = {ns[0]}")

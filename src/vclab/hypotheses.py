@@ -12,16 +12,22 @@ parallelized freely.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CapExceededError, ConfigError
+from .pointsets import PointSet
 
 ACTIVATION_KINDS = ("threshold", "logistic", "tanh", "relu", "polynomial", "identity")
 
 SCHEMA_VERSION = 1
+# the most weights a network may have: the weight sampler keeps a block's
+# weight matrix (rows x m) and each layer buffer (width x n x rows) within
+# this many entries, so one weight row must fit
+WEIGHT_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,9 @@ class NetworkSpec:
             raise ConfigError("network needs at least one layer")
         if self.layers[-1].width != 1:
             raise ConfigError("network must have exactly one output node")
+        if self.weight_count > WEIGHT_CAP:
+            raise CapExceededError(f"network weight count m = {self.weight_count} exceeds "
+                                   f"the weight cap {WEIGHT_CAP}")
 
     def fan_in(self, layer_index: int) -> int:
         return self.input_dim if layer_index == 0 else self.layers[layer_index - 1].width
@@ -204,6 +213,14 @@ class LinearThreshold:
             raise ConfigError("LinearThreshold dim must be positive")
 
 
+def _check_domain(domain) -> None:
+    """A baseline's domain follows the PointSet rule (distinct, one dimension)."""
+    try:
+        PointSet(points=domain)
+    except ConfigError as e:
+        raise ConfigError(f"domain {e}") from None
+
+
 @dataclass(frozen=True)
 class UnionOfMPoints:
     """All subsets of size <= capacity of a declared finite domain.
@@ -218,8 +235,7 @@ class UnionOfMPoints:
     def __post_init__(self):
         if self.capacity < 0:
             raise ConfigError("capacity must be >= 0")
-        if len(set(self.domain)) != len(self.domain):
-            raise ConfigError("domain points must be distinct")
+        _check_domain(self.domain)
 
 
 @dataclass(frozen=True)
@@ -230,6 +246,7 @@ class ExplicitFinite:
     traces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        _check_domain(self.domain)
         for t in self.traces:
             if len(t) != len(self.domain):
                 raise ConfigError("trace length must match domain size")
@@ -338,6 +355,9 @@ def parse_class_spec(doc: dict):
             width = read_number(entry.get("width", 1), f"{where} 'width'", whole=True)
             if width < 1:
                 raise ConfigError(f"{where} 'width' must be >= 1, got {width}")
+            if width > WEIGHT_CAP:  # a width-w layer has more than w weights
+                raise CapExceededError(f"{where} 'width' {width} exceeds the weight cap "
+                                       f"{WEIGHT_CAP}")
             fan_in = read_number(entry.get("fan_in", prev), f"{where} 'fan_in'", whole=True)
             if fan_in != prev:
                 raise ConfigError(
@@ -375,9 +395,20 @@ def parse_class_spec(doc: dict):
 
 
 def read_json_object(path) -> dict:
-    """The top-level object of a UTF-8 JSON file, else a ConfigError."""
+    """The top-level object of a UTF-8 JSON file, else a ConfigError. An
+    integer literal longer than int() reads (sys.get_int_max_str_digits())
+    is named by its digit count."""
+    def parse_int(literal: str) -> int:
+        try:
+            return int(literal)
+        except ValueError:
+            raise ConfigError(
+                f"{path}: an integer of {len(literal.lstrip('-'))} digits is over Python's "
+                f"{sys.get_int_max_str_digits()}-digit limit"
+            ) from None
+
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=parse_int)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"invalid JSON in {path}: {e}") from None
     if not isinstance(doc, dict):

@@ -18,7 +18,8 @@ import numpy as np
 # lookup site (REQUIRED_SITES), so the import stays
 from .dichotomy import sampled_trace_set, trace_set  # noqa: F401
 from .errors import CapExceededError, ConfigError
-from .hypotheses import read_field, read_json_object, read_list, read_number, read_points
+from .hypotheses import (SCHEMA_VERSION, read_field, read_json_object, read_list, read_number,
+                         read_points)
 from .pointsets import PointSet
 
 PROB_TOL = 1e-12
@@ -169,8 +170,8 @@ def load_distribution(path) -> DiscreteDistribution:
     """Load a finite-support distribution from a versioned JSON file with
     fields support (list of points), probabilities, labels."""
     doc = read_json_object(path)
-    if doc.get("schema_version") != 1:
-        raise ConfigError("distribution spec needs schema_version = 1")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise ConfigError(f"distribution spec needs schema_version = {SCHEMA_VERSION}")
     support, probabilities, labels = (
         read_list(read_field(doc, key, "distribution spec"), f"distribution field {key!r}")
         for key in ("support", "probabilities", "labels")

@@ -136,7 +136,7 @@ def test_criterion_6_rademacher_back_verification():
     failures = []
     for q in GRID:
         k = k_rademacher(q)
-        if deviation_bound_rademacher(k, q.m, q.delta, q.constants) > q.eps:
+        if deviation_bound_rademacher(k, q.m, q.delta, q.c_prime) > q.eps:
             failures.append((q, "bound"))
         if solve_k_rademacher(q) > k:
             failures.append((q, "solver above closed form"))

@@ -5,7 +5,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vclab.bounds import (
-    BoundConstants,
     BoundQuery,
     back_verify_elementary,
     back_verify_rademacher,
@@ -106,15 +105,15 @@ class TestFloatRange:
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
     def test_constants_must_be_finite_and_positive(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
-            BoundConstants(**{field: value})
+            BoundQuery(m=3, eps=0.1, delta=0.1, **{field.lower(): value})
 
     @pytest.mark.parametrize("c_prime", [1e-300, 1.5, 1.9999999999999998])
     def test_query_rejects_c_prime_below_solver_range(self, c_prime):
         with pytest.raises(ValueError, match=f"C_prime must be >= 2 .*got {c_prime}"):
-            BoundQuery(m=3, eps=0.1, delta=0.1, constants=BoundConstants(C_prime=c_prime))
+            BoundQuery(m=3, eps=0.1, delta=0.1, c_prime=c_prime)
 
     def test_query_accepts_c_prime_at_solver_bound(self):
-        q = BoundQuery(m=3, eps=0.1, delta=0.1, constants=BoundConstants(C_prime=2.0))
+        q = BoundQuery(m=3, eps=0.1, delta=0.1, c_prime=2.0)
         assert bound_report(q).verified_rademacher
 
     @pytest.mark.parametrize("eps", [1e-200, 1e-160])
@@ -175,13 +174,18 @@ class TestDeviationRademacher:
         # delta = 4/e^2 makes ln(4/delta) = 2, so the confidence term is 2/sqrt(k)
         delta = 4 / math.e**2
         k = 64
-        val = deviation_bound_rademacher(k, m=1, delta=delta, constants=BoundConstants(C_prime=1.0))
+        val = deviation_bound_rademacher(k, m=1, delta=delta, c_prime=1.0)
         first = math.sqrt(8 * math.log(k) / k)
         assert val == pytest.approx(first + 2 / math.sqrt(k))
 
     def test_reference_value(self):
-        val = deviation_bound_rademacher(100, m=1, delta=0.1, constants=BoundConstants(C_prime=1.0))
+        val = deviation_bound_rademacher(100, m=1, delta=0.1, c_prime=1.0)
         assert val == pytest.approx(0.8786, abs=1e-4)
+
+    @pytest.mark.parametrize("c_prime", [math.nan, math.inf, 0.0, -1.0])
+    def test_c_prime_must_be_finite_and_positive(self, c_prime):
+        with pytest.raises(ValueError, match="C_prime must be finite and positive"):
+            deviation_bound_rademacher(100, m=1, delta=0.1, c_prime=c_prime)
 
     def test_decreasing_in_k(self):
         vals = [

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import os
@@ -12,7 +13,8 @@ import pytest
 
 import vclab
 from conftest import CONFIG_DIR
-from vclab.cli import emit_plot_data, main, read_growth_csv
+from vclab.cli import (BOUNDS_COLUMNS, bounds_rows, emit_plot_data, main, read_growth_csv,
+                       write_csv)
 
 LTF2_JSON = str(CONFIG_DIR / "ltf2.json")
 UNION2_JSON = str(CONFIG_DIR / "union2.json")
@@ -582,6 +584,23 @@ POLY_OUTPUT = [{"width": 1, "activation": {"kind": "polynomial",
 HUGE_M = str(10**399)
 HUGE_M_CAP = "k_elementary for eps = 0.1, delta = 0.1, m = an integer of 400 digits exceeds"
 
+FOUR_TRACES = [[0, 1], [1, 0], [0, 0], [1, 1]]
+# 1 followed by 4400 zeros, past the 4300 digits int() reads from a string
+LONG_INT = "1" + "0" * 4400
+LONG_INT_SHOWN = "an integer of 4401 digits, over Python's 4300-digit limit"
+LONG_DIM_SPEC = ('{"schema_version": 1, "kind": "baseline", "baseline": '
+                 '{"kind": "linear_threshold", "dim": 1' + "0" * 5000 + "}}")
+LONG_P_SPEC = ('{"schema_version": 1, "support": [[0.0, 0.0], [1.0, 1.0]], '
+               '"probabilities": [-1' + "0" * 5000 + ', 0], "labels": [0, 1]}')
+HUGE_LTF_SPEC = _spec_json(kind="baseline", baseline={"kind": "linear_threshold", "dim": 10**30})
+
+
+def _net_spec(input_dim, width) -> str:
+    return _spec_json(kind="network", network={"input_dim": input_dim, "layers": [
+        {"width": width, "activation": {"kind": "threshold"}},
+        {"activation": {"kind": "threshold"}}]})
+
+
 UNIT_DIST = {"support": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
              "probabilities": [0.5, 0.25, 0.25], "labels": [0, 1, 1]}
 UCHECK = ["--eps", "0.1", "--delta", "0.1", "--k", "10", "--trials", "1"]
@@ -678,6 +697,47 @@ BAD_INPUT_ROUTES = [
     (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, "--eps", "0.1", "--delta", "0.1",
       "--trials", "1", "--m", HUGE_M], {}, 3,
      HUGE_M_CAP),
+    # baseline domains follow the PointSet rule: distinct points of one dimension
+    *((argv, {"c.json": _spec_json(kind="baseline", baseline={
+        "kind": "explicit_finite", "domain": [[0.0], [0.0]], "traces": FOUR_TRACES})}, 2,
+       "domain points must be pairwise distinct")
+      for argv in (["vcdim", "--class", "{d}/c.json", "--max-d", "3"],
+                   ["growth", "--class", "{d}/c.json", "--n", "2", "--method", "oracle"])),
+    *((["vcdim", "--class", "{d}/c.json"], {"c.json": _spec_json(kind="baseline", baseline={
+        "kind": kind, "domain": [[0.0], [1.0, 2.0]], **fields})}, 2,
+       "domain points must share a dimension")
+      for kind, fields in (("explicit_finite", {"traces": FOUR_TRACES}),
+                           ("union_of_points", {"capacity": 1}))),
+    # integers too long for int() are named by their digit count, not echoed
+    (["vcdim", "--class", "{d}/c.json"], {"c.json": LONG_DIM_SPEC}, 2,
+     "c.json: an integer of 5001 digits is over Python's 4300-digit limit"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK], {"p.json": LONG_P_SPEC},
+     2, "p.json: an integer of 5001 digits is over Python's 4300-digit limit"),
+    (["bounds", "--m", LONG_INT, "--eps", "0.1", "--delta", "0.1"], {}, 2,
+     f"--m must list ints, got {LONG_INT_SHOWN}"),
+    (["bounds", "--m", f"1,{LONG_INT}", "--eps", "0.1", "--delta", "0.1"], {}, 2,
+     f"--m must list ints, got {LONG_INT_SHOWN}"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, "--eps", "0.1", "--delta", "0.1",
+      "--trials", "1", "--m", LONG_INT], {}, 2, f"--m must be an int, got {LONG_INT_SHOWN}"),
+    (["growth", "--class", LTF2_JSON, "--n", LONG_INT], {}, 2,
+     f"--n must list ints, got {LONG_INT_SHOWN}"),
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,c", f"32,{LONG_INT},exact,0,c")}, 2,
+     f"g.csv data row 2: count must be an integer, got {LONG_INT_SHOWN}"),
+    # network sizes the weight sampler cannot hold, refused before any array is sized
+    (["growth", "--class", "{d}/c.json", "--n", "4"], {"c.json": _net_spec(10**30, 1)}, 3,
+     f"network weight count m = {10**30 + 3} exceeds the weight cap 262144"),
+    (["vcdim", "--class", "{d}/c.json"], {"c.json": _net_spec(10**30, 1)}, 3,
+     f"network weight count m = {10**30 + 3} exceeds the weight cap 262144"),
+    (["growth", "--class", "{d}/c.json", "--n", "4"], {"c.json": _net_spec(1, 10**12)}, 3,
+     "network layers[0] field 'width' 1000000000000 exceeds the weight cap 262144"),
+    (["growth", "--class", "{d}/c.json", "--n", "100"], {"c.json": _net_spec(1, 3000)}, 3,
+     "a layer of width 3000 on 100 points exceeds the weight cap 262144"),
+    (["growth", "--class", "{d}/c.json", "--n", "4", "--method", "exact"],
+     {"c.json": HUGE_LTF_SPEC}, 3, f"dimension {10**30} exceeds exact LTF cap 4"),
+    (["growth", "--class", "{d}/c.json", "--n", "4", "--method", "sampled"],
+     {"c.json": HUGE_LTF_SPEC}, 3,
+     f"network weight count m = {10**30 + 1} exceeds the weight cap 262144"),
 ]
 
 
@@ -694,6 +754,50 @@ def test_bad_input_exits_with_its_code_naming_the_input(tmp_path, capsys, argv, 
     assert message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, files, code, message",
+                         [row for row in BAD_INPUT_ROUTES if "digits" in row[3]])
+def test_long_integers_are_named_in_a_short_message(tmp_path, capsys, argv, files, code,
+                                                    message):
+    for name, content in files.items():
+        (tmp_path / name).write_text(content)
+    assert main([a.format(d=tmp_path) for a in argv]) == code
+    err = capsys.readouterr().err
+    assert len(err) < 200 and "0" * 100 not in err
+
+
+def test_huge_dimension_ltf_keeps_its_closed_forms(tmp_path):
+    # the oracle paths never size an array by the dimension
+    spec, out = tmp_path / "c.json", tmp_path / "out.csv"
+    spec.write_text(HUGE_LTF_SPEC)
+    assert main(["vcdim", "--class", str(spec), "--max-d", "5", "--output", str(out)]) == 0
+    assert read_rows(out)[1][1:3] == ["5", "1"]
+    assert main(["growth", "--class", str(spec), "--n", "4,16", "--method", "oracle",
+                 "--output", str(out)]) == 0
+    assert [r[1:3] for r in read_rows(out)[1:]] == [["16", "exact"], ["65536", "exact"]]
+
+
+# SHA-256 of the bounds CSV on the stock grid (the pinned benchmark CSV) and
+# at C' = 3, C_hat = 10, as written before the constants moved into BoundQuery
+STOCK_GRID = ((1, 2, 4, 8), (0.05, 0.1, 0.2), (0.05, 0.1, 0.2))
+BOUNDS_DIGESTS = [
+    ({}, "26f7bb7694c93fdcc3348bc8c6bfbb68fa6fa6b75b2b724cdc09473f7fccfb31"),
+    ({"c_prime": 3.0, "c_hat": 10.0},
+     "b340446de9ad5ebda74285d062c9a88f3d21ac37d96493bf81f493af34060b45"),
+]
+
+
+@pytest.mark.parametrize("constants, digest", BOUNDS_DIGESTS)
+def test_bounds_rows_keep_their_csv(tmp_path, constants, digest):
+    rows_csv, cli_csv = tmp_path / "rows.csv", tmp_path / "cli.csv"
+    write_csv(rows_csv, BOUNDS_COLUMNS, bounds_rows(*STOCK_GRID, **constants))
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in constants.items()]
+    grid = [",".join(map(str, values)) for values in STOCK_GRID]
+    assert main(["bounds", "--m", grid[0], "--eps", grid[1], "--delta", grid[2], *flags,
+                 "--output", str(cli_csv)]) == 0
+    assert hashlib.sha256(rows_csv.read_bytes()).hexdigest() == digest
+    assert cli_csv.read_bytes() == rows_csv.read_bytes()
 
 
 @pytest.mark.parametrize("layers", [POLY_HIDDEN, POLY_OUTPUT], ids=["hidden", "output"])

@@ -1,8 +1,9 @@
 """Dead-code checks on the package modules (all of src/vclab but __init__.py):
-every imported name is used by its module, and every module-level private
-name is referenced outside its own definition somewhere in src/, tests/,
-scripts/ or perfbench/. Private names also stay private: no src/vclab module
-reads one of another vclab module."""
+every imported name is used by its module, and every module-level name,
+private or public, is referenced outside its own definition somewhere in
+src/, tests/, scripts/ or perfbench/; a re-export in vclab/__init__.py is no
+reference. Private names also stay private: no src/vclab module reads one of
+another vclab module."""
 
 import ast
 from collections import defaultdict
@@ -15,6 +16,7 @@ MODULES = sorted(p for p in (ROOT / "src" / "vclab").glob("*.py") if p.name != "
 SEARCHED = sorted(
     p for d in ("src", "tests", "scripts", "perfbench") for p in (ROOT / d).rglob("*.py")
 )
+INIT = ROOT / "src" / "vclab" / "__init__.py"
 
 
 def _references(tree: ast.AST):
@@ -32,9 +34,9 @@ def _references(tree: ast.AST):
             yield node.value, node.lineno
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, first line, last line) of each module-level private function,
-    class or constant."""
+def _definitions(tree: ast.Module, private: bool):
+    """(name, first line, last line) of each module-level private (or
+    public) function, class or constant; dunder names are neither."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -45,7 +47,7 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
+            if not name.startswith("__") and name.startswith("_") == private:
                 yield name, node.lineno, node.end_lineno
 
 
@@ -70,18 +72,38 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports but never uses {unused}"
 
 
-def test_every_private_name_is_referenced():
+def _unreferenced(private: bool, searched=SEARCHED, modules=MODULES) -> list[str]:
+    """"module: name" for each private (or public) module-level name of
+    `modules` that no file of `searched` references outside its definition."""
     sites = defaultdict(list)  # name -> [(path, line)]
-    for p in SEARCHED:
+    for p in searched:
         for name, line in _references(ast.parse(p.read_text())):
             sites[name].append((p, line))
-    unreferenced = [
+    return [
         f"{path.name}: {name}"
-        for path in MODULES
-        for name, first, last in _private_definitions(ast.parse(path.read_text()))
+        for path in modules
+        for name, first, last in _definitions(ast.parse(path.read_text()), private)
         if all(p == path and first <= line <= last for p, line in sites[name])
     ]
+
+
+def test_every_private_name_is_referenced():
+    unreferenced = _unreferenced(private=True)
     assert not unreferenced, f"private names nothing references: {unreferenced}"
+
+
+def test_every_public_name_is_referenced():
+    unreferenced = _unreferenced(private=False, searched=[p for p in SEARCHED if p != INIT])
+    assert not unreferenced, f"public names nothing references: {unreferenced}"
+
+
+def test_public_check_sees_a_stranded_name(tmp_path):
+    module, user, init = tmp_path / "m.py", tmp_path / "use.py", tmp_path / "__init__.py"
+    module.write_text("KEPT = 1\nclass Stranded:\n    x = Stranded\ndef used():\n    return KEPT\n")
+    user.write_text("from m import used\nused()\n")
+    init.write_text("from .m import KEPT, Stranded, used\n")
+    assert _unreferenced(False, searched=[module, user], modules=[module]) == ["m.py: Stranded"]
+    assert _unreferenced(False, searched=[module, user, init], modules=[module]) == []
 
 
 def _private(name: str) -> bool:

@@ -9,6 +9,7 @@ from vclab.dichotomy import as_network, sampled_trace_set, trace_set
 from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import (
     ACTIVATION_KINDS,
+    WEIGHT_CAP,
     ActivationSpec,
     ExplicitFinite,
     LayerSpec,
@@ -267,6 +268,27 @@ class TestBaselines:
     def test_explicit_finite_rejects_non_binary_entries(self, bad):
         with pytest.raises(ConfigError, match="0 or 1"):
             ExplicitFinite(domain=((0.0,), (1.0,)), traces=((0, bad), (0, 1), (1, 1), (0, 0)))
+
+    @pytest.mark.parametrize("domain, message", [
+        (((0.0,), (0.0,)), "domain points must be pairwise distinct"),
+        (((0.0,), (1.0, 2.0)), "domain points must share a dimension"),
+    ])
+    def test_domains_follow_the_point_set_rule(self, domain, message):
+        with pytest.raises(ConfigError, match=message):
+            UnionOfMPoints(capacity=1, domain=domain)
+        with pytest.raises(ConfigError, match=message):
+            ExplicitFinite(domain=domain, traces=((0, 1), (1, 0)))
+
+
+class TestWeightCap:
+    def test_network_at_the_cap_is_accepted(self):
+        # a hidden unit on d inputs has d + 1 weights, the output unit 2
+        net = NetworkSpec(input_dim=WEIGHT_CAP - 3, layers=(LayerSpec((THR,)), LayerSpec((THR,))))
+        assert net.weight_count == WEIGHT_CAP
+
+    def test_network_past_the_cap_is_refused(self):
+        with pytest.raises(CapExceededError, match=f"m = {WEIGHT_CAP + 1} exceeds"):
+            NetworkSpec(input_dim=WEIGHT_CAP - 2, layers=(LayerSpec((THR,)), LayerSpec((THR,))))
 
 
 class TestConfigParsing:

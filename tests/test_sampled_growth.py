@@ -17,7 +17,9 @@ from vclab.dichotomy import (
     sampled_trace_set,
     sauer_shelah_cap,
 )
-from vclab.hypotheses import LinearThreshold, load_class_spec
+from vclab.errors import CapExceededError
+from vclab.hypotheses import (WEIGHT_CAP, ActivationSpec, LayerSpec, LinearThreshold, NetworkSpec,
+                              load_class_spec)
 from vclab.pointsets import in_general_position, random_general_position
 
 
@@ -194,3 +196,31 @@ def test_threshold_unit_sampled_counts_below_cover_count(d, n, seed):
     count = len(sampled_trace_set(as_network(cls), B, budget=2000, seed=seed))
     assert count <= growth_function_oracle(cls, n)
     assert count <= sauer_shelah_cap(d + 1, n)
+
+
+def _net(input_dim, widths):
+    act = ActivationSpec("tanh")
+    return NetworkSpec(input_dim, tuple(LayerSpec((act,) * w) for w in (*widths, 1)))
+
+
+@pytest.mark.parametrize("net", [STOCK_NET, _net(2, [3])], ids=["stock", "tanh2d"])
+def test_block_rows_of_the_benchmark_nets_are_unchanged(net):
+    # the benchmark runs these nets at the default budget of 20000 draws:
+    # every block they draw keeps the size _BLOCK_ENTRIES // n gave
+    for n in range(1, 129):
+        old = max(1, dichotomy._BLOCK_ENTRIES // n)
+        assert min(dichotomy._block_rows(net, n), 20000) == min(old, 20000), n
+
+
+@pytest.mark.parametrize("input_dim, width, n", [(1, 300, 4), (1, 3000, 4), (40, 300, 16),
+                                                 (WEIGHT_CAP - 3, 1, 1), (1, 1, 200000)])
+def test_block_weights_and_layer_buffers_stay_within_the_cap(input_dim, width, n):
+    net = _net(input_dim, [width])
+    rows = dichotomy._block_rows(net, n)
+    assert rows * net.weight_count <= WEIGHT_CAP and rows * width * n <= WEIGHT_CAP
+
+
+@pytest.mark.parametrize("width, n", [(3000, 100), (1, WEIGHT_CAP + 1)])
+def test_layer_too_wide_for_one_row_is_a_cap(width, n):
+    with pytest.raises(CapExceededError, match=f"width {width} on {n} points exceeds"):
+        dichotomy._block_rows(_net(1, [width]), n)
