@@ -10,6 +10,7 @@ from pathlib import Path
 
 from vclab import LinearThreshold, UnionOfMPoints, estimate_vc_density
 from vclab.cli import (
+    DEFAULT_SEED,
     DENSITY_COLUMNS,
     GROWTH_COLUMNS,
     density_row,
@@ -17,15 +18,15 @@ from vclab.cli import (
     growth_rows,
     write_csv,
 )
-from vclab.dichotomy import growth_samples
+from vclab.dichotomy import DEFAULT_BUDGET, growth_samples
 from vclab.hypotheses import load_class_spec
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output-dir", default="results")
-    parser.add_argument("--seed", type=int, default=1729)
-    parser.add_argument("--budget", type=int, default=20000)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     args = parser.parse_args()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

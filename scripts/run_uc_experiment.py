@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from vclab import BoundQuery, LinearThreshold, k_elementary, load_distribution, run_uc_experiment
-from vclab.cli import UC_COLUMNS, uc_row, write_csv
+from vclab.cli import DEFAULT_SEED, UC_COLUMNS, uc_row, write_csv
 
 
 def main():
@@ -19,7 +19,7 @@ def main():
     parser.add_argument("--eps", type=float, default=0.25)
     parser.add_argument("--delta", type=float, default=0.2)
     parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=1729)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -136,6 +136,15 @@ def _shown(text) -> str:
     return repr(text)
 
 
+def _read_int(flag: str, text):
+    """int(text), else a ConfigError naming the flag; None (a flag left out)
+    stays None."""
+    try:
+        return None if text is None else int(text)
+    except ValueError:
+        raise ConfigError(f"{flag} must be an int, got {_shown(text)}") from None
+
+
 def _parse_list(parse, flag: str, text: str) -> list:
     """The comma-separated values of a list flag, at least one, else a
     ConfigError naming the flag."""
@@ -240,11 +249,7 @@ def cmd_density(args):
 
 
 def cmd_ucheck(args):
-    # --m is read here, not by argparse, so an over-long value is not echoed
-    try:
-        m = None if args.m is None else int(args.m)
-    except ValueError:
-        raise ConfigError(f"--m must be an int, got {_shown(args.m)}") from None
+    m = _read_int("--m", args.m)
     _require(_IN_UNIT_INTERVAL, ("--eps", args.eps), ("--delta", args.delta))
     _require(_AT_LEAST_1, ("--k", args.k), ("--trials", args.trials), ("--m", m))
     if args.k is None and m is None:
@@ -283,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--output")
     run = argparse.ArgumentParser(add_help=False, parents=[out])
     run.add_argument("--class", dest="class_spec", required=True, help="class spec JSON")
-    run.add_argument("--budget", type=int, default=20000)
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--budget", default=dch.DEFAULT_BUDGET)
+    run.add_argument("--seed", default=DEFAULT_SEED)
 
     p = sub.add_parser("bounds", parents=[out], help="compute both sample-complexity bounds")
     p.add_argument("--m", required=True, help="weight count(s), comma separated")
@@ -297,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", parents=[run], help="growth-function samples for a class")
     p.add_argument("--n", required=True, help="set size(s), comma separated")
     p.add_argument("--method", choices=["auto", "oracle", "exact", "sampled"], default="auto")
-    p.add_argument("--draws", type=int, default=3)
+    p.add_argument("--draws", default=3)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("vcdim", parents=[run], help="VC-dimension (exact for baselines)")
-    p.add_argument("--max-d", type=int, default=6)
-    p.add_argument("--tries", type=int, default=12)
+    p.add_argument("--max-d", default=6)
+    p.add_argument("--tries", default=12)
     p.set_defaults(func=cmd_vcdim)
 
     p = sub.add_parser("density", parents=[out], help="fit a VC-density slope to a growth CSV")
@@ -314,12 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="distribution spec JSON")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--k", type=int, help="sample size; omit to use k_elementary(--m)")
+    p.add_argument("--k", help="sample size; omit to use k_elementary(--m)")
     p.add_argument("--m", help="weight count for k_elementary when --k is omitted")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", default=200)
     p.set_defaults(func=cmd_ucheck)
 
     return parser
+
+
+# destinations of the integer flags main reads; ucheck --m shares its
+# destination with the bounds --m list, so cmd_ucheck reads it
+_INT_FLAGS = ("k", "trials", "budget", "seed", "draws", "max_d", "tries")
 
 
 def main(argv=None) -> int:
@@ -329,6 +339,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # integer flags reach here as text: argparse would echo a value too
+        # long for int() in full, _read_int names it by its digit count
+        for dest in _INT_FLAGS:
+            if dest in vars(args):
+                setattr(args, dest, _read_int("--" + dest.replace("_", "-"), vars(args)[dest]))
         # growth, vcdim and ucheck share --budget and --seed; other commands lack them
         _require(_AT_LEAST_1, ("--budget", vars(args).get("budget")))
         _require(_AT_LEAST_0, ("--seed", vars(args).get("seed")))

@@ -39,6 +39,8 @@ EXACT_LTF_POINT_CAP = 20
 EXACT_LTF_DIM_CAP = 4
 SHATTER_CAP = 16
 TRACE_CAP = 200000
+# weight vectors drawn per sampled trace set unless a caller says otherwise
+DEFAULT_BUDGET = 20000
 # index subsets the explicit-finite growth oracle visits at most
 ORACLE_SUBSET_CAP = 100001
 FIT_MIN_POINTS = 3
@@ -54,8 +56,7 @@ def as_network(cls) -> NetworkSpec:
     if isinstance(cls, NetworkSpec):
         return cls
     if isinstance(cls, LinearThreshold):
-        act = ActivationSpec(kind="threshold")
-        return NetworkSpec(input_dim=cls.dim, layers=(LayerSpec(activations=(act,)),))
+        return NetworkSpec(input_dim=cls.dim, layers=(LayerSpec(1, ActivationSpec("threshold")),))
     raise ConfigError(
         f"sampled counting needs a network or linear_threshold class, not {class_id(cls)}"
     )
@@ -85,7 +86,7 @@ def _distinct_per_subset(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def trace_set(
-    cls, B: PointSet, budget: int = 20000, seed: int = 0
+    cls, B: PointSet, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> tuple[np.ndarray, bool]:
     """Distinct traces of the class on B, as sorted np.packbits rows (unpack
     with count=len(B)), and whether the set is exact.
@@ -231,7 +232,7 @@ class ShatterResult:
         return self.shattered
 
 
-def is_shattered(cls, B: PointSet, budget: int = 20000, seed: int = 0) -> ShatterResult:
+def is_shattered(cls, B: PointSet, budget: int = DEFAULT_BUDGET, seed: int = 0) -> ShatterResult:
     """Whether the class realizes all 2^|B| labelings of B."""
     k = len(B)
     if k > SHATTER_CAP:
@@ -266,7 +267,7 @@ def vc_dim_bruteforce(
     max_d: int,
     seed: int = 0,
     tries: int = 12,
-    budget: int = 20000,
+    budget: int = DEFAULT_BUDGET,
 ) -> VcDimResult:
     """VC-dimension up to max_d. A baseline's is exact: the largest n <= max_d
     (and <= |domain| for the finite-domain classes) with oracle(n) = 2^n,
@@ -340,7 +341,7 @@ def growth_samples(
     n_values,
     method: str = "auto",
     draws: int = 3,
-    budget: int = 20000,
+    budget: int = DEFAULT_BUDGET,
     seed: int = 0,
 ) -> GrowthEstimate:
     """Growth-function samples for a class over the given set sizes.

@@ -57,20 +57,21 @@ class ActivationSpec:
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One fully-connected layer: ``activations[i]`` is applied to node i."""
+    """One fully-connected layer of `width` nodes, each applying `activation`."""
 
-    activations: tuple[ActivationSpec, ...]
+    width: int
+    activation: ActivationSpec
 
-    @property
-    def width(self) -> int:
-        return len(self.activations)
+    def __post_init__(self):
+        if self.width < 1:
+            raise ConfigError(f"layer width must be >= 1, got {self.width}")
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
     """Layered feed-forward topology. Each node computes an affine combination
     of the previous layer's outputs (fan-in weights plus one bias) followed by
-    its activation. The final real output v classifies 1 iff v > 0.
+    its layer's activation. The final real output v classifies 1 iff v > 0.
     """
 
     input_dim: int
@@ -159,10 +160,11 @@ def forward_batch(network: NetworkSpec, W, X):
     the inputs broadcast as (n_points, 1) columns. A node's pre-activation
     is summed in its own plane of the layer buffer, in the fixed order
     w_1 a_1 + ... + w_fanin a_fanin (products after the first in one scratch
-    plane per layer), plus the bias; its activation then overwrites the
-    plane in place, so threshold, tanh, relu and identity nodes allocate no
-    temporary plane. Each entry sees the same float operations in the same
-    order in any layout, so the values do not depend on it.
+    plane per layer), plus the bias; the layer's one activation then
+    overwrites the plane in place, so threshold, tanh, relu and identity
+    layers allocate no temporary plane. Each entry sees the same float
+    operations in the same order in any layout, so the values do not depend
+    on it.
 
     An overflow is a CapExceededError, without numpy warnings: at the input
     of an activation, or at a polynomial output node, the one activation
@@ -184,15 +186,15 @@ def forward_batch(network: NetworkSpec, W, X):
             fan_in = network.fan_in(i)
             out = np.empty((layer.width, n, s))
             scratch = np.empty((n, s)) if fan_in > 1 else None
-            for node, act in enumerate(layer.activations):
+            for node in range(layer.width):
                 pre = np.multiply(values[0], Wt[pos], out=out[node])
                 for j in range(1, fan_in):
                     pre += np.multiply(values[j], Wt[pos + j], out=scratch)
                 pre += Wt[pos + fan_in]
                 pos += fan_in + 1
-                _apply_activation_batch(act, pre, out=pre)
+                _apply_activation_batch(layer.activation, pre, out=pre)
             values = out
-    if network.layers[-1].activations[0].kind == "polynomial" and not np.isfinite(values).all():
+    if network.layers[-1].activation.kind == "polynomial" and not np.isfinite(values).all():
         raise CapExceededError("network output must be finite: the forward pass overflowed")
     return values[0].T.copy()
 
@@ -364,7 +366,7 @@ def parse_class_spec(doc: dict):
                     f"layer fan_in {fan_in} != previous layer width {prev}"
                 )
             act = _parse_activation(read_field(entry, "activation", f"network layers[{i}]"))
-            layers.append(LayerSpec(activations=(act,) * width))
+            layers.append(LayerSpec(width, act))
             prev = width
         return NetworkSpec(input_dim=input_dim, layers=tuple(layers))
     if kind == "baseline":

@@ -31,6 +31,7 @@ import operator
 import numpy as np
 
 from .errors import IndeterminateLabelingError
+from .pointsets import subset_chunks
 
 # realizable iff optimal margin > MARGIN_TOL (weights confined to the unit
 # box); below NOISE_FLOOR the optimum is treated as exactly 0 (infeasible)
@@ -126,7 +127,7 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
     # unit-vector completion C of det[S; v; C]
     ints = [tuple(v[c] for c in cols) for v in ints]
     floats = floats[:, cols]
-    subsets = np.array(list(itertools.combinations(range(k), r - 1)), np.intp)
+    subsets = np.concatenate(list(subset_chunks(k, r - 1)))
     sign = _side_signs(ints, floats, subsets)
     on = sign == 0
     n_on = on.sum(axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 
 # sampled_trace_set is not called here; perfbench/tracer.py requires this
 # lookup site (REQUIRED_SITES), so the import stays
-from .dichotomy import sampled_trace_set, trace_set  # noqa: F401
+from .dichotomy import DEFAULT_BUDGET, sampled_trace_set, trace_set  # noqa: F401
 from .errors import CapExceededError, ConfigError
 from .hypotheses import (SCHEMA_VERSION, read_field, read_json_object, read_list, read_number,
                          read_points)
@@ -68,7 +68,7 @@ class UCExperimentResult:
             raise ValueError("failures cannot exceed trials")
 
 
-def enumerate_support_traces(cls, support: PointSet, budget: int = 20000, seed: int = 0):
+def enumerate_support_traces(cls, support: PointSet, budget: int = DEFAULT_BUDGET, seed: int = 0):
     """Trace set of the class on the support, as a (R, |support|) 0/1 array,
     plus the method tag. Exact for baselines, sampled for networks."""
     rows, exact = trace_set(cls, support, budget, seed)
@@ -101,7 +101,7 @@ class SupDeviation:
 
 
 def sup_deviation_exact(
-    cls, D: DiscreteDistribution, S, budget: int = 20000, seed: int = 0
+    cls, D: DiscreteDistribution, S, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> SupDeviation:
     """max over realizable traces t of |L_D(t) - L_S(t)|, the true loss
     (misclassified probability mass) against the empirical loss
@@ -128,7 +128,7 @@ def run_uc_experiment(
     k: int,
     trials: int,
     seed: int,
-    budget: int = 20000,
+    budget: int = DEFAULT_BUDGET,
 ) -> UCExperimentResult:
     """Draw `trials` samples S ~ D^k and count trials whose supremum
     deviation exceeds eps. Only per-point sample counts enter the losses, so

@@ -118,12 +118,12 @@ def einsum_forward_batch(network, W, X):
     for i, layer in enumerate(network.layers):
         fan_in = network.fan_in(i)
         cols = []
-        for act in layer.activations:
+        for _ in range(layer.width):
             w = W[:, pos : pos + fan_in]
             bias = W[:, pos + fan_in]
             pos += fan_in + 1
             pre = np.einsum("spj,sj->sp", values, w) + bias[:, None]
-            cols.append(_apply_activation_batch(act, pre))
+            cols.append(_apply_activation_batch(layer.activation, pre))
         values = np.stack(cols, axis=-1)
     return values[:, :, 0]
 

@@ -39,7 +39,7 @@ from vclab.ucheck import DiscreteDistribution, run_uc_experiment
 LTF2 = LinearThreshold(dim=2)
 THR = ActivationSpec(kind="threshold")
 # one hidden threshold unit feeding a threshold output: 4 weights total
-NET_M4 = NetworkSpec(input_dim=1, layers=(LayerSpec((THR,)), LayerSpec((THR,))))
+NET_M4 = NetworkSpec(input_dim=1, layers=(LayerSpec(1, THR), LayerSpec(1, THR)))
 
 GRID = [
     BoundQuery(m=m, eps=eps, delta=delta)

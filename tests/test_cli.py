@@ -738,6 +738,23 @@ BAD_INPUT_ROUTES = [
     (["growth", "--class", "{d}/c.json", "--n", "4", "--method", "sampled"],
      {"c.json": HUGE_LTF_SPEC}, 3,
      f"network weight count m = {10**30 + 1} exceeds the weight cap 262144"),
+    # integer flags, read as text and then by one reader, like ucheck --m
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, "--eps", "0.1", "--delta", "0.1",
+      "--trials", "1", "--k", LONG_INT], {}, 2, f"--k must be an int, got {LONG_INT_SHOWN}"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, "--eps", "0.1", "--delta", "0.1",
+      "--k", "10", "--trials", LONG_INT], {}, 2, f"--trials must be an int, got {LONG_INT_SHOWN}"),
+    (["growth", "--class", LTF2_JSON, "--n", "4", "--budget", LONG_INT], {}, 2,
+     f"--budget must be an int, got {LONG_INT_SHOWN}"),
+    (["growth", "--class", NET_JSON, "--n", "4", "--seed", LONG_INT], {}, 2,
+     f"--seed must be an int, got {LONG_INT_SHOWN}"),
+    (["growth", "--class", LTF2_JSON, "--n", "4", "--draws", LONG_INT], {}, 2,
+     f"--draws must be an int, got {LONG_INT_SHOWN}"),
+    (["vcdim", "--class", LTF2_JSON, "--max-d", LONG_INT], {}, 2,
+     f"--max-d must be an int, got {LONG_INT_SHOWN}"),
+    (["vcdim", "--class", LTF2_JSON, "--tries", LONG_INT], {}, 2,
+     f"--tries must be an int, got {LONG_INT_SHOWN}"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *UCHECK, "--k", "abc"], {}, 2,
+     "--k must be an int, got 'abc'"),
 ]
 
 

@@ -62,7 +62,7 @@ def bits(net, w, B):
 
 class TestTrace:
     def test_zero_weight_network_constant_zero(self):
-        net = NetworkSpec(input_dim=2, layers=(LayerSpec((THR, THR)), LayerSpec((THR,))))
+        net = NetworkSpec(input_dim=2, layers=(LayerSpec(2, THR), LayerSpec(1, THR)))
         B = gp(3, 2, seed=5)
         assert bits(net, (0.0,) * net.weight_count, B) == [0, 0, 0]
 
@@ -72,7 +72,7 @@ class TestTrace:
 
     def test_tanh_net_trace_matches_forward_oracle(self):
         tanh = ActivationSpec(kind="tanh")
-        net = NetworkSpec(input_dim=2, layers=(LayerSpec((tanh, tanh)), LayerSpec((tanh,))))
+        net = NetworkSpec(input_dim=2, layers=(LayerSpec(2, tanh), LayerSpec(1, tanh)))
         w = (1.0, -0.5, 0.2, -0.3, 0.8, 0.1, 1.5, -2.0, 0.05)
         B = PointSet(points=((0.1, 0.2), (-0.4, 0.9), (1.2, -1.0), (0.0, 0.0)))
         expected = []
@@ -226,7 +226,7 @@ class TestShattering:
             assert not r.shattered and r.exact
 
     def test_network_sampled_positive_is_certificate(self):
-        net = NetworkSpec(input_dim=2, layers=(LayerSpec((THR,)),))
+        net = NetworkSpec(input_dim=2, layers=(LayerSpec(1, THR),))
         r = is_shattered(net, gp(3, 2, seed=2), budget=50000, seed=1)
         assert r.shattered and r.exact
 
@@ -359,7 +359,7 @@ class TestDensityFit:
 
     def test_network_slope_bounded_by_weight_count(self):
         # weight-count cap on density, probed on the sampled network class
-        net = NetworkSpec(input_dim=1, layers=(LayerSpec((THR,)), LayerSpec((THR,))))
+        net = NetworkSpec(input_dim=1, layers=(LayerSpec(1, THR), LayerSpec(1, THR)))
         g = growth_samples(net, [16, 32, 64, 128], method="sampled", budget=5000, seed=4)
         assert estimate_vc_density(g).slope <= net.weight_count + 0.1
 

@@ -29,7 +29,7 @@ TANH = ActivationSpec(kind="tanh")
 def make_net(input_dim, widths, act=THR):
     return NetworkSpec(
         input_dim=input_dim,
-        layers=tuple(LayerSpec(activations=(act,) * w) for w in widths),
+        layers=tuple(LayerSpec(w, act) for w in widths),
     )
 
 
@@ -110,6 +110,11 @@ class TestNetworkSpec:
     def test_output_must_be_single_node(self):
         with pytest.raises(ConfigError):
             make_net(2, [2])
+
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_layer_width_must_be_positive(self, width):
+        with pytest.raises(ConfigError, match=f"layer width must be >= 1, got {width}"):
+            LayerSpec(width, THR)
 
     def test_weight_vector_length_enforced(self):
         net = make_net(2, [1])
@@ -235,12 +240,12 @@ class TestOutputOverflow:
 
     def test_polynomial_output_overflow_is_a_cap(self):
         # the true value at t = 0.5 is -5.15e307; float evaluation overflows to +inf
-        net = NetworkSpec(input_dim=1, layers=(LayerSpec((self.POLY,)),))
+        net = NetworkSpec(input_dim=1, layers=(LayerSpec(1, self.POLY),))
         with pytest.raises(CapExceededError, match="network output must be finite"):
             forward_batch(net, [[1.0, 0.0]], [[0.5]])
 
     def test_finite_polynomial_output_passes(self):
-        net = NetworkSpec(input_dim=1, layers=(LayerSpec((self.POLY,)),))
+        net = NetworkSpec(input_dim=1, layers=(LayerSpec(1, self.POLY),))
         assert forward_batch(net, [[0.0, 0.0]], [[0.5]])[0, 0] == -1.79e308
 
 
@@ -283,12 +288,12 @@ class TestBaselines:
 class TestWeightCap:
     def test_network_at_the_cap_is_accepted(self):
         # a hidden unit on d inputs has d + 1 weights, the output unit 2
-        net = NetworkSpec(input_dim=WEIGHT_CAP - 3, layers=(LayerSpec((THR,)), LayerSpec((THR,))))
+        net = NetworkSpec(input_dim=WEIGHT_CAP - 3, layers=(LayerSpec(1, THR), LayerSpec(1, THR)))
         assert net.weight_count == WEIGHT_CAP
 
     def test_network_past_the_cap_is_refused(self):
         with pytest.raises(CapExceededError, match=f"m = {WEIGHT_CAP + 1} exceeds"):
-            NetworkSpec(input_dim=WEIGHT_CAP - 2, layers=(LayerSpec((THR,)), LayerSpec((THR,))))
+            NetworkSpec(input_dim=WEIGHT_CAP - 2, layers=(LayerSpec(1, THR), LayerSpec(1, THR)))
 
 
 class TestConfigParsing:
@@ -306,6 +311,7 @@ class TestConfigParsing:
         }
         net = parse_class_spec(doc)
         assert isinstance(net, NetworkSpec)
+        assert net.layers == (LayerSpec(2, TANH), LayerSpec(1, THR))
         assert net.weight_count == 9
 
     def test_missing_schema_version(self):

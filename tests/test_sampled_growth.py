@@ -200,7 +200,7 @@ def test_threshold_unit_sampled_counts_below_cover_count(d, n, seed):
 
 def _net(input_dim, widths):
     act = ActivationSpec("tanh")
-    return NetworkSpec(input_dim, tuple(LayerSpec((act,) * w) for w in (*widths, 1)))
+    return NetworkSpec(input_dim, tuple(LayerSpec(w, act) for w in (*widths, 1)))
 
 
 @pytest.mark.parametrize("net", [STOCK_NET, _net(2, [3])], ids=["stock", "tanh2d"])

@@ -175,7 +175,7 @@ def test_explicit_finite_rejects_points_outside_domain():
 @settings(max_examples=40, deadline=None)
 def test_forward_batch_rejects_nonfinite_input(kind, bad, in_weights, pos):
     act = ActivationSpec(kind=kind)
-    net = NetworkSpec(input_dim=2, layers=(LayerSpec((act, act)), LayerSpec((act,))))
+    net = NetworkSpec(input_dim=2, layers=(LayerSpec(2, act), LayerSpec(1, act)))
     W = np.full((2, net.weight_count), 0.5)
     X = np.full((3, 2), 0.25)
     if in_weights:
@@ -202,28 +202,23 @@ def activations(draw):
 
 @st.composite
 def networks(draw):
-    """Nets of 1-3 layers with 1-5 inputs and mixed per-node activations."""
+    """Nets of 1-3 layers with 1-5 inputs, each layer with its own activation."""
     widths = draw(st.lists(st.integers(1, 5), max_size=2)) + [1]
-    layers = tuple(
-        LayerSpec(tuple(draw(st.lists(activations(), min_size=w, max_size=w))))
-        for w in widths
-    )
+    layers = tuple(LayerSpec(w, draw(activations())) for w in widths)
     return NetworkSpec(input_dim=draw(st.integers(1, 5)), layers=layers)
 
 
+# every kind, one per hidden layer, with a clamped and an unclamped restriction
 ALL_KINDS_NET = NetworkSpec(
     input_dim=2,
-    layers=(
-        LayerSpec((
-            ActivationSpec("threshold"),
-            ActivationSpec("logistic"),
-            ActivationSpec("tanh", restriction=(-0.5, 0.5), clamp_outside=True),
-            ActivationSpec("relu"),
-            ActivationSpec("polynomial", coefficients=(0.5, -1.0, 0.25)),
-            ActivationSpec("identity", restriction=(-1.0, 1.0)),
-        )),
-        LayerSpec((ActivationSpec("tanh"),)),
-    ),
+    layers=tuple(LayerSpec(2, act) for act in (
+        ActivationSpec("threshold"),
+        ActivationSpec("tanh", restriction=(-0.5, 0.5), clamp_outside=True),
+        ActivationSpec("logistic"),
+        ActivationSpec("identity", restriction=(-1.0, 1.0)),
+        ActivationSpec("polynomial", coefficients=(0.5, -1.0, 0.25)),
+        ActivationSpec("relu"),
+    )) + (LayerSpec(1, ActivationSpec("tanh")),),
 )
 
 
@@ -250,7 +245,7 @@ def test_node_major_forward_matches_einsum_reference(net, s, n, seed):
 STOCK_NET = load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json")
 # the benchmark's 2-D net: three tanh units, a threshold output
 TANH_2D_NET = NetworkSpec(
-    2, (LayerSpec((ActivationSpec("tanh"),) * 3), LayerSpec((ActivationSpec("threshold"),)))
+    2, (LayerSpec(3, ActivationSpec("tanh")), LayerSpec(1, ActivationSpec("threshold")))
 )
 
 
@@ -275,28 +270,27 @@ def test_forward_sums_each_node_in_the_documented_order():
     # operation: a Python float loop in that order gives the same bits, and
     # any other order of four or five terms would not (identity and relu
     # nodes add no rounding of their own)
-    net = NetworkSpec(4, (
-        LayerSpec((ActivationSpec("identity"), ActivationSpec("relu")) * 2),
-        LayerSpec((ActivationSpec("identity"),)),
-    ))
     rng = np.random.default_rng(3)
-    W = rng.uniform(-3.0, 3.0, size=(40, net.weight_count))
+    W = rng.uniform(-3.0, 3.0, size=(40, 25))
     X = rng.uniform(-2.0, 2.0, size=(30, 4))
-    want = np.empty((40, 30))
-    for i, w in enumerate(W.tolist()):
-        for p, x in enumerate(X.tolist()):
-            hidden = []
-            for node in range(4):
-                v = w[5 * node] * x[0]
+    for hidden in ("identity", "relu"):
+        net = NetworkSpec(4, (LayerSpec(4, ActivationSpec(hidden)),
+                              LayerSpec(1, ActivationSpec("identity"))))
+        want = np.empty((40, 30))
+        for i, w in enumerate(W.tolist()):
+            for p, x in enumerate(X.tolist()):
+                outs = []
+                for node in range(4):
+                    v = w[5 * node] * x[0]
+                    for j in range(1, 4):
+                        v += w[5 * node + j] * x[j]
+                    v += w[5 * node + 4]
+                    outs.append(max(v, 0.0) if hidden == "relu" else v)
+                v = w[20] * outs[0]
                 for j in range(1, 4):
-                    v += w[5 * node + j] * x[j]
-                v += w[5 * node + 4]
-                hidden.append(max(v, 0.0) if node % 2 else v)
-            v = w[20] * hidden[0]
-            for j in range(1, 4):
-                v += w[20 + j] * hidden[j]
-            want[i, p] = v + w[24]
-    assert np.array_equal(forward_batch(net, W, X), want)
+                    v += w[20 + j] * outs[j]
+                want[i, p] = v + w[24]
+        assert np.array_equal(forward_batch(net, W, X), want), hidden
 
 
 @pytest.mark.parametrize("cls, n, dim", [(STOCK_NET, 128, 1), (TANH_2D_NET, 64, 2)])
