@@ -6,18 +6,12 @@ plot-data CSV (log-log growth curves) under --output-dir.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from vclab import LinearThreshold, UnionOfMPoints, estimate_vc_density
-from vclab.cli import (
-    DEFAULT_SEED,
-    DENSITY_COLUMNS,
-    GROWTH_COLUMNS,
-    density_row,
-    emit_plot_data,
-    growth_rows,
-    write_csv,
-)
+from vclab.cli import (DEFAULT_SEED, DENSITY_COLUMNS, GROWTH_COLUMNS, density_row, emit_plot_data,
+                       exit_code, growth_rows, read_budget_seed, write_csv)
 from vclab.dichotomy import DEFAULT_BUDGET, growth_samples
 from vclab.hypotheses import load_class_spec
 
@@ -25,11 +19,11 @@ from vclab.hypotheses import load_class_spec
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--output-dir", default="results")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    parser.add_argument("--seed", default=DEFAULT_SEED)
+    parser.add_argument("--budget", default=DEFAULT_BUDGET)
     args = parser.parse_args()
+    budget, seed = read_budget_seed(args)
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     configs = Path(__file__).resolve().parent.parent / "configs"
     classes = [
@@ -41,7 +35,7 @@ def main():
     series = []
     density_rows = []
     for name, cls, method in classes:
-        g = growth_samples(cls, n_values, method=method, budget=args.budget, seed=args.seed)
+        g = growth_samples(cls, n_values, method=method, budget=budget, seed=seed)
         write_csv(out / f"growth_{name}.csv", GROWTH_COLUMNS, growth_rows(g))
         d = estimate_vc_density(g)
         density_rows.append(density_row(g.class_id, d))
@@ -52,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(Path(__file__).name, main))

@@ -136,25 +136,40 @@ def _shown(text) -> str:
     return repr(text)
 
 
-def _read_int(flag: str, text):
-    """int(text), else a ConfigError naming the flag; None (a flag left out)
-    stays None."""
-    try:
-        return None if text is None else int(text)
-    except ValueError:
-        raise ConfigError(f"{flag} must be an int, got {_shown(text)}") from None
+# (test, phrase) rules for read_flag; NaN fails every test
+AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+IN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and positive")
 
 
-def _parse_list(parse, flag: str, text: str) -> list:
-    """The comma-separated values of a list flag, at least one, else a
-    ConfigError naming the flag."""
+def read_flag(args, dest: str, parse, *rules, many: bool = False):
+    """The value of flag --dest (dest with dashes for underscores) in parsed
+    args: parse (int or float) of its text, or with many a list of the
+    comma-separated values, at least one. A value that does not parse, or
+    fails a (test, phrase) rule, is a ConfigError naming the flag, as "flag
+    must be <phrase>"; None (a flag left out) stays None."""
+    flag, text = "--" + dest.replace("_", "-"), getattr(args, dest)
+    if text is None:
+        return None
+    parts = [v for v in text.split(",") if v] if many else [text]
     try:
-        values = [parse(v) for v in text.split(",") if v]
+        values = [parse(v) for v in parts]
     except ValueError:
         values = []
     if not values:
-        raise ConfigError(f"{flag} must list {parse.__name__}s, got {_shown(text)}")
-    return values
+        kind = f"list {parse.__name__}s" if many else {int: "be an int", float: "be a float"}[parse]
+        raise ConfigError(f"{flag} must {kind}, got {_shown(text)}")
+    for test, phrase in rules:
+        for v in values:
+            if not test(v):
+                raise ConfigError(f"{flag} must be {phrase}, got {v}")
+    return values if many else values[0]
+
+
+def read_budget_seed(args) -> tuple[int, int]:
+    """--budget (>= 1) and --seed (>= 0), the flags of every weight-drawing run."""
+    return read_flag(args, "budget", int, AT_LEAST_1), read_flag(args, "seed", int, AT_LEAST_0)
 
 
 # --------------------------------------------------------------------------
@@ -162,50 +177,34 @@ def _parse_list(parse, flag: str, text: str) -> list:
 # --------------------------------------------------------------------------
 
 
-# (test, phrase) pairs for _require; NaN fails every test
-_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
-_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
-_IN_UNIT_INTERVAL = (lambda v: 0 < v < 1, "in (0, 1)")
-
-
-def _require(rule, *flags) -> None:
-    """ConfigError naming the first (flag, value) pair whose value fails the
-    rule's test, as "flag must be <phrase>"; None means the flag was left out."""
-    test, phrase = rule
-    for flag, value in flags:
-        if value is not None and not test(value):
-            raise ConfigError(f"{flag} must be {phrase}, got {value}")
-
-
 def cmd_bounds(args):
-    ms = _parse_list(int, "--m", args.m)
-    eps, delta = _parse_list(float, "--eps", args.eps), _parse_list(float, "--delta", args.delta)
-    _require(_AT_LEAST_1, *(("--m", m) for m in ms))
-    _require(_IN_UNIT_INTERVAL, *(("--eps", e) for e in eps), *(("--delta", d) for d in delta))
-    _require((lambda v: math.isfinite(v) and v > 0, "finite and positive"),
-             ("--c-prime", args.c_prime), ("--c-hat", args.c_hat))
-    _require((lambda v: v >= bnd.MIN_C_PRIME, f">= {bnd.MIN_C_PRIME:g} (the Rademacher solver "
-              "needs a bound that decreases in k)"), ("--c-prime", args.c_prime))
-    return BOUNDS_COLUMNS, bounds_rows(ms, eps, delta, args.c_prime, args.c_hat)
+    ms = read_flag(args, "m", int, AT_LEAST_1, many=True)
+    eps = read_flag(args, "eps", float, IN_UNIT_INTERVAL, many=True)
+    delta = read_flag(args, "delta", float, IN_UNIT_INTERVAL, many=True)
+    c_prime = read_flag(args, "c_prime", float, _FINITE_POSITIVE, (
+        lambda v: v >= bnd.MIN_C_PRIME,
+        f">= {bnd.MIN_C_PRIME:g} (the Rademacher solver needs a bound that decreases in k)"))
+    c_hat = read_flag(args, "c_hat", float, _FINITE_POSITIVE)
+    return BOUNDS_COLUMNS, bounds_rows(ms, eps, delta, c_prime, c_hat)
 
 
 def cmd_growth(args):
-    ns = _parse_list(int, "--n", args.n)
-    _require(_AT_LEAST_0, *(("--n", n) for n in ns))
-    _require(_AT_LEAST_1, ("--draws", args.draws))
+    ns = read_flag(args, "n", int, AT_LEAST_0, many=True)
+    draws = read_flag(args, "draws", int, AT_LEAST_1)
+    budget, seed = read_budget_seed(args)
     cls = load_class_spec(args.class_spec)
-    estimate = dch.growth_samples(cls, ns, method=args.method, draws=args.draws,
-                                  budget=args.budget, seed=args.seed)
+    estimate = dch.growth_samples(cls, ns, method=args.method, draws=draws, budget=budget,
+                                  seed=seed)
     return GROWTH_COLUMNS, growth_rows(estimate)
 
 
 def cmd_vcdim(args):
-    _require(_AT_LEAST_1, ("--max-d", args.max_d), ("--tries", args.tries))
+    max_d, tries = (read_flag(args, dest, int, AT_LEAST_1) for dest in ("max_d", "tries"))
+    budget, seed = read_budget_seed(args)
     cls = load_class_spec(args.class_spec)
-    result = dch.vc_dim_bruteforce(cls, max_d=args.max_d, seed=args.seed, tries=args.tries,
-                                   budget=args.budget)
+    result = dch.vc_dim_bruteforce(cls, max_d=max_d, seed=seed, tries=tries, budget=budget)
     columns = ["class_id", "vc_dim", "saturated", "seed"]
-    return columns, [[dch.class_id(cls), result.value, int(result.saturated), args.seed]]
+    return columns, [[dch.class_id(cls), result.value, int(result.saturated), seed]]
 
 
 def read_growth_csv(path) -> dch.GrowthEstimate:
@@ -242,17 +241,17 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
 
 
 def cmd_density(args):
-    _require((lambda v: 0 < v <= 1, "in (0, 1]"), ("--fit-fraction", args.fit_fraction))
+    fraction = read_flag(args, "fit_fraction", float, (lambda v: 0 < v <= 1, "in (0, 1]"))
     estimate = read_growth_csv(args.input)
-    density = dch.estimate_vc_density(estimate, upper_fraction=args.fit_fraction)
+    density = dch.estimate_vc_density(estimate, upper_fraction=fraction)
     return DENSITY_COLUMNS, [density_row(estimate.class_id, density)]
 
 
 def cmd_ucheck(args):
-    m = _read_int("--m", args.m)
-    _require(_IN_UNIT_INTERVAL, ("--eps", args.eps), ("--delta", args.delta))
-    _require(_AT_LEAST_1, ("--k", args.k), ("--trials", args.trials), ("--m", m))
-    if args.k is None and m is None:
+    eps, delta = (read_flag(args, dest, float, IN_UNIT_INTERVAL) for dest in ("eps", "delta"))
+    k, trials, m = (read_flag(args, dest, int, AT_LEAST_1) for dest in ("k", "trials", "m"))
+    budget, seed = read_budget_seed(args)
+    if k is None and m is None:
         raise ConfigError("ucheck needs either --k or --m (for k_elementary)")
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
@@ -261,10 +260,10 @@ def cmd_ucheck(args):
         if dist.support.dim != dim:
             raise ConfigError(f"--dist support points have dimension {dist.support.dim}; "
                               f"--class {dch.class_id(cls)} takes dimension {dim}")
-    k = args.k or bnd.k_elementary(bnd.BoundQuery(m=m, eps=args.eps, delta=args.delta))
-    result = uc.run_uc_experiment(cls, dist, eps=args.eps, k=k, trials=args.trials,
-                                  seed=args.seed, budget=args.budget)
-    return UC_COLUMNS, [uc_row(result, args.eps, args.delta)]
+    k = k or bnd.k_elementary(bnd.BoundQuery(m=m, eps=eps, delta=delta))
+    result = uc.run_uc_experiment(cls, dist, eps=eps, k=k, trials=trials, seed=seed,
+                                  budget=budget)
+    return UC_COLUMNS, [uc_row(result, eps, delta)]
 
 
 # --------------------------------------------------------------------------
@@ -295,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="weight count(s), comma separated")
     p.add_argument("--eps", required=True, help="accuracy value(s), comma separated")
     p.add_argument("--delta", required=True, help="confidence value(s), comma separated")
-    p.add_argument("--c-prime", type=float, default=2.0)
-    p.add_argument("--c-hat", type=float, default=64.0)
+    p.add_argument("--c-prime", default=2.0)
+    p.add_argument("--c-hat", default=64.0)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("growth", parents=[run], help="growth-function samples for a class")
@@ -312,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", parents=[out], help="fit a VC-density slope to a growth CSV")
     p.add_argument("--input", required=True, help="growth CSV produced by `vclab growth`")
-    p.add_argument("--fit-fraction", type=float, default=0.5)
+    p.add_argument("--fit-fraction", default=0.5)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("ucheck", parents=[run], help="Monte Carlo uniform-convergence experiment")
     p.add_argument("--dist", required=True, help="distribution spec JSON")
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--eps", required=True)
+    p.add_argument("--delta", required=True)
     p.add_argument("--k", help="sample size; omit to use k_elementary(--m)")
     p.add_argument("--m", help="weight count for k_elementary when --k is omitted")
     p.add_argument("--trials", default=200)
@@ -327,40 +326,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# destinations of the integer flags main reads; ucheck --m shares its
-# destination with the bounds --m list, so cmd_ucheck reads it
-_INT_FLAGS = ("k", "trials", "budget", "seed", "draws", "max_d", "tries")
+def exit_code(prog: str, run, *args) -> int:
+    """run(*args) as an exit code: 0, or 2 for a ConfigError (bad flag or
+    file), 3 for a CapExceededError (a cap or the float range), 4 for an
+    OSError, each reported in one stderr line that starts with prog. Any
+    other exception is a bug and propagates with its traceback."""
+    try:
+        run(*args)
+    except ConfigError as e:
+        print(f"{prog}: invalid configuration: {e}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except CapExceededError as e:
+        print(f"{prog}: cap exceeded: {e}", file=sys.stderr)
+        return EXIT_CAP
+    except OSError as e:
+        print(f"{prog}: I/O error: {e}", file=sys.stderr)
+        return EXIT_IO
+    return EXIT_OK
+
+
+def _run(args) -> None:
+    columns, rows = args.func(args)
+    _print_table(columns, rows)
+    if args.output:
+        write_csv(args.output, columns, rows)
 
 
 def main(argv=None) -> int:
-    """Run one subcommand. Exit codes: 2 for a ConfigError (bad flag or
-    file), 3 for a CapExceededError (a cap or the float range), 4 for an
-    OSError; any other exception is a bug and propagates with its traceback."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        # integer flags reach here as text: argparse would echo a value too
-        # long for int() in full, _read_int names it by its digit count
-        for dest in _INT_FLAGS:
-            if dest in vars(args):
-                setattr(args, dest, _read_int("--" + dest.replace("_", "-"), vars(args)[dest]))
-        # growth, vcdim and ucheck share --budget and --seed; other commands lack them
-        _require(_AT_LEAST_1, ("--budget", vars(args).get("budget")))
-        _require(_AT_LEAST_0, ("--seed", vars(args).get("seed")))
-        columns, rows = args.func(args)
-        _print_table(columns, rows)
-        if args.output:
-            write_csv(args.output, columns, rows)
-    except ConfigError as e:
-        print(f"vclab: invalid configuration: {e}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except CapExceededError as e:
-        print(f"vclab: cap exceeded: {e}", file=sys.stderr)
-        return EXIT_CAP
-    except OSError as e:
-        print(f"vclab: I/O error: {e}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+    """Run one subcommand and return its exit_code."""
+    return exit_code("vclab", _run, build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -173,7 +173,8 @@ def _block_rows(net: NetworkSpec, n: int) -> int:
     """Weight rows per sampled block on n points: _BLOCK_ENTRIES // n (at
     least 1), fewer where the weights (rows x m) or a layer buffer (width x
     n x rows) would pass WEIGHT_CAP entries. NetworkSpec keeps m within it;
-    a layer too wide for even one row on n points is a CapExceededError."""
+    a layer too wide for even one row on n points is a CapExceededError,
+    which growth_samples checks at its largest n before it draws points."""
     widest = max(layer.width for layer in net.layers)
     if widest * n > WEIGHT_CAP:
         raise CapExceededError(f"a layer of width {widest} on {n} points exceeds the weight "
@@ -366,6 +367,7 @@ def growth_samples(
     elif method in ("exact", "sampled"):
         if method == "sampled":
             view = as_network(cls)
+            _block_rows(view, max(ns, default=0))  # refuses a layer too wide before any draw
             dim = view.input_dim
         elif isinstance(cls, LinearThreshold):
             _check_exact_ltf(cls, max(ns, default=0))

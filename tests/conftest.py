@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vclab.dichotomy import DEFAULT_BUDGET
 from vclab.hypotheses import _apply_activation_batch
 from vclab.linsep import _bareiss, _integer_lift, enumerate_ltf_traces, is_realizable
 from vclab.pointsets import _GP_TOL, PointSet, in_general_position
@@ -128,7 +129,8 @@ def einsum_forward_batch(network, W, X):
     return values[:, :, 0]
 
 
-def loop_run_uc_experiment(cls, D, eps, k, trials, seed, budget=20000) -> UCExperimentResult:
+def loop_run_uc_experiment(cls, D, eps, k, trials, seed,
+                           budget=DEFAULT_BUDGET) -> UCExperimentResult:
     """One multinomial draw and one `errs @ v` per trial, summed in a Python
     float: the reference for the blocked trials of ucheck.run_uc_experiment."""
     errs, method = _error_matrix(cls, D, budget, seed)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import itertools
@@ -16,6 +17,7 @@ from conftest import CONFIG_DIR
 from vclab.cli import (BOUNDS_COLUMNS, bounds_rows, emit_plot_data, main, read_growth_csv,
                        write_csv)
 
+SCRIPTS = CONFIG_DIR.parent / "scripts"
 LTF2_JSON = str(CONFIG_DIR / "ltf2.json")
 UNION2_JSON = str(CONFIG_DIR / "union2.json")
 NET_JSON = str(CONFIG_DIR / "net_1hidden_threshold.json")
@@ -755,6 +757,18 @@ BAD_INPUT_ROUTES = [
      f"--tries must be an int, got {LONG_INT_SHOWN}"),
     (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *UCHECK, "--k", "abc"], {}, 2,
      "--k must be an int, got 'abc'"),
+    # float flags, read by the same reader
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *UCHECK, "--eps", "abc"], {}, 2,
+     "--eps must be a float, got 'abc'"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *UCHECK, "--delta", "x"], {}, 2,
+     "--delta must be a float, got 'x'"),
+    (["bounds", "--m", "1", "--eps", "0.1", "--delta", "0.1", "--c-prime", "abc"], {}, 2,
+     "--c-prime must be a float, got 'abc'"),
+    (["bounds", "--m", "1", "--eps", "0.1", "--delta", "0.1", "--c-hat", "x"], {}, 2,
+     "--c-hat must be a float, got 'x'"),
+    (["density", "--input", "{d}/g.csv", "--fit-fraction", "x"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,c", "16,17,exact,0,c", "32,33,exact,0,c")}, 2,
+     "--fit-fraction must be a float, got 'x'"),
 ]
 
 
@@ -782,6 +796,20 @@ def test_long_integers_are_named_in_a_short_message(tmp_path, capsys, argv, file
     assert main([a.format(d=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
     assert len(err) < 200 and "0" * 100 not in err
+
+
+def test_too_wide_layer_is_refused_before_any_point_is_drawn(tmp_path, monkeypatch, capsys):
+    # width 3 on 100000 points passes the weight cap; the general-position
+    # check on a first draw of 100000 points would run for minutes
+    def no_draw(*args):
+        raise AssertionError("points drawn before the cap check")
+
+    monkeypatch.setattr(vclab.dichotomy, "random_general_position", no_draw)
+    spec = tmp_path / "c.json"
+    spec.write_text(_spec_json(kind="network", network={"input_dim": 2, "layers": [
+        {"width": 3, "activation": {"kind": "tanh"}}, {"activation": {"kind": "threshold"}}]}))
+    assert main(["growth", "--class", str(spec), "--n", "4,100000", "--draws", "1"]) == 3
+    assert "a layer of width 3 on 100000 points exceeds the weight cap" in capsys.readouterr().err
 
 
 def test_huge_dimension_ltf_keeps_its_closed_forms(tmp_path):
@@ -897,6 +925,17 @@ class TestEmitPlotData:
         emit_plot_data([(ns, counts, "union2")], out)
         rows = read_rows(out)
         assert [int(r[1]) for r in rows[1:]] == counts
+
+
+@pytest.mark.parametrize("path", [Path(vclab.cli.__file__), *sorted(SCRIPTS.glob("*.py"))],
+                         ids=lambda p: p.name)
+def test_flag_values_reach_the_code_as_text(path):
+    # read_flag parses and checks every flag value; an argparse type= would
+    # turn a bad value into a usage error with SystemExit, not exit code 2
+    typed = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "add_argument" and any(k.arg == "type" for k in node.keywords)]
+    assert not typed, f"{path.name}: add_argument with type= on lines {typed}"
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
