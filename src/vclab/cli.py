@@ -136,6 +136,19 @@ def _shown(text) -> str:
     return repr(text)
 
 
+# longest integer an error message echoes in full
+_SHOWN_DIGITS = 40
+
+
+def _shown_value(v) -> str:
+    """str(v) for an error message; but an int of more than _SHOWN_DIGITS
+    digits is named by its sign and digit count."""
+    digits = len(str(abs(v))) if isinstance(v, int) else 0
+    if digits > _SHOWN_DIGITS:
+        return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
+    return str(v)
+
+
 # (test, phrase) rules for read_flag; NaN fails every test
 AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
@@ -163,7 +176,7 @@ def read_flag(args, dest: str, parse, *rules, many: bool = False):
     for test, phrase in rules:
         for v in values:
             if not test(v):
-                raise ConfigError(f"{flag} must be {phrase}, got {v}")
+                raise ConfigError(f"{flag} must be {phrase}, got {_shown_value(v)}")
     return values if many else values[0]
 
 

@@ -28,7 +28,13 @@ from .hypotheses import (
     UnionOfMPoints,
     forward_batch,
 )
-from .pointsets import PointSet, random_general_position, simplex_vertices, subset_chunks
+from .pointsets import (
+    PointSet,
+    random_general_position,
+    random_points,
+    simplex_vertices,
+    subset_chunks,
+)
 
 # exact LTF enumeration visits the C(n, d) hyperplanes through d of the
 # points at once: filtered float determinants give the n sides of each (an
@@ -137,8 +143,13 @@ def _check_exact_ltf(cls: LinearThreshold, k: int) -> None:
 
 
 def default_weight_box(B: PointSet) -> tuple[float, float]:
-    """Symmetric sampling box wide enough that biases can offset any point."""
+    """Symmetric sampling box [-r, r], r = 1 + max |coordinate|, wide enough
+    that biases can offset any point; a box whose width 2r is past the float
+    range is a CapExceededError."""
     r = 1.0 + float(np.abs(B.as_array()).max(initial=0.0))
+    if not math.isfinite(2 * r):
+        raise CapExceededError(f"the weight box [-{r:.6g}, {r:.6g}] is wider than the "
+                               f"float range")
     return (-r, r)
 
 
@@ -152,7 +163,9 @@ def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
     Weights are drawn and evaluated in blocks of _block_rows weight rows, so
     memory is bounded by the block, not by `budget`, |B|, the layer widths
     or m. The generator fills each block row by row, one double at a time,
-    so the weights, and hence the traces, are the same for any block size."""
+    so the weights, and hence the traces, are the same for any block size.
+    Each weight is lo + (hi - lo) * u for the generator's next double u,
+    which is how rng.uniform(lo, hi) computes it, bit for bit."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     net = as_network(cls)
@@ -164,7 +177,9 @@ def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
     X = B.as_array().reshape(len(B), net.input_dim)
     found = []
     for drawn in range(0, budget, rows):
-        W = rng.uniform(lo, hi, size=(min(rows, budget - drawn), net.weight_count))
+        W = rng.random((min(rows, budget - drawn), net.weight_count))
+        W *= hi - lo
+        W += lo
         found.append(_packed(forward_batch(net, W, X) > 0))
     return linsep.unique_rows(np.concatenate(found))
 
@@ -255,12 +270,13 @@ class VcDimResult:
 
 
 def _candidate_sets(net: NetworkSpec, size: int, rng: np.random.Generator, tries: int):
-    """Simplex vertices first (at size input_dim + 1), then random draws."""
+    """Simplex vertices first (at size input_dim + 1), then uniform draws:
+    a shattered set certifies the lower bound whatever its position."""
     simplex = size == net.input_dim + 1
     if simplex:
         yield simplex_vertices(net.input_dim)
     for _ in range(max(tries - simplex, 1)):
-        yield random_general_position(size, net.input_dim, rng)
+        yield random_points(size, net.input_dim, rng)
 
 
 def vc_dim_bruteforce(
@@ -354,10 +370,13 @@ def growth_samples(
 
     'exact' and 'sampled' take the largest trace count over `draws` random
     point sets per size, mirroring the max over configurations in the growth
-    function's definition, and tag it with trace_set's exactness. 'exact' is
-    exact: each draw's count is exact, and Cover's count, the most any n
-    points have, is reached by every set in general position; draws are
-    checked for d <= 3 and are in general position almost surely for d = 4.
+    function's definition, and tag it with trace_set's exactness. 'sampled'
+    draws plain uniform points (random_points): a sampled count is a
+    certified lower bound on any point set. 'exact' is exact: each draw's
+    count is exact, and Cover's count, the most any n points have, is
+    reached by every set in general position; so its draws alone come from
+    random_general_position, checked for d <= 3 and in general position
+    almost surely for d = 4.
     """
     if method == "auto":
         method = "sampled" if isinstance(cls, NetworkSpec) else "oracle"
@@ -368,10 +387,10 @@ def growth_samples(
         if method == "sampled":
             view = as_network(cls)
             _block_rows(view, max(ns, default=0))  # refuses a layer too wide before any draw
-            dim = view.input_dim
+            dim, draw = view.input_dim, random_points
         elif isinstance(cls, LinearThreshold):
             _check_exact_ltf(cls, max(ns, default=0))
-            view, dim = cls, cls.dim
+            view, dim, draw = cls, cls.dim, random_general_position
         else:
             raise ConfigError("exact growth counting is only available for linear_threshold")
         rng = np.random.default_rng(seed)
@@ -379,7 +398,7 @@ def growth_samples(
         for n in ns:
             best, exact = 0, True
             for j in range(draws):
-                B = random_general_position(n, dim, rng)
+                B = draw(n, dim, rng)
                 rows, exact = trace_set(view, B, budget, seed + j)
                 best = max(best, len(rows))
             tag = "exact" if exact else "lower_bound"

@@ -28,6 +28,10 @@ SCHEMA_VERSION = 1
 # weight matrix (rows x m) and each layer buffer (width x n x rows) within
 # this many entries, so one weight row must fit
 WEIGHT_CAP = 1 << 18
+# a bound on |values| below this certifies them finite without a scan: the
+# rounding error of a forward pass stays far below the factor of about 1e8
+# between it and the float maximum 1.8e308
+_FINITE_BOUND = 1e300
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,11 @@ class NetworkSpec:
         )
 
 
-def _apply_activation_batch(act: ActivationSpec, t, out=None):
+def _apply_activation_batch(act: ActivationSpec, t, out=None, finite: bool = False):
     """Evaluate the activation elementwise on a float array; raises
     CapExceededError if any input is not finite, before anything is written:
-    from finite points and weights, only an overflow gets there.
+    from finite points and weights, only an overflow gets there. With
+    finite=True the caller has certified t finite, and the scan is skipped.
 
     The result goes to `out`, a float array shaped like `t`, which may be
     `t` itself; with out=None a new array is returned. The clamp mask is
@@ -110,7 +115,7 @@ def _apply_activation_batch(act: ActivationSpec, t, out=None):
     a clamped activation gives exactly 0; threshold breaks the tie at 0
     downward (threshold(0) = 0).
     """
-    if not np.isfinite(t).all():
+    if not finite and not np.isfinite(t).all():
         raise CapExceededError("activation input must be finite: the forward pass overflowed")
     clamp = None
     if act.restriction is not None and act.clamp_outside:
@@ -145,6 +150,21 @@ def _apply_activation_batch(act: ActivationSpec, t, out=None):
     return out
 
 
+def _output_bound(act: ActivationSpec, p: float) -> float:
+    """A bound on |act(t)| over |t| <= p: 1 for threshold, tanh and
+    logistic, p for relu and identity, sum |c_k| p^k for a polynomial (a
+    clamp only writes 0). For the last three it is NaN or inf where p is,
+    or where the sum overflows, and so certifies nothing."""
+    if act.kind in ("threshold", "tanh", "logistic"):
+        return 1.0
+    if act.kind == "polynomial":
+        total = 0.0
+        for c in reversed(act.coefficients):
+            total = total * p + abs(c)
+        return total
+    return p
+
+
 def forward_batch(network: NetworkSpec, W, X):
     """Forward pass for a batch of weight vectors on a batch of points.
 
@@ -168,7 +188,10 @@ def forward_batch(network: NetworkSpec, W, X):
 
     An overflow is a CapExceededError, without numpy warnings: at the input
     of an activation, or at a polynomial output node, the one activation
-    that can map finite inputs to a non-finite output.
+    that can map finite inputs to a non-finite output. A layer is scanned
+    for it only where _output_bound, applied from max |W| and max |X|, does
+    not certify it: a NaN or infinite W or X gives a non-finite bound, so it
+    always reaches the scan.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -180,10 +203,13 @@ def forward_batch(network: NetworkSpec, W, X):
     n = X.shape[0]
     Wt = np.ascontiguousarray(W.T)  # (m, n_samples)
     values = X.T[:, :, None]  # (input_dim, n_points, 1)
+    w_max = float(np.abs(Wt).max(initial=0.0))
+    bound = float(np.abs(X).max(initial=0.0))  # of |values|
     pos = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(network.layers):
             fan_in = network.fan_in(i)
+            pre_bound = (fan_in * bound + 1.0) * w_max
             out = np.empty((layer.width, n, s))
             scratch = np.empty((n, s)) if fan_in > 1 else None
             for node in range(layer.width):
@@ -192,9 +218,12 @@ def forward_batch(network: NetworkSpec, W, X):
                     pre += np.multiply(values[j], Wt[pos + j], out=scratch)
                 pre += Wt[pos + fan_in]
                 pos += fan_in + 1
-                _apply_activation_batch(layer.activation, pre, out=pre)
+                _apply_activation_batch(layer.activation, pre, out=pre,
+                                        finite=pre_bound < _FINITE_BOUND)
             values = out
-    if network.layers[-1].activation.kind == "polynomial" and not np.isfinite(values).all():
+            bound = _output_bound(layer.activation, pre_bound)
+    last = network.layers[-1].activation.kind
+    if last == "polynomial" and not bound < _FINITE_BOUND and not np.isfinite(values).all():
         raise CapExceededError("network output must be finite: the forward pass overflowed")
     return values[0].T.copy()
 

@@ -1,4 +1,5 @@
-"""Finite point sets in R^n, general-position checks run on drawn points, and generators."""
+"""Finite point sets in R^n, uniform point draws, and the general-position
+check run on the draws of exact counts."""
 
 from __future__ import annotations
 
@@ -110,14 +111,22 @@ class PointSet:
         return np.array(self.points, dtype=float)
 
 
+def random_points(k: int, d: int, rng: np.random.Generator) -> PointSet:
+    """Draw k points uniformly from [-1, 1]^d, unchecked: the draw for
+    sampled counts, whose every trace has a witness on any point set (and a
+    uniform draw is in general position with probability 1)."""
+    return PointSet(points=tuple(map(tuple, rng.uniform(-1.0, 1.0, size=(k, d)).tolist())))
+
+
 def random_general_position(k: int, d: int, rng: np.random.Generator) -> PointSet:
-    """Draw k points uniformly from [-1, 1]^d, retrying until the
-    general-position check passes (for d <= 3; higher d is accepted as-is,
-    degenerate draws there have probability 0)."""
+    """random_points, redrawn until the general-position check passes (for
+    d <= 3; higher d is accepted as-is, degenerate draws there have
+    probability 0): the draw for exact counts, which equal Cover's count
+    only in general position."""
     for _ in range(_GP_MAX_TRIES):
-        pts = rng.uniform(-1.0, 1.0, size=(k, d))
-        if d > 3 or in_general_position(pts):
-            return PointSet(points=tuple(map(tuple, pts.tolist())))
+        B = random_points(k, d, rng)
+        if d > 3 or in_general_position(B.as_array().reshape(k, d)):
+            return B
     raise RuntimeError("failed to draw a general-position point set")
 
 

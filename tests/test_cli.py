@@ -769,6 +769,13 @@ BAD_INPUT_ROUTES = [
     (["density", "--input", "{d}/g.csv", "--fit-fraction", "x"],
      {"g.csv": _growth_csv_text("8,9,exact,0,c", "16,17,exact,0,c", "32,33,exact,0,c")}, 2,
      "--fit-fraction must be a float, got 'x'"),
+    # a weight box whose width 2r is past the float range
+    (["ucheck", "--class", NET_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(**{**UNIT_DIST, "support": [[1e308], [-1e308], [0.5]]})}, 3,
+     "the weight box [-1e+308, 1e+308] is wider than the float range"),
+    # a value that parses but fails its rule is named by its digit count too
+    (["growth", "--class", NET_JSON, "--n", "4", "--seed", "-1" + "0" * 4000], {}, 2,
+     "--seed must be >= 0, got a negative integer of 4001 digits"),
 ]
 
 
@@ -805,11 +812,23 @@ def test_too_wide_layer_is_refused_before_any_point_is_drawn(tmp_path, monkeypat
         raise AssertionError("points drawn before the cap check")
 
     monkeypatch.setattr(vclab.dichotomy, "random_general_position", no_draw)
+    monkeypatch.setattr(vclab.dichotomy, "random_points", no_draw)
     spec = tmp_path / "c.json"
     spec.write_text(_spec_json(kind="network", network={"input_dim": 2, "layers": [
         {"width": 3, "activation": {"kind": "tanh"}}, {"activation": {"kind": "threshold"}}]}))
     assert main(["growth", "--class", str(spec), "--n", "4,100000", "--draws", "1"]) == 3
     assert "a layer of width 3 on 100000 points exceeds the weight cap" in capsys.readouterr().err
+
+
+def test_sampled_growth_on_many_points_of_a_narrow_net_finishes(tmp_path):
+    # no C(2000, 3) general-position check runs before the one weight draw
+    spec, out = tmp_path / "c.json", tmp_path / "out.csv"
+    spec.write_text(_spec_json(kind="network", network={"input_dim": 2, "layers": [
+        {"width": 2, "activation": {"kind": "tanh"}}, {"activation": {"kind": "threshold"}}]}))
+    assert main(["growth", "--class", str(spec), "--n", "2000", "--draws", "1", "--budget", "1",
+                 "--output", str(out)]) == 0
+    # one weight vector has one trace
+    assert read_rows(out)[1][:3] == ["2000", "1", "lower_bound"]
 
 
 def test_huge_dimension_ltf_keeps_its_closed_forms(tmp_path):

@@ -14,13 +14,15 @@ from vclab import dichotomy, linsep, pointsets
 from vclab.dichotomy import (
     as_network,
     growth_function_oracle,
+    growth_samples,
     sampled_trace_set,
     sauer_shelah_cap,
+    vc_dim_bruteforce,
 )
 from vclab.errors import CapExceededError
 from vclab.hypotheses import (WEIGHT_CAP, ActivationSpec, LayerSpec, LinearThreshold, NetworkSpec,
                               load_class_spec)
-from vclab.pointsets import in_general_position, random_general_position
+from vclab.pointsets import in_general_position, random_general_position, random_points
 
 
 @st.composite
@@ -224,3 +226,26 @@ def test_block_weights_and_layer_buffers_stay_within_the_cap(input_dim, width, n
 def test_layer_too_wide_for_one_row_is_a_cap(width, n):
     with pytest.raises(CapExceededError, match=f"width {width} on {n} points exceeds"):
         dichotomy._block_rows(_net(1, [width]), n)
+
+
+def test_sampled_draws_skip_the_general_position_check(monkeypatch):
+    # a sampled count is a certified lower bound on any point set; only
+    # exact growth rests on general position
+    def fail(points):
+        raise AssertionError("general-position check on a sampled draw")
+
+    monkeypatch.setattr(pointsets, "in_general_position", fail)
+    net = _net(2, [3])
+    growth_samples(net, [4, 16], method="sampled", draws=2, budget=50, seed=2)
+    growth_samples(LinearThreshold(dim=2), [4, 16], method="sampled", draws=2, budget=50)
+    vc_dim_bruteforce(net, max_d=4, tries=3, budget=50, seed=2)
+    with pytest.raises(AssertionError, match="general-position check"):
+        growth_samples(LinearThreshold(dim=2), [4], method="exact", draws=1)
+
+
+@pytest.mark.parametrize("k, d", [(0, 2), (1, 1), (24, 2), (24, 3), (7, 5)])
+def test_random_general_position_keeps_a_passing_first_draw(k, d):
+    first = random_points(k, d, np.random.default_rng(k + d))
+    assert random_general_position(k, d, np.random.default_rng(k + d)) == first
+    want = np.random.default_rng(k + d).uniform(-1.0, 1.0, size=(k, d))
+    assert np.array_equal(first.as_array().reshape(k, d), want)

@@ -13,9 +13,9 @@ from conftest import (
     recursive_ltf_traces,
     unique_packed_rows,
 )
-from vclab import dichotomy, pointsets
+from vclab import dichotomy, hypotheses, pointsets
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
-from vclab.errors import ConfigError
+from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import (
     ACTIVATION_KINDS,
     ActivationSpec,
@@ -318,3 +318,92 @@ def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, cls, dim, n):
             got = sampled_trace_set(cls, B, budget=budget, seed=5)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), (budget, entries)
+
+
+@pytest.mark.parametrize("cls, dim", [(STOCK_NET, 1), (TANH_2D_NET, 2)])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 3.5, 1e3, 1e150])
+def test_block_weights_are_one_uniform_call(monkeypatch, cls, dim, scale):
+    # a block is lo + (hi - lo) * rng.random(...); across the 8192-row blocks
+    # of 8 points its rows are those of one rng.uniform call, bit for bit
+    B = PointSet(points=tuple(tuple(scale * np.linspace(-1.0, 1.0, 8 * dim)[i::8])
+                              for i in range(8)))
+    lo, hi = dichotomy.default_weight_box(B)
+    blocks = []
+
+    def capture(net, W, X):
+        blocks.append(np.array(W))
+        return forward_batch(net, W, X)
+
+    monkeypatch.setattr(dichotomy, "forward_batch", capture)
+    for budget, count in ((1, 1), (8191, 1), (8193, 2), (20000, 3)):
+        blocks.clear()
+        sampled_trace_set(cls, B, budget=budget, seed=7)
+        want = np.random.default_rng(7).uniform(lo, hi, (budget, cls.weight_count))
+        assert len(blocks) == count
+        assert np.concatenate(blocks).tobytes() == want.tobytes(), budget
+
+
+def test_weight_box_past_the_float_range_is_a_cap():
+    B = PointSet(points=((1e308,), (-1e308,), (0.5,)))
+    with pytest.raises(CapExceededError, match=r"weight box \[-1e\+308, 1e\+308\]"):
+        dichotomy.default_weight_box(B)
+    with pytest.raises(CapExceededError, match="wider than the float range"):
+        sampled_trace_set(STOCK_NET, B, budget=10, seed=0)
+    assert dichotomy.default_weight_box(PointSet(points=((-8e307,),))) == (-8e307, 8e307)
+
+
+def _checking_activation(finite_flags):
+    """_apply_activation_batch that records each call's finite flag and
+    asserts that a plane certified finite is."""
+    real = hypotheses._apply_activation_batch
+
+    def checking(act, t, out=None, finite=False):
+        finite_flags.append(finite)
+        assert not finite or np.isfinite(t).all(), "a certified plane is not finite"
+        return real(act, t, out=out, finite=finite)
+
+    return checking
+
+
+@given(net=networks(), s=st.integers(1, 6), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       w_exp=st.integers(-5, 200), x_exp=st.integers(-5, 200))
+@example(net=ALL_KINDS_NET, s=3, n=4, seed=0, w_exp=0, x_exp=0)
+@example(net=ALL_KINDS_NET, s=3, n=4, seed=0, w_exp=150, x_exp=150)
+@settings(max_examples=200, deadline=None)
+def test_certified_planes_are_finite(net, s, n, seed, w_exp, x_exp):
+    # wherever max |W|, max |X| and the activations' output ranges bound a
+    # layer's pre-activations below 1e300, its planes are finite; a pass
+    # that returns gives finite outputs, and one that overflows raises
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(-1.0, 1.0, size=(s, net.weight_count)) * 10.0**w_exp
+    X = rng.uniform(-1.0, 1.0, size=(n, net.input_dim)) * 10.0**x_exp
+    flags = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hypotheses, "_apply_activation_batch", _checking_activation(flags))
+        try:
+            out = forward_batch(net, W, X)
+        except CapExceededError:
+            return
+    assert np.isfinite(out).all()
+    assert len(flags) == sum(layer.width for layer in net.layers)
+
+
+@pytest.mark.parametrize("net, dim", [(STOCK_NET, 1), (TANH_2D_NET, 2), (ALL_KINDS_NET, 2)])
+def test_sampler_planes_are_all_certified(monkeypatch, net, dim):
+    # on the sampler's box the bound certifies every plane, so no plane is scanned
+    flags = []
+    monkeypatch.setattr(hypotheses, "_apply_activation_batch", _checking_activation(flags))
+    B = random_general_position(16, dim, np.random.default_rng(3))
+    sampled_trace_set(net, B, budget=100, seed=1)
+    assert flags and all(flags)
+
+
+def test_uncertified_plane_is_scanned_and_raises(monkeypatch):
+    # (1e10 + 1) * 1e300 bounds nothing, and 1e300 * 1e10 overflows
+    net = NetworkSpec(1, (LayerSpec(1, ActivationSpec("identity")),
+                          LayerSpec(1, ActivationSpec("threshold"))))
+    flags = []
+    monkeypatch.setattr(hypotheses, "_apply_activation_batch", _checking_activation(flags))
+    with pytest.raises(CapExceededError, match="activation input must be finite"):
+        forward_batch(net, [[1e300, 0.0, 1.0, 0.0]], [[1e10]])
+    assert flags == [False]
