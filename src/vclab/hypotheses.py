@@ -32,6 +32,8 @@ WEIGHT_CAP = 1 << 18
 # rounding error of a forward pass stays far below the factor of about 1e8
 # between it and the float maximum 1.8e308
 _FINITE_BOUND = 1e300
+# numpy's ufunc buffer (elements) inside forward_batch's layer loop; see there
+_UFUNC_BUFFER = 1024
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,18 @@ def forward_batch(network: NetworkSpec, W, X):
     for it only where _output_bound, applied from max |W| and max |X|, does
     not certify it: a NaN or infinite W or X gives a non-finite bound, so it
     always reaches the scan.
+
+    The layer loop runs with numpy's ufunc buffer at _UFUNC_BUFFER = 1024
+    elements instead of the default 8192. At 8192 the buffered iterator
+    joins short rows into one chunk and first copies the broadcast operands,
+    the (n_points, 1) input column and the (n_samples,) weight row, into its
+    buffers: a product on rows shorter than about 2700 weight rows (every
+    sampler block with n >= 32) takes about four times as long, and a bias
+    add on rows shorter than 8192 (n >= 16) about twice as long. The buffer
+    only holds copies of operand values, so the results are the same bits.
+    The caller's buffer size is restored on return and on every raise; it
+    is numpy's per-context (per-thread) setting, so concurrent passes do not
+    see it.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -206,22 +220,26 @@ def forward_batch(network: NetworkSpec, W, X):
     w_max = float(np.abs(Wt).max(initial=0.0))
     bound = float(np.abs(X).max(initial=0.0))  # of |values|
     pos = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, layer in enumerate(network.layers):
-            fan_in = network.fan_in(i)
-            pre_bound = (fan_in * bound + 1.0) * w_max
-            out = np.empty((layer.width, n, s))
-            scratch = np.empty((n, s)) if fan_in > 1 else None
-            for node in range(layer.width):
-                pre = np.multiply(values[0], Wt[pos], out=out[node])
-                for j in range(1, fan_in):
-                    pre += np.multiply(values[j], Wt[pos + j], out=scratch)
-                pre += Wt[pos + fan_in]
-                pos += fan_in + 1
-                _apply_activation_batch(layer.activation, pre, out=pre,
-                                        finite=pre_bound < _FINITE_BOUND)
-            values = out
-            bound = _output_bound(layer.activation, pre_bound)
+    old_bufsize = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, layer in enumerate(network.layers):
+                fan_in = network.fan_in(i)
+                pre_bound = (fan_in * bound + 1.0) * w_max
+                out = np.empty((layer.width, n, s))
+                scratch = np.empty((n, s)) if fan_in > 1 else None
+                for node in range(layer.width):
+                    pre = np.multiply(values[0], Wt[pos], out=out[node])
+                    for j in range(1, fan_in):
+                        pre += np.multiply(values[j], Wt[pos + j], out=scratch)
+                    pre += Wt[pos + fan_in]
+                    pos += fan_in + 1
+                    _apply_activation_batch(layer.activation, pre, out=pre,
+                                            finite=pre_bound < _FINITE_BOUND)
+                values = out
+                bound = _output_bound(layer.activation, pre_bound)
+    finally:
+        np.setbufsize(old_bufsize)
     last = network.layers[-1].activation.kind
     if last == "polynomial" and not bound < _FINITE_BOUND and not np.isfinite(values).all():
         raise CapExceededError("network output must be finite: the forward pass overflowed")

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -407,3 +408,43 @@ def test_uncertified_plane_is_scanned_and_raises(monkeypatch):
     with pytest.raises(CapExceededError, match="activation input must be finite"):
         forward_batch(net, [[1e300, 0.0, 1.0, 0.0]], [[1e10]])
     assert flags == [False]
+
+
+@contextlib.contextmanager
+def _caller_bufsize(size):
+    """Run the block with numpy's ufunc buffer at `size` elements, then
+    restore the buffer the test started with."""
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+@pytest.mark.parametrize("net", [STOCK_NET, TANH_2D_NET], ids=["stock", "tanh2d"])
+@pytest.mark.parametrize("s, n", [(4096, 16), (1024, 64), (512, 128), (64, 1024)])
+def test_forward_pass_ignores_and_restores_the_callers_bufsize(net, s, n):
+    # forward_batch runs its layer loop at its own ufunc buffer size: the
+    # output bytes are the same whatever buffer the caller set, and the
+    # caller's setting is back when it returns
+    rng = np.random.default_rng(s + n)
+    W = rng.uniform(-3.0, 3.0, size=(s, net.weight_count))
+    X = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+    outputs = set()
+    for size in (64, 8192, 65536):
+        with _caller_bufsize(size):
+            outputs.add(forward_batch(net, W, X).tobytes())
+            assert np.getbufsize() == size
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("size", [64, 8192, 65536])
+def test_raising_forward_pass_restores_the_callers_bufsize(size):
+    # the overflow of test_uncertified_plane_is_scanned_and_raises, raised
+    # from inside the layer loop
+    net = NetworkSpec(1, (LayerSpec(1, ActivationSpec("identity")),
+                          LayerSpec(1, ActivationSpec("threshold"))))
+    with _caller_bufsize(size):
+        with pytest.raises(CapExceededError, match="activation input must be finite"):
+            forward_batch(net, [[1e300, 0.0, 1.0, 0.0]], [[1e10]])
+        assert np.getbufsize() == size
