@@ -28,10 +28,6 @@ SCHEMA_VERSION = 1
 # weight matrix (rows x m) and each layer buffer (width x n x rows) within
 # this many entries, so one weight row must fit
 WEIGHT_CAP = 1 << 18
-# a bound on |values| below this certifies them finite without a scan: the
-# rounding error of a forward pass stays far below the factor of about 1e8
-# between it and the float maximum 1.8e308
-_FINITE_BOUND = 1e300
 # numpy's ufunc buffer (elements) inside forward_batch's layer loop; see there
 _UFUNC_BUFFER = 1024
 
@@ -105,24 +101,25 @@ class NetworkSpec:
         )
 
 
-def _apply_activation_batch(act: ActivationSpec, t, out=None, finite: bool = False):
-    """Evaluate the activation elementwise on a float array; raises
-    CapExceededError if any input is not finite, before anything is written:
-    from finite points and weights, only an overflow gets there. With
-    finite=True the caller has certified t finite, and the scan is skipped.
+def _apply_activation_batch(act: ActivationSpec, t, out=None):
+    """Evaluate the activation elementwise on a float array.
 
     The result goes to `out`, a float array shaped like `t`, which may be
-    `t` itself; with out=None a new array is returned. The clamp mask is
-    taken from `t` before `out` is written. Outside the restriction interval
-    a clamped activation gives exactly 0; threshold breaks the tie at 0
-    downward (threshold(0) = 0).
+    `t` itself; with out=None a new array is returned. Outside the
+    restriction interval a clamped activation gives exactly 0: the clamp
+    mask is taken from `t` before `out` is written, and where it is set the
+    activation is evaluated at 0 instead, so an input forced to 0 raises no
+    floating-point error under the caller's np.errstate (a polynomial that
+    would overflow there, say). Threshold breaks the tie at 0 downward
+    (threshold(0) = 0). Non-finite inputs are not checked for: they give
+    what numpy's float arithmetic gives.
     """
-    if not finite and not np.isfinite(t).all():
-        raise CapExceededError("activation input must be finite: the forward pass overflowed")
     clamp = None
     if act.restriction is not None and act.clamp_outside:
         a, b = act.restriction
         clamp = (t < a) | (t > b)
+        if clamp.any():
+            t = np.where(clamp, 0.0, t)
     if out is None:
         out = np.empty_like(t)
     if act.kind == "threshold":
@@ -152,21 +149,6 @@ def _apply_activation_batch(act: ActivationSpec, t, out=None, finite: bool = Fal
     return out
 
 
-def _output_bound(act: ActivationSpec, p: float) -> float:
-    """A bound on |act(t)| over |t| <= p: 1 for threshold, tanh and
-    logistic, p for relu and identity, sum |c_k| p^k for a polynomial (a
-    clamp only writes 0). For the last three it is NaN or inf where p is,
-    or where the sum overflows, and so certifies nothing."""
-    if act.kind in ("threshold", "tanh", "logistic"):
-        return 1.0
-    if act.kind == "polynomial":
-        total = 0.0
-        for c in reversed(act.coefficients):
-            total = total * p + abs(c)
-        return total
-    return p
-
-
 def forward_batch(network: NetworkSpec, W, X):
     """Forward pass for a batch of weight vectors on a batch of points.
 
@@ -188,12 +170,19 @@ def forward_batch(network: NetworkSpec, W, X):
     operations in the same order in any layout, so the values do not depend
     on it.
 
-    An overflow is a CapExceededError, without numpy warnings: at the input
-    of an activation, or at a polynomial output node, the one activation
-    that can map finite inputs to a non-finite output. A layer is scanned
-    for it only where _output_bound, applied from max |W| and max |X|, does
-    not certify it: a NaN or infinite W or X gives a non-finite bound, so it
-    always reaches the scan.
+    W and X must be finite (else a ValueError, before any plane is
+    allocated). An overflow is then a CapExceededError, without numpy
+    warnings. The layer loop runs under np.errstate with overflow, invalid
+    and divide set to raise: from finite operands, IEEE 754 raises one of
+    them at the first operation whose result is not finite, and a non-finite
+    value stays non-finite through every later product, sum and Horner step,
+    so the pass raises exactly when a pre-activation plane, or an activation
+    output plane after its clamp, would hold a non-finite value. Raised
+    inside the output node's activation (a polynomial, the one activation
+    that can map finite inputs to a non-finite output) it reads "network
+    output must be finite", anywhere else "activation input must be
+    finite". Underflow is ignored: a subnormal or zero result is a finite
+    value. The caller's np.errstate is back on return and on every raise.
 
     The layer loop runs with numpy's ufunc buffer at _UFUNC_BUFFER = 1024
     elements instead of the default 8192. At 8192 the buffered iterator
@@ -214,18 +203,19 @@ def forward_batch(network: NetworkSpec, W, X):
         raise ValueError("weight matrix width != network weight count")
     if X.ndim != 2 or X.shape[1] != network.input_dim:
         raise ValueError(f"points must be (n, input_dim = {network.input_dim}), got {X.shape}")
+    if not (np.isfinite(W).all() and np.isfinite(X).all()):
+        raise ValueError("weights and points must be finite")
     n = X.shape[0]
     Wt = np.ascontiguousarray(W.T)  # (m, n_samples)
     values = X.T[:, :, None]  # (input_dim, n_points, 1)
-    w_max = float(np.abs(Wt).max(initial=0.0))
-    bound = float(np.abs(X).max(initial=0.0))  # of |values|
+    output_layer = len(network.layers) - 1
+    stage = "activation input"
     pos = 0
     old_bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
             for i, layer in enumerate(network.layers):
                 fan_in = network.fan_in(i)
-                pre_bound = (fan_in * bound + 1.0) * w_max
                 out = np.empty((layer.width, n, s))
                 scratch = np.empty((n, s)) if fan_in > 1 else None
                 for node in range(layer.width):
@@ -234,15 +224,14 @@ def forward_batch(network: NetworkSpec, W, X):
                         pre += np.multiply(values[j], Wt[pos + j], out=scratch)
                     pre += Wt[pos + fan_in]
                     pos += fan_in + 1
-                    _apply_activation_batch(layer.activation, pre, out=pre,
-                                            finite=pre_bound < _FINITE_BOUND)
+                    if i == output_layer:
+                        stage = "network output"
+                    _apply_activation_batch(layer.activation, pre, out=pre)
                 values = out
-                bound = _output_bound(layer.activation, pre_bound)
+    except FloatingPointError:
+        raise CapExceededError(f"{stage} must be finite: the forward pass overflowed") from None
     finally:
         np.setbufsize(old_bufsize)
-    last = network.layers[-1].activation.kind
-    if last == "polynomial" and not bound < _FINITE_BOUND and not np.isfinite(values).all():
-        raise CapExceededError("network output must be finite: the forward pass overflowed")
     return values[0].T.copy()
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vclab.dichotomy import DEFAULT_BUDGET
+from vclab.errors import CapExceededError
 from vclab.hypotheses import _apply_activation_batch
 from vclab.linsep import _bareiss, _integer_lift, enumerate_ltf_traces, is_realizable
 from vclab.pointsets import _GP_TOL, PointSet, in_general_position
@@ -110,23 +111,36 @@ def unique_packed_rows(bits) -> np.ndarray:
 def einsum_forward_batch(network, W, X):
     """One np.einsum per node over (n_samples, n_points, width) activations,
     stacked after each layer: the reference for the node-major pass in
-    hypotheses.forward_batch."""
+    hypotheses.forward_batch. It runs with floating-point errors ignored and
+    checks its own planes: at the first non-finite pre-activation, or
+    activation output after its clamp, it raises forward_batch's
+    CapExceededError."""
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
     s = W.shape[0]
     values = np.broadcast_to(X, (s,) + X.shape)
+    output_layer = len(network.layers) - 1
     pos = 0
-    for i, layer in enumerate(network.layers):
-        fan_in = network.fan_in(i)
-        cols = []
-        for _ in range(layer.width):
-            w = W[:, pos : pos + fan_in]
-            bias = W[:, pos + fan_in]
-            pos += fan_in + 1
-            pre = np.einsum("spj,sj->sp", values, w) + bias[:, None]
-            cols.append(_apply_activation_batch(layer.activation, pre))
-        values = np.stack(cols, axis=-1)
+    with np.errstate(all="ignore"):
+        for i, layer in enumerate(network.layers):
+            fan_in = network.fan_in(i)
+            cols = []
+            for _ in range(layer.width):
+                w = W[:, pos : pos + fan_in]
+                bias = W[:, pos + fan_in]
+                pos += fan_in + 1
+                pre = np.einsum("spj,sj->sp", values, w) + bias[:, None]
+                _require_finite(pre, "activation input")
+                cols.append(_apply_activation_batch(layer.activation, pre))
+                _require_finite(cols[-1], "network output" if i == output_layer
+                                else "activation input")
+            values = np.stack(cols, axis=-1)
     return values[:, :, 0]
+
+
+def _require_finite(plane, stage):
+    if not np.isfinite(plane).all():
+        raise CapExceededError(f"{stage} must be finite: the forward pass overflowed")
 
 
 def loop_run_uc_experiment(cls, D, eps, k, trials, seed,

@@ -875,6 +875,22 @@ def test_forward_overflow_exits_3_without_numpy_warnings(tmp_path, capsys, layer
     assert capsys.readouterr().err.startswith("vclab: cap exceeded: ")
 
 
+def test_clamped_forward_overflow_is_no_error(tmp_path):
+    # POLY_HIDDEN clamped to [-0.001, 0.001]: the polynomial overflows only
+    # where the clamp forces it to 0, so the pass returns
+    clamped = {**POLY_HIDDEN[0]["activation"], "restriction": [-0.001, 0.001],
+               "clamp_outside": True}
+    spec, out = tmp_path / "c.json", tmp_path / "out.csv"
+    spec.write_text(_spec_json(kind="network", network={"input_dim": 1, "layers": [
+        {"width": 2, "activation": clamped}, POLY_HIDDEN[1]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(["growth", "--class", str(spec), "--n", "4", "--budget", "50",
+                   "--output", str(out)])
+    assert rc == 0
+    assert read_rows(out)[1][:3] == ["4", "2", "lower_bound"]
+
+
 @pytest.mark.parametrize("m", ["1000000", "10000000"])
 def test_bounds_at_millions_of_weights(tmp_path, m):
     out = tmp_path / "bounds.csv"

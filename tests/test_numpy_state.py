@@ -1,7 +1,10 @@
-"""numpy's ufunc buffer size is a per-context setting that every later ufunc
-in the thread inherits, so the package changes it in one function only:
-`hypotheses.forward_batch`, which restores it before it returns or raises.
-No other function of src/, scripts/ or perfbench/ names `setbufsize`."""
+"""numpy's ufunc buffer size and floating-point error state are per-context
+settings that every later ufunc in the thread inherits. So the package
+changes the buffer in one function only: `hypotheses.forward_batch`, which
+restores it before it returns or raises. No other function of src/,
+scripts/ or perfbench/ names `setbufsize`. The error state is changed only
+in `np.errstate` blocks, which restore it on exit, so none of them names
+`seterr`."""
 
 import ast
 from pathlib import Path
@@ -11,43 +14,54 @@ SEARCHED = sorted(p for d in ("src", "scripts", "perfbench") for p in (ROOT / d)
 ALLOWED = {("src/vclab/hypotheses.py", "forward_batch")}
 
 
-def _setbufsize_sites(tree: ast.AST, scope: str = ""):
-    """(enclosing function, line) for each mention of `setbufsize`: an
-    attribute (np.setbufsize), a bare name, a `from numpy import`, or a
-    string (getattr); the scope is the dotted name of the enclosing
+def _sites(tree: ast.AST, name: str, scope: str = ""):
+    """(enclosing function, line) for each mention of the numpy function
+    `name`: an attribute (np.setbufsize), a bare name, a `from numpy import`,
+    or a string (getattr); the scope is the dotted name of the enclosing
     functions and classes, "" at module level."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}" if scope else node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "setbufsize"
-                or isinstance(node, ast.Name) and node.id == "setbufsize"
-                or isinstance(node, ast.Constant) and node.value == "setbufsize"
+        if (isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Constant) and node.value == name
                 or isinstance(node, ast.ImportFrom)
-                and any(alias.name == "setbufsize" for alias in node.names)):
+                and any(alias.name == name for alias in node.names)):
             yield scope, node.lineno
-        yield from _setbufsize_sites(node, inner)
+        yield from _sites(node, name, inner)
+
+
+def _searched_sites(name: str):
+    """(path, scope, "path:line (scope)") for each mention of `name` in the
+    searched files."""
+    for path in SEARCHED:
+        rel = path.relative_to(ROOT).as_posix()
+        for scope, line in _sites(ast.parse(path.read_text()), name):
+            yield rel, scope, f"{rel}:{line} ({scope or 'module level'})"
 
 
 def test_setbufsize_is_called_only_in_forward_batch():
-    sites = [
-        f"{path.relative_to(ROOT)}:{line} ({scope or 'module level'})"
-        for path in SEARCHED
-        for scope, line in _setbufsize_sites(ast.parse(path.read_text()))
-        if (path.relative_to(ROOT).as_posix(), scope) not in ALLOWED
-    ]
+    sites = [where for rel, scope, where in _searched_sites("setbufsize")
+             if (rel, scope) not in ALLOWED]
     assert not sites, f"setbufsize outside hypotheses.forward_batch: {sites}"
+
+
+def test_seterr_is_called_nowhere():
+    sites = [where for _, _, where in _searched_sites("seterr")]
+    assert not sites, f"seterr, which outlives its caller; use np.errstate: {sites}"
 
 
 def test_forward_batch_sets_the_buffer():
     source = (ROOT / "src" / "vclab" / "hypotheses.py").read_text()
-    assert [scope for scope, _ in _setbufsize_sites(ast.parse(source))] == ["forward_batch"] * 2
+    sites = _sites(ast.parse(source), "setbufsize")
+    assert [scope for scope, _ in sites] == ["forward_batch"] * 2
 
 
 def test_setbufsize_check_sees_every_form():
     source = """
 import numpy as np
-from numpy import setbufsize
+from numpy import setbufsize, seterr
 np.setbufsize(1)
 def f():
     getattr(np, "setbufsize")(1)
@@ -55,6 +69,8 @@ class C:
     def g(self):
         def h():
             return setbufsize
+np.seterr(all="ignore")
 """
-    found = sorted(_setbufsize_sites(ast.parse(source)))
-    assert found == [("", 3), ("", 4), ("C.g.h", 10), ("f", 6)]
+    tree = ast.parse(source)
+    assert sorted(_sites(tree, "setbufsize")) == [("", 3), ("", 4), ("C.g.h", 10), ("f", 6)]
+    assert sorted(_sites(tree, "seterr")) == [("", 3), ("", 11)]

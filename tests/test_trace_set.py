@@ -14,7 +14,7 @@ from conftest import (
     recursive_ltf_traces,
     unique_packed_rows,
 )
-from vclab import dichotomy, hypotheses, pointsets
+from vclab import dichotomy, pointsets
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import (
@@ -183,8 +183,9 @@ def test_forward_batch_rejects_nonfinite_input(kind, bad, in_weights, pos):
         W[1, pos % net.weight_count] = bad
     else:
         X[pos % 3, pos % 2] = bad
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="weights and points must be finite") as info:
         forward_batch(net, W, X)
+    assert not isinstance(info.value, CapExceededError)
 
 
 @st.composite
@@ -202,11 +203,12 @@ def activations(draw):
 
 
 @st.composite
-def networks(draw):
-    """Nets of 1-3 layers with 1-5 inputs, each layer with its own activation."""
-    widths = draw(st.lists(st.integers(1, 5), max_size=2)) + [1]
+def networks(draw, max_width=5):
+    """Nets of 1-3 layers with 1 to max_width inputs and hidden nodes, each
+    layer with its own activation."""
+    widths = draw(st.lists(st.integers(1, max_width), max_size=2)) + [1]
     layers = tuple(LayerSpec(w, draw(activations())) for w in widths)
-    return NetworkSpec(input_dim=draw(st.integers(1, 5)), layers=layers)
+    return NetworkSpec(input_dim=draw(st.integers(1, max_width)), layers=layers)
 
 
 # every kind, one per hidden layer, with a clamped and an unclamped restriction
@@ -242,6 +244,14 @@ def test_node_major_forward_matches_einsum_reference(net, s, n, seed):
     else:
         assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
+
+# 1e308 t^2 on two nodes clamped to [-0.001, 0.001], feeding a threshold:
+# the polynomial overflows at |t| > 1.34, where the clamp forces it to 0
+CLAMPED_POLY_NET = NetworkSpec(1, (
+    LayerSpec(2, ActivationSpec("polynomial", coefficients=(0.0, 0.0, 1e308),
+                                restriction=(-0.001, 0.001), clamp_outside=True)),
+    LayerSpec(1, ActivationSpec("threshold")),
+))
 
 STOCK_NET = load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json")
 # the benchmark's 2-D net: three tanh units, a threshold output
@@ -353,61 +363,28 @@ def test_weight_box_past_the_float_range_is_a_cap():
     assert dichotomy.default_weight_box(PointSet(points=((-8e307,),))) == (-8e307, 8e307)
 
 
-def _checking_activation(finite_flags):
-    """_apply_activation_batch that records each call's finite flag and
-    asserts that a plane certified finite is."""
-    real = hypotheses._apply_activation_batch
-
-    def checking(act, t, out=None, finite=False):
-        finite_flags.append(finite)
-        assert not finite or np.isfinite(t).all(), "a certified plane is not finite"
-        return real(act, t, out=out, finite=finite)
-
-    return checking
-
-
-@given(net=networks(), s=st.integers(1, 6), n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
-       w_exp=st.integers(-5, 200), x_exp=st.integers(-5, 200))
+@given(net=networks(max_width=2), s=st.integers(1, 6), n=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), w_exp=st.integers(-5, 200), x_exp=st.integers(-5, 200))
 @example(net=ALL_KINDS_NET, s=3, n=4, seed=0, w_exp=0, x_exp=0)
 @example(net=ALL_KINDS_NET, s=3, n=4, seed=0, w_exp=150, x_exp=150)
+@example(net=CLAMPED_POLY_NET, s=7, n=5, seed=1, w_exp=1, x_exp=0)
 @settings(max_examples=200, deadline=None)
-def test_certified_planes_are_finite(net, s, n, seed, w_exp, x_exp):
-    # wherever max |W|, max |X| and the activations' output ranges bound a
-    # layer's pre-activations below 1e300, its planes are finite; a pass
-    # that returns gives finite outputs, and one that overflows raises
+def test_forward_pass_raises_exactly_where_the_reference_overflows(net, s, n, seed, w_exp,
+                                                                   x_exp):
+    # at fan-in <= 2 the einsum reference gives the same bits; it checks its
+    # own planes, so forward_batch must raise its CapExceededError iff a
+    # pre-activation or post-clamp plane of the reference is not finite,
+    # and otherwise return the reference's exact bits
     rng = np.random.default_rng(seed)
     W = rng.uniform(-1.0, 1.0, size=(s, net.weight_count)) * 10.0**w_exp
     X = rng.uniform(-1.0, 1.0, size=(n, net.input_dim)) * 10.0**x_exp
-    flags = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hypotheses, "_apply_activation_batch", _checking_activation(flags))
-        try:
-            out = forward_batch(net, W, X)
-        except CapExceededError:
-            return
-    assert np.isfinite(out).all()
-    assert len(flags) == sum(layer.width for layer in net.layers)
-
-
-@pytest.mark.parametrize("net, dim", [(STOCK_NET, 1), (TANH_2D_NET, 2), (ALL_KINDS_NET, 2)])
-def test_sampler_planes_are_all_certified(monkeypatch, net, dim):
-    # on the sampler's box the bound certifies every plane, so no plane is scanned
-    flags = []
-    monkeypatch.setattr(hypotheses, "_apply_activation_batch", _checking_activation(flags))
-    B = random_general_position(16, dim, np.random.default_rng(3))
-    sampled_trace_set(net, B, budget=100, seed=1)
-    assert flags and all(flags)
-
-
-def test_uncertified_plane_is_scanned_and_raises(monkeypatch):
-    # (1e10 + 1) * 1e300 bounds nothing, and 1e300 * 1e10 overflows
-    net = NetworkSpec(1, (LayerSpec(1, ActivationSpec("identity")),
-                          LayerSpec(1, ActivationSpec("threshold"))))
-    flags = []
-    monkeypatch.setattr(hypotheses, "_apply_activation_batch", _checking_activation(flags))
-    with pytest.raises(CapExceededError, match="activation input must be finite"):
-        forward_batch(net, [[1e300, 0.0, 1.0, 0.0]], [[1e10]])
-    assert flags == [False]
+    try:
+        want = einsum_forward_batch(net, W, X)
+    except CapExceededError as e:
+        with pytest.raises(CapExceededError, match=f"^{e}$"):
+            forward_batch(net, W, X)
+    else:
+        assert forward_batch(net, W, X).tobytes() == want.tobytes()
 
 
 @contextlib.contextmanager
@@ -440,11 +417,29 @@ def test_forward_pass_ignores_and_restores_the_callers_bufsize(net, s, n):
 
 @pytest.mark.parametrize("size", [64, 8192, 65536])
 def test_raising_forward_pass_restores_the_callers_bufsize(size):
-    # the overflow of test_uncertified_plane_is_scanned_and_raises, raised
-    # from inside the layer loop
+    # 1e300 * 1e10 overflows inside the layer loop
     net = NetworkSpec(1, (LayerSpec(1, ActivationSpec("identity")),
                           LayerSpec(1, ActivationSpec("threshold"))))
     with _caller_bufsize(size):
         with pytest.raises(CapExceededError, match="activation input must be finite"):
             forward_batch(net, [[1e300, 0.0, 1.0, 0.0]], [[1e10]])
         assert np.getbufsize() == size
+
+
+@pytest.mark.parametrize("caller", ["raise", "ignore"])
+def test_forward_pass_restores_the_callers_fp_error_state(caller):
+    # forward_batch sets its own np.errstate for the layer loop: an exp that
+    # underflows (to a subnormal at t = -720, to 0 at t = -800) is no error
+    # even where the caller raises on underflow, and the caller's state is
+    # back after a pass that returns and after one that raises
+    logistic = NetworkSpec(1, (LayerSpec(1, ActivationSpec("logistic")),))
+    overflow = NetworkSpec(1, (LayerSpec(1, ActivationSpec("identity")),
+                               LayerSpec(1, ActivationSpec("threshold"))))
+    with np.errstate(all=caller):
+        state = np.geterr()
+        out = forward_batch(logistic, [[1.0, 0.0]], [[-720.0], [-800.0]])
+        assert np.geterr() == state
+        with pytest.raises(CapExceededError, match="activation input must be finite"):
+            forward_batch(overflow, [[1e300, 0.0, 1.0, 0.0]], [[1e10]])
+        assert np.geterr() == state
+    assert 0.0 < out[0, 0] < 2.0**-1022 and out[0, 1] == 0.0
