@@ -33,7 +33,7 @@ from .pointsets import (
     random_general_position,
     random_points,
     simplex_vertices,
-    subset_chunks,
+    subset_table,
 )
 
 # exact LTF enumeration visits the C(n, d) hyperplanes through d of the
@@ -118,9 +118,9 @@ def trace_set(
         bits = np.zeros((total, k), dtype=bool)  # one row per subset of size <= capacity
         top = 0
         for r in sizes:
-            for chunk in subset_chunks(len(in_dom), r):
-                bits[np.arange(top, top + len(chunk))[:, None], in_dom[chunk]] = True
-                top += len(chunk)
+            table = subset_table(len(in_dom), r)
+            bits[np.arange(top, top + len(table))[:, None], in_dom[table]] = True
+            top += len(table)
         return _packed(bits), True
     if isinstance(cls, ExplicitFinite):
         if outside := [p for p in B.points if p not in cls.domain]:
@@ -213,13 +213,15 @@ def growth_function_oracle(c, n: int):
     if isinstance(c, ExplicitFinite):
         k, t = len(c.domain), len(c.traces)
         r = min(n, k)
-        if math.comb(k, r) > ORACLE_SUBSET_CAP:
-            raise CapExceededError("too many subsets for exhaustive growth count")
+        if (subsets := math.comb(k, r)) > ORACLE_SUBSET_CAP:
+            raise CapExceededError(f"too many subsets for exhaustive growth count: "
+                                   f"C({k}, {r}) = {subsets} exceeds cap {ORACLE_SUBSET_CAP}")
         traces = np.reshape(c.traces, (t, k)).astype(bool)
+        table = subset_table(k, r)
         # subsets per dedupe, so one call packs about _BLOCK_ENTRIES bits
         step = max(1, _BLOCK_ENTRIES // max(t * r, 1))
-        return max(int(_distinct_per_subset(traces, chunk[a : a + step]).max())
-                   for chunk in subset_chunks(k, r) for a in range(0, len(chunk), step))
+        return max(int(_distinct_per_subset(traces, table[a : a + step]).max())
+                   for a in range(0, subsets, step))
     raise ConfigError(f"oracle growth needs a baseline class, not {class_id(c)}")
 
 

@@ -251,12 +251,13 @@ class LinearThreshold:
             raise ConfigError("LinearThreshold dim must be positive")
 
 
-def _check_domain(domain) -> None:
-    """A baseline's domain follows the PointSet rule (distinct, one dimension)."""
+def named_point_set(points, name: str) -> PointSet:
+    """PointSet(points), its rule (distinct, one dimension) broken as a
+    ConfigError that starts with `name`: "domain points must be ..."."""
     try:
-        PointSet(points=domain)
+        return PointSet(points=points)
     except ConfigError as e:
-        raise ConfigError(f"domain {e}") from None
+        raise ConfigError(f"{name} {e}") from None
 
 
 @dataclass(frozen=True)
@@ -273,7 +274,7 @@ class UnionOfMPoints:
     def __post_init__(self):
         if self.capacity < 0:
             raise ConfigError("capacity must be >= 0")
-        _check_domain(self.domain)
+        named_point_set(self.domain, "domain")
 
 
 @dataclass(frozen=True)
@@ -284,7 +285,7 @@ class ExplicitFinite:
     traces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        _check_domain(self.domain)
+        named_point_set(self.domain, "domain")
         for t in self.traces:
             if len(t) != len(self.domain):
                 raise ConfigError("trace length must match domain size")

@@ -31,7 +31,7 @@ import operator
 import numpy as np
 
 from .errors import IndeterminateLabelingError
-from .pointsets import subset_chunks
+from .pointsets import subset_table
 
 # realizable iff optimal margin > MARGIN_TOL (weights confined to the unit
 # box); below NOISE_FLOOR the optimum is treated as exactly 0 (infeasible)
@@ -115,7 +115,9 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
     u_S is normal to them inside the span. Near u_S the v's off the plane
     of S keep the sign of u_S . v (or all flip), and the v's on it (Z) take
     any sign vector of the arrangement of Z alone, of rank r - 1. When Z is
-    S itself those are all 2^(r-1) patterns; only larger Z recurse.
+    S itself those are all 2^(r-1) patterns; only larger Z recurse. The
+    candidate S are the rows of pointsets.subset_table(k, r - 1), whose
+    sides are all taken in one batch.
     """
     k = len(ints)
     cols = _bareiss(ints)[0]
@@ -127,7 +129,7 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
     # unit-vector completion C of det[S; v; C]
     ints = [tuple(v[c] for c in cols) for v in ints]
     floats = floats[:, cols]
-    subsets = np.concatenate(list(subset_chunks(k, r - 1)))
+    subsets = subset_table(k, r - 1)
     sign = _side_signs(ints, floats, subsets)
     on = sign == 0
     n_on = on.sum(axis=1)

@@ -1,5 +1,6 @@
-"""Finite point sets in R^n, uniform point draws, and the general-position
-check run on the draws of exact counts."""
+"""Finite point sets in R^n, uniform point draws, the general-position
+check run on the draws of exact counts, and the table of index subsets that
+this check and the exact counts walk."""
 
 from __future__ import annotations
 
@@ -15,53 +16,53 @@ from .errors import ConfigError
 _GP_TOL = 1e-9
 # draws random_general_position makes before giving up
 _GP_MAX_TRIES = 200
-# subsets per batched determinant call (a few MB of (c, d, d) matrices)
-_GP_CHUNK = 1 << 15
-# (k, r) subset tables of at most one chunk (<= 1 MB each) kept for reuse
-_GP_TABLES = 16
+# subset tables of at most _TABLE_ROWS rows (<= 1 MB each) are kept for
+# reuse, for the _TABLES most recent (k, r)
+_TABLE_ROWS = 1 << 15
+_TABLES = 16
 
 
-def subset_chunks(k: int, r: int):
-    """Yield the r-subsets of range(k), in itertools.combinations order, as
-    (rows, r) intp arrays of at most _GP_CHUNK rows each; nothing if r > k.
+def subset_table(k: int, r: int) -> np.ndarray:
+    """The r-subsets of range(k) as one read-only (C(k, r), r) intp array, in
+    itertools.combinations order: (1, 0) for r = 0, (0, r) for r > k.
 
-    Built level by level: the (q+1)-subsets are each q-subset followed by
-    every larger index, in order, so a chunk of them is np.repeat of the
-    q-subsets it extends next to one arange-based last column, and a level
-    holds one chunk at a time. A table of at most _GP_CHUNK rows is built
-    once per (k, r) (kept for the _GP_TABLES most recent pairs) and shared
-    read-only, since the same (k, r) comes back with every draw of a set."""
-    if 0 < math.comb(k, r) <= _GP_CHUNK:
-        yield _subset_table(k, r)
-    else:
-        yield from _subset_levels(k, r)
+    Built level by level: the (q+1)-prefixes are each q-prefix followed by
+    every larger index that leaves room for the r - q - 1 indices still to
+    come, in order, so a level is one np.repeat of the prefixes it extends
+    next to an arange-based last index. Every level row is a prefix of a
+    distinct final row, so no level is longer than the table; a level keeps
+    only its last indices and parent rows, and the table is filled a column
+    at a time by following parents back from the last level. The build thus
+    writes each table entry once and at most 2r * C(k, r) level entries. A
+    table of at most _TABLE_ROWS rows is built once per (k, r) and shared,
+    since the same (k, r) comes back with every draw of a set."""
+    if math.comb(k, r) <= _TABLE_ROWS:
+        return _cached_table(k, r)
+    return _build_table(k, r)
 
 
-@functools.lru_cache(maxsize=_GP_TABLES)
-def _subset_table(k: int, r: int) -> np.ndarray:
-    table = np.concatenate(list(_subset_levels(k, r)))
+@functools.lru_cache(maxsize=_TABLES)
+def _cached_table(k: int, r: int) -> np.ndarray:
+    return _build_table(k, r)
+
+
+def _build_table(k: int, r: int) -> np.ndarray:
+    lasts, parents = [], []
+    last = np.array([-1], dtype=np.intp)  # the empty prefix
+    for q in range(r):
+        # prefix i is followed by last[i] + 1, ..., k - r + q: rows start[i], ...
+        counts = np.maximum(k - r + q - last, 0)
+        start = np.cumsum(counts) - counts
+        parents.append(np.repeat(np.arange(len(last)), counts))
+        last = np.arange(len(parents[-1])) + np.repeat(last + 1 - start, counts)
+        lasts.append(last)
+    table = np.empty((len(last), r), dtype=np.intp)
+    rows = np.arange(len(last))
+    for q in reversed(range(r)):
+        table[:, q] = lasts[q][rows]
+        rows = parents[q][rows]
     table.flags.writeable = False
     return table
-
-
-def _subset_levels(k: int, r: int):
-    if r == 0:
-        yield np.empty((1, 0), dtype=np.intp)
-        return
-    for parents in _subset_levels(k, r - 1):
-        # parent i is followed by first[i], ..., k - 1: rows start[i]..end[i] - 1
-        first = parents[:, -1] + 1 if r > 1 else np.zeros(1, dtype=np.intp)
-        end = np.cumsum(k - first)
-        start = end - (k - first)
-        for a in range(0, int(end[-1]), _GP_CHUNK):
-            b = min(a + _GP_CHUNK, int(end[-1]))
-            lo, hi = np.searchsorted(end, (a, b - 1), side="right")
-            sl = slice(lo, hi + 1)
-            rows = np.minimum(end[sl], b) - np.maximum(start[sl], a)
-            out = np.empty((b - a, r), dtype=np.intp)
-            out[:, :-1] = np.repeat(parents[sl], rows, axis=0)
-            out[:, -1] = np.arange(a, b) + np.repeat(first[sl] - start[sl], rows)
-            yield out
 
 
 def in_general_position(points: np.ndarray) -> bool:
@@ -70,9 +71,9 @@ def in_general_position(points: np.ndarray) -> bool:
     (k-1)-dimensional volume above tolerance (Gram determinant). Supported
     for dimension d <= 3.
 
-    The (d+1)-subsets come from subset_chunks, and each chunk goes through
-    one batched np.linalg.det call, which is bitwise equal to one call per
-    subset, so the decision is that of a per-subset loop."""
+    All (d+1)-subsets of subset_table go through one batched np.linalg.det
+    call, which is bitwise equal to one call per subset, so the decision is
+    that of a per-subset loop."""
     pts = np.asarray(points, dtype=float)
     k, d = pts.shape
     if d > 3:
@@ -80,11 +81,8 @@ def in_general_position(points: np.ndarray) -> bool:
     if k <= d:
         M = pts[1:] - pts[:1]
         return bool(np.sqrt(max(np.linalg.det(M @ M.T), 0.0)) > _GP_TOL)
-    for idx in subset_chunks(k, d + 1):
-        sub = pts[idx]
-        if (np.abs(np.linalg.det(sub[:, 1:] - sub[:, :1])) <= _GP_TOL).any():
-            return False
-    return True
+    sub = pts[subset_table(k, d + 1)]
+    return not (np.abs(np.linalg.det(sub[:, 1:] - sub[:, :1])) <= _GP_TOL).any()
 
 
 @dataclass(frozen=True)

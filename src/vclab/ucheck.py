@@ -18,8 +18,8 @@ import numpy as np
 # lookup site (REQUIRED_SITES), so the import stays
 from .dichotomy import DEFAULT_BUDGET, sampled_trace_set, trace_set  # noqa: F401
 from .errors import CapExceededError, ConfigError
-from .hypotheses import (SCHEMA_VERSION, read_field, read_json_object, read_list, read_number,
-                         read_points)
+from .hypotheses import (SCHEMA_VERSION, named_point_set, read_field, read_json_object,
+                         read_list, read_number, read_points)
 from .pointsets import PointSet
 
 PROB_TOL = 1e-12
@@ -177,7 +177,7 @@ def load_distribution(path) -> DiscreteDistribution:
         for key in ("support", "probabilities", "labels")
     )
     return DiscreteDistribution(
-        support=PointSet(points=read_points(support, "distribution field 'support'")),
+        support=named_point_set(read_points(support, "distribution field 'support'"), "support"),
         probabilities=tuple(read_number(p, "distribution field 'probabilities' entry")
                             for p in probabilities),
         true_labels=tuple(labels),

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -320,6 +321,19 @@ class TestGrowthCommand:
         assert main([argv[0], "--class", str(spec), *argv[1:], "--output", str(out)]) == 2
         assert f"trace entries must be 0 or 1, got {bad}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_explicit_finite_oracle_builds_only_the_subsets_it_visits(self, tmp_path):
+        # C(28, 26) = 378 subsets, where every q-subset for q < 26 would be
+        # about 2^28 rows
+        spec, out = tmp_path / "c.json", tmp_path / "out.csv"
+        spec.write_text(_spec_json(kind="baseline", baseline={
+            "kind": "explicit_finite", "domain": [[i] for i in range(28)],
+            "traces": [[0] * 28, [1] * 28]}))
+        start = time.perf_counter()
+        assert main(["growth", "--class", str(spec), "--n", "26", "--method", "oracle",
+                     "--output", str(out)]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert read_rows(out)[1][:3] == ["26", "2", "exact"]
 
 
 class TestVcdimCommand:
@@ -776,6 +790,68 @@ BAD_INPUT_ROUTES = [
     # a value that parses but fails its rule is named by its digit count too
     (["growth", "--class", NET_JSON, "--n", "4", "--seed", "-1" + "0" * 4000], {}, 2,
      "--seed must be >= 0, got a negative integer of 4001 digits"),
+    # network specs that break a rule of their own
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 1, "layers": [
+         {"activation": {"kind": "sigmoid"}}]})}, 2, "unknown activation kind 'sigmoid'"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 0, "layers": [
+         {"activation": {"kind": "threshold"}}]})}, 2, "input_dim must be positive"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 1, "layers": []})}, 2,
+     "network needs at least one layer"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="network", network={"input_dim": 1, "layers": [
+         {"activation": "tanh"}]})}, 2, "activation must be an object with a 'kind' field"),
+    # class specs missing their object, or of an unknown kind
+    (["growth", "--class", "{d}/c.json", "--n", "2"], {"c.json": _spec_json(kind="network")}, 2,
+     "missing 'network' object"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"], {"c.json": _spec_json(kind="baseline")},
+     2, "missing 'baseline' object"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="baseline", baseline={"kind": "halfspace"})}, 2,
+     "unknown baseline kind 'halfspace'"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"], {"c.json": _spec_json(kind="tree")}, 2,
+     "unknown class spec kind 'tree'"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"], {"c.json": "[]"}, 2,
+     "c.json: top level must be an object"),
+    # baseline specs that break a rule of their own
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="baseline", baseline={"kind": "linear_threshold", "dim": 0})},
+     2, "LinearThreshold dim must be positive"),
+    (["growth", "--class", "{d}/c.json", "--n", "2"],
+     {"c.json": _spec_json(kind="baseline", baseline={
+         "kind": "union_of_points", "capacity": -1, "domain": [[0.0]]})}, 2,
+     "capacity must be >= 0"),
+    (["growth", "--class", "{d}/c.json", "--n", "2", "--method", "oracle"],
+     {"c.json": _spec_json(kind="baseline", baseline={
+         "kind": "explicit_finite", "domain": [[0.0], [1.0]], "traces": [[0, 1, 1]]})}, 2,
+     "trace length must match domain size"),
+    (["density", "--input", "{d}/g.csv"], {"g.csv": _growth_csv_text()}, 2,
+     "g.csv: growth CSV has no data rows"),
+    # distributions that break a rule of their own
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(support=[[0.0, 0.0], [1.0, 0.0]], probabilities=[1.0],
+                           labels=[0, 1])}, 2,
+     "probabilities and labels must match support size"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": json.dumps(UNIT_DIST)}, 2, "distribution spec needs schema_version = 1"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(**{**UNIT_DIST, "support": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]})},
+     2, "support points must be pairwise distinct"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(**{**UNIT_DIST, "support": [[0.0, 0.0], [1.0], [0.0, 1.0]]})}, 2,
+     "support points must share a dimension"),
+    # a method the class does not have, and caps on the work a call asks for
+    (["growth", "--class", UNION2_JSON, "--n", "2", "--method", "exact"], {}, 2,
+     "exact growth counting is only available for linear_threshold"),
+    (["vcdim", "--class", LTF2_JSON, "--max-d", "17"], {}, 3,
+     "max_d 17 exceeds shattering cap 16"),
+    (["ucheck", "--class", "{d}/c.json", "--dist", "{d}/p.json", *UCHECK],
+     {"c.json": _spec_json(kind="baseline", baseline={
+         "kind": "union_of_points", "capacity": 10, "domain": [[float(i)] for i in range(20)]}),
+      "p.json": _spec_json(support=[[float(i)] for i in range(20)], probabilities=[0.05] * 20,
+                           labels=[0] * 20)}, 3, "616666 traces exceed trace cap 200000"),
 ]
 
 

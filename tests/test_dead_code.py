@@ -144,7 +144,7 @@ def test_private_read_check_sees_every_import_form():
     source = """
 from . import linsep
 from . import bounds as bnd
-from .pointsets import _GP_TOL, subset_chunks
+from .pointsets import _GP_TOL, subset_table
 from vclab.dichotomy import _packed
 import vclab.hypotheses as hyp
 linsep._cells(1); bnd._least_k; hyp._parse_activation; linsep.unique_rows; bnd.__name__

@@ -179,12 +179,13 @@ class TestGrowthOracle:
         assert growth_function_oracle(c, 3) == 4
         assert growth_function_oracle(c, 1) == 2
 
-    @pytest.mark.parametrize("chunk, entries", [(1 << 15, 1 << 16), (7, 5)])
-    def test_explicit_finite_equals_per_subset_reference(self, monkeypatch, chunk, entries):
-        # subsets deduped a chunk at a time agree with one dedupe per subset
-        monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
+    @pytest.mark.parametrize("table_rows, entries", [(1 << 15, 1 << 16), (7, 5)])
+    def test_explicit_finite_equals_per_subset_reference(self, monkeypatch, table_rows, entries):
+        # subsets deduped a block at a time, from cached or fresh subset
+        # tables, agree with one dedupe per subset
+        monkeypatch.setattr(pointsets, "_TABLE_ROWS", table_rows)
         monkeypatch.setattr(dichotomy, "_BLOCK_ENTRIES", entries)
-        rng = np.random.default_rng(chunk)
+        rng = np.random.default_rng(table_rows)
         for k, t in [(0, 3), (1, 0), (4, 1), (6, 9), (9, 40), (11, 5)]:
             traces = tuple(map(tuple, rng.integers(0, 2, size=(t, k)).tolist()))
             c = ExplicitFinite(domain=tuple((float(i),) for i in range(k)), traces=traces)
@@ -200,8 +201,10 @@ class TestGrowthOracle:
         c = ExplicitFinite(domain=tuple((float(i),) for i in range(k)),
                            traces=((0,) * k, (0,) * (k - 1) + (1,)))
         if capped:
-            with pytest.raises(CapExceededError, match="too many subsets"):
+            with pytest.raises(CapExceededError) as err:
                 growth_function_oracle(c, 1)
+            assert str(err.value) == ("too many subsets for exhaustive growth count: "
+                                      "C(100002, 1) = 100002 exceeds cap 100001")
         else:
             assert growth_function_oracle(c, 1) == 2
 

@@ -82,23 +82,32 @@ def test_flat_pack_equals_np_unique_rows_at_every_width(rows):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, pointsets._GP_CHUNK])
-def test_subset_chunks_equal_itertools_combinations(monkeypatch, chunk):
-    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
-    for k in range(13):
-        for r in range(5):  # r > k included: no subsets
-            chunks = list(pointsets.subset_chunks(k, r))
-            assert all(c.dtype == np.intp and 0 < len(c) <= chunk for c in chunks)
-            want = list(itertools.combinations(range(k), r))
-            got = np.concatenate(chunks) if chunks else np.empty((0, r), dtype=np.intp)
-            assert got.shape == (len(want), r)
-            assert list(map(tuple, got.tolist())) == want
+def test_subset_table_equals_itertools_combinations(monkeypatch):
+    # cached tables, then tables built afresh on every call
+    for table_rows in (pointsets._TABLE_ROWS, 0):
+        monkeypatch.setattr(pointsets, "_TABLE_ROWS", table_rows)
+        for k in range(15):
+            for r in range(k + 3):  # r = 0: one empty subset; r > k: none
+                table = pointsets.subset_table(k, r)
+                assert table.dtype == np.intp and not table.flags.writeable
+                want = list(itertools.combinations(range(k), r))
+                assert table.shape == (len(want), r)
+                assert list(map(tuple, table.tolist())) == want
 
 
-@pytest.mark.parametrize("chunk", [1, 7, pointsets._GP_CHUNK])
-def test_general_position_equals_per_subset_reference(monkeypatch, chunk):
-    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
-    rng = np.random.default_rng(chunk)
+def test_subset_table_builds_only_rows_that_reach_size_r():
+    # levels that kept every q-subset would hold about 2^60 rows here
+    table = pointsets.subset_table(60, 58)
+    assert table.shape == (1770, 58)
+    assert table[0].tolist() == list(range(58))
+    assert table[-1].tolist() == list(range(2, 60))
+
+
+@pytest.mark.parametrize("table_rows", [1, 7, pointsets._TABLE_ROWS])
+def test_general_position_equals_per_subset_reference(monkeypatch, table_rows):
+    # on subset tables built afresh (1, 7) and cached (_TABLE_ROWS)
+    monkeypatch.setattr(pointsets, "_TABLE_ROWS", table_rows)
+    rng = np.random.default_rng(table_rows)
     for d in (1, 2, 3):
         for k in (d + 1, d + 2, 9):
             pts = rng.uniform(-1.0, 1.0, size=(k, d))
@@ -142,8 +151,8 @@ def test_batched_general_position_equals_loop_on_integer_grids(d, k, seed):
 
 
 def test_dependent_subset_past_the_first_chunk():
-    # k = 64, d = 2: C(64, 3) = 41664 subsets; the only dependent triple is
-    # the last one, (61, 62, 63)
+    # k = 64, d = 2: C(64, 3) = 41664 subsets, more than a cached table
+    # holds; the only dependent triple is the last row, (61, 62, 63)
     rng = np.random.default_rng(7)
     pts = random_general_position(63, 2, rng).as_array()
     pts = np.vstack([pts, pts[61] + 0.37 * (pts[62] - pts[61])])
@@ -152,20 +161,8 @@ def test_dependent_subset_past_the_first_chunk():
         if not loop_in_general_position(pts[list(idx)])
     ]
     assert dependent == [(61, 62, 63)]
-    assert 41664 - 1 >= pointsets._GP_CHUNK
     assert not in_general_position(pts)
     assert in_general_position(pts[:63])
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 5, 8])
-def test_small_chunks_give_the_same_decisions(monkeypatch, chunk):
-    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
-    rng = np.random.default_rng(chunk)
-    for d in (1, 2, 3):
-        pts = rng.uniform(-1.0, 1.0, size=(d + 5, d))
-        assert in_general_position(pts) == loop_in_general_position(pts)
-        pts[-1] = pts[0]
-        assert not in_general_position(pts)
 
 
 def test_random_general_position_draws_unchanged_by_batching(monkeypatch):

@@ -99,13 +99,14 @@ def test_union_count_is_binomial_sum(capacity, coords):
     assert len(rows) == sum(math.comb(inside, i) for i in range(min(capacity, inside) + 1))
 
 
-@pytest.mark.parametrize("chunk", [1, 3, pointsets._GP_CHUNK])
+@pytest.mark.parametrize("table_rows", [1, 3, pointsets._TABLE_ROWS])
 @pytest.mark.parametrize("capacity", [0, 1, 2, 3, 7])
 @pytest.mark.parametrize("coords", [(), (9,), (0, 9, 2, -1, 4), (4, 3, 2, 1, 0),
                                     (0, 1, 2, 3, 4, 7, 8)])
-def test_union_rows_equal_itertools_reference(monkeypatch, chunk, capacity, coords):
-    # domain 0..4: coordinates outside it are points B has but the domain lacks
-    monkeypatch.setattr(pointsets, "_GP_CHUNK", chunk)
+def test_union_rows_equal_itertools_reference(monkeypatch, table_rows, capacity, coords):
+    # domain 0..4: coordinates outside it are points B has but the domain lacks;
+    # subset tables built afresh (1, 3) and cached (_TABLE_ROWS)
+    monkeypatch.setattr(pointsets, "_TABLE_ROWS", table_rows)
     cls = UnionOfMPoints(capacity=capacity, domain=tuple((float(i),) for i in range(5)))
     B = PointSet(points=tuple((float(c),) for c in coords))
     inside = [i for i, c in enumerate(coords) if 0 <= c < 5]
