@@ -82,17 +82,18 @@ def test_flat_pack_equals_np_unique_rows_at_every_width(rows):
         assert np.array_equal(got, want)
 
 
-def test_subset_table_equals_itertools_combinations(monkeypatch):
-    # cached tables, then tables built afresh on every call
-    for table_rows in (pointsets._TABLE_ROWS, 0):
-        monkeypatch.setattr(pointsets, "_TABLE_ROWS", table_rows)
-        for k in range(15):
-            for r in range(k + 3):  # r = 0: one empty subset; r > k: none
-                table = pointsets.subset_table(k, r)
-                assert table.dtype == np.intp and not table.flags.writeable
-                want = list(itertools.combinations(range(k), r))
-                assert table.shape == (len(want), r)
-                assert list(map(tuple, table.tolist())) == want
+@pytest.mark.parametrize("table_rows", [1, 7, pointsets._TABLE_ROWS])
+def test_subset_chunks_equal_itertools_combinations(monkeypatch, table_rows):
+    # subset tables built afresh past the cache cap (1, 7), cached below it
+    # (_TABLE_ROWS holds every table here)
+    monkeypatch.setattr(pointsets, "_TABLE_ROWS", table_rows)
+    for k in range(15):
+        for r in range(k + 3):  # r = 0: one empty subset; r > k: none
+            table = pointsets.subset_table(k, r)
+            assert table.dtype == np.intp and not table.flags.writeable
+            want = list(itertools.combinations(range(k), r))
+            assert table.shape == (len(want), r)
+            assert list(map(tuple, table.tolist())) == want
 
 
 def test_subset_table_builds_only_rows_that_reach_size_r():
