@@ -22,7 +22,7 @@ from . import bounds as bnd
 from . import dichotomy as dch
 from . import ucheck as uc
 from .errors import CapExceededError, ConfigError
-from .hypotheses import LinearThreshold, NetworkSpec, load_class_spec
+from .hypotheses import LinearThreshold, NetworkSpec, UnionOfMPoints, load_class_spec
 
 DEFAULT_SEED = 1729
 
@@ -268,11 +268,18 @@ def cmd_ucheck(args):
         raise ConfigError("ucheck needs either --k or --m (for k_elementary)")
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
-    if isinstance(cls, (LinearThreshold, NetworkSpec)):
-        dim = cls.dim if isinstance(cls, LinearThreshold) else cls.input_dim
-        if dist.support.dim != dim:
-            raise ConfigError(f"--dist support points have dimension {dist.support.dim}; "
-                              f"--class {dch.class_id(cls)} takes dimension {dim}")
+    # a union class with an empty domain takes points of any dimension
+    if isinstance(cls, LinearThreshold):
+        dim = cls.dim
+    elif isinstance(cls, NetworkSpec):
+        dim = cls.input_dim
+    elif isinstance(cls, UnionOfMPoints) and cls.domain:
+        dim = len(cls.domain[0])
+    else:
+        dim = None
+    if dim is not None and dist.support.dim != dim:
+        raise ConfigError(f"--dist support points have dimension {dist.support.dim}; "
+                          f"--class {dch.class_id(cls)} takes dimension {dim}")
     k = k or bnd.k_elementary(bnd.BoundQuery(m=m, eps=eps, delta=delta))
     result = uc.run_uc_experiment(cls, dist, eps=eps, k=k, trials=trials, seed=seed,
                                   budget=budget)

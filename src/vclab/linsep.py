@@ -14,8 +14,10 @@ evaluation gives each determinant with its permanent P, and its sign
 counts where |det| > 2 r^2 2^-53 P for r x r determinants, twice its
 forward error bound (a filtered predicate; Shewchuk 1997). The remaining
 signs come from integer Bareiss determinants of the points scaled exactly
-to integers. So the enumeration has no tolerance and does not depend on
-how the points are scaled.
+to integers, which are built only when some sign is left open; the rank
+is read off a certified nonzero determinant. So a set in general position
+runs on floats alone, and the enumeration has no tolerance and does not
+depend on how the points are scaled.
 
 `max_margin`/`is_realizable` decide one labeling by LP: it is realizable
 iff the optimal separation margin, maximized over weight vectors in the
@@ -25,6 +27,7 @@ indeterminate rather than guessed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 
@@ -93,7 +96,7 @@ def enumerate_ltf_traces(points: np.ndarray) -> np.ndarray:
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     rows = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    return _cells(_integer_lift(pts), rows)
+    return _cells(rows, functools.cache(lambda: _integer_lift(pts)))
 
 
 def _integer_lift(pts: np.ndarray) -> list[tuple[int, ...]]:
@@ -104,33 +107,63 @@ def _integer_lift(pts: np.ndarray) -> list[tuple[int, ...]]:
     return [tuple(p * (scale // q) for p, q in row) + (scale,) for row in ratios]
 
 
-def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
+def _cells(floats: np.ndarray, ints) -> np.ndarray:
     """Sign vectors (1 for > 0, 0 for < 0) of u . v over all u that are
-    nonzero on every v: the cells of the central arrangement of the v's,
-    as sorted distinct np.packbits rows. `ints` and `floats` hold the same
-    v's up to one positive factor, as integers and as floats.
+    nonzero on every v: the cells of the central arrangement of the k rows
+    v of `floats`, which live in R^c, as sorted distinct np.packbits rows.
+    `ints()` returns the same v's up to one positive factor as integer
+    tuples; it is called only when the floats leave a sign or the rank
+    open.
 
-    With r the rank of the v's, every cell of this rank-r arrangement has a
-    ray u_S in its closure, where S is a set of r - 1 independent v's and
-    u_S is normal to them inside the span. Near u_S the v's off the plane
-    of S keep the sign of u_S . v (or all flip), and the v's on it (Z) take
-    any sign vector of the arrangement of Z alone, of rank r - 1. When Z is
-    S itself those are all 2^(r-1) patterns; only larger Z recurse. The
-    candidate S are the rows of pointsets.subset_table(k, r - 1), whose
-    sides are all taken in one batch.
+    For k > c the sides det[S; v] over the (c - 1)-subsets S come first
+    (`_float_sides`): one certified nonzero side shows the v's have full
+    rank c, and the sides are then used as they are (`_rank_cells`), so a
+    set whose every sign the floats settle never builds its integers. Only
+    when none is certified, or for k <= c, does `_exact_cells` find the
+    rank by integer elimination.
     """
-    k = len(ints)
+    k, c = floats.shape
+    if k > c:
+        subsets = subset_table(k, c - 1)
+        side, certain = _float_sides(floats, subsets)
+        if certain.any():
+            return _rank_cells(floats, ints, subsets, side, certain)
+    return _exact_cells(floats, ints())
+
+
+def _exact_cells(floats: np.ndarray, ints: list[tuple[int, ...]]) -> np.ndarray:
+    """`_cells` of the v's with the rank r from the integer Bareiss
+    elimination of `ints`: all 2^k patterns when r = k, else the cells of
+    the v's projected onto r independent coordinates. The projection is
+    one-to-one on the span, so the cells keep their sign vectors; the
+    dropped coordinates are the unit-vector completion C of det[S; v; C]."""
     cols = _bareiss(ints)[0]
-    r = len(cols)
-    if r == k:
-        return pack_rows(_all_patterns(k))
-    # projecting onto r independent coordinates is one-to-one on the span,
-    # so the cells keep their sign vectors; the dropped coordinates are the
-    # unit-vector completion C of det[S; v; C]
-    ints = [tuple(v[c] for c in cols) for v in ints]
+    if len(cols) == len(ints):
+        return pack_rows(_all_patterns(len(ints)))
+    ints = [tuple(v[j] for j in cols) for v in ints]
     floats = floats[:, cols]
-    subsets = subset_table(k, r - 1)
-    sign = _side_signs(ints, floats, subsets)
+    subsets = subset_table(len(ints), len(cols) - 1)
+    return _rank_cells(floats, lambda: ints, subsets, *_float_sides(floats, subsets))
+
+
+def _rank_cells(
+    floats: np.ndarray, ints, subsets: np.ndarray, side: np.ndarray, certain: np.ndarray
+) -> np.ndarray:
+    """`_cells` of k v's of full rank r in R^r, from the float sides
+    (`_float_sides`) of the rows S of subsets = pointsets.subset_table(k,
+    r - 1).
+
+    Every cell of this rank-r arrangement has a ray u_S in its closure,
+    where S is a set of r - 1 independent v's and u_S is normal to them.
+    Near u_S the v's off the plane of S keep the sign of u_S . v (or all
+    flip), and the v's on it (Z) take any sign vector of the arrangement of
+    Z alone, of rank r - 1. When Z is S itself those are all 2^(r-1)
+    patterns; only larger Z recurse (`_exact_cells`). A larger Z needs a
+    side certified zero, which only the integers give, so a set whose
+    signs the floats settle never recurses.
+    """
+    k, r = floats.shape
+    sign = _side_signs(ints, subsets, side, certain)
     on = sign == 0
     n_on = on.sum(axis=1)
     # simple planes (Z = S): the rays +-u_S with every pattern on S
@@ -149,7 +182,8 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
         if (key := z.tobytes()) in planes:
             continue
         planes.add(key)
-        sub = np.unpackbits(_cells([ints[i] for i in z], floats[z]), axis=1, count=len(z))
+        sub = np.unpackbits(_exact_cells(floats[z], [ints()[i] for i in z]), axis=1,
+                            count=len(z))
         rays = np.stack([sign[c] > 0, sign[c] < 0]).astype(np.uint8)
         rows = np.repeat(rays, len(sub), axis=0)
         rows[:, z] = np.tile(sub, (2, 1))
@@ -157,37 +191,59 @@ def _cells(ints: list[tuple[int, ...]], floats: np.ndarray) -> np.ndarray:
     return unique_rows(pack_rows(np.concatenate(found)))
 
 
+@functools.cache
 def _all_patterns(m: int) -> np.ndarray:
-    """All 2^m 0/1 rows of length m, in lexicographic order."""
-    return ((np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(np.uint8)
+    """All 2^m 0/1 rows of length m, in lexicographic order, as a read-only
+    uint8 array built once per m."""
+    return _frozen((np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1, np.uint8)
 
 
-def _side_signs(
-    ints: list[tuple[int, ...]], floats: np.ndarray, subsets: np.ndarray
-) -> np.ndarray:
+def _frozen(values, dtype) -> np.ndarray:
+    """np.array(values, dtype), made read-only for sharing from a cache."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
+def _side_signs(ints, subsets: np.ndarray, side: np.ndarray, certain: np.ndarray) -> np.ndarray:
     """The exact signs of det[S; v] for every row S of `subsets` (indices
     of r - 1 of the v's, which live in R^r) and every v, as an int8 matrix:
-    the float sign wherever `_float_sides` certifies it, else the sign of the
-    integer determinant (`_bareiss`). The sides of S's own v's are 0 by
-    construction."""
-    side, certain = _float_sides(floats, subsets)
+    the sign of `side` wherever `certain` (from `_float_sides`) holds, else
+    the sign of the integer determinant (`_bareiss`) over the rows of
+    `ints()`. The sides of S's own v's are 0 by construction."""
     sign = np.sign(side).astype(np.int8)
     rows = np.arange(len(subsets))[:, None]
     sign[rows, subsets] = 0
     certain[rows, subsets] = True
-    r = floats.shape[1]
+    r = subsets.shape[1] + 1
     normals = {}
     for s, v in zip(*np.nonzero(~certain)):
         if s not in normals:
-            S = [ints[i] for i in subsets[s]]
+            S = [ints()[i] for i in subsets[s]]
             # cofactors of the last row of det[S; v], so normal . v = det[S; v]
             normals[s] = [
                 (-1) ** (j + r - 1) * _bareiss([row[:j] + row[j + 1:] for row in S])[1]
                 for j in range(r)
             ]
-        det = sum(map(operator.mul, normals[s], ints[v]))
+        det = sum(map(operator.mul, normals[s], ints()[v]))
         sign[s, v] = (det > 0) - (det < 0)
     return sign
+
+
+@functools.cache
+def _levels(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The level tables of `_float_sides` for r x r determinants, built once
+    per r as read-only arrays: for t = 1, ..., r, the t-sets T of column
+    indices (combinations order), for each T and s the position of T without
+    T[s] among the (t - 1)-sets, and the cofactor signs (-1)^(s + t - 1)."""
+    levels, index = [], {(): 0}
+    for t in range(1, r + 1):
+        sets = list(itertools.combinations(range(r), t))
+        sub = [[index[T[:s] + T[s + 1:]] for s in range(t)] for T in sets]
+        sign = [(-1.0) ** (s + t - 1) for s in range(t)]
+        levels.append((_frozen(sets, np.intp), _frozen(sub, np.intp), _frozen(sign, float)))
+        index = {T: i for i, T in enumerate(sets)}
+    return tuple(levels)
 
 
 def _float_sides(floats: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,10 +252,11 @@ def _float_sides(floats: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, n
 
     Every minor of S comes from expansion along its last row, level by
     level, and the same sums over absolute values give the permanents;
-    det[S; v] is the last level and P its permanent. One monomial of it
-    passes at most r^2 roundings, so the float value is off by at most
-    r^2 * 2^-53 * P / (1 - r^2 * 2^-53) (Shewchuk 1997). That bound needs
-    every step to stay normal: while every nonzero |entry| lies in
+    det[S; v] is the last level, one matrix product, and P its permanent.
+    One monomial of it passes at most r^2 roundings, so the float value is
+    off by at most r^2 * 2^-53 * P / (1 - r^2 * 2^-53) (Shewchuk 1997),
+    whatever the order of the sums. That bound needs every step to stay
+    normal: while every nonzero |entry| lies in
     [2^(53 - 1000/r), 2^(1000/r) / r], no sum or product overflows, and no
     nonzero value falls below 2^-1000 even after a cancellation at every
     level. There a sign is certain where |det| > 2 r^2 2^-53 P; for a set
@@ -207,31 +264,22 @@ def _float_sides(floats: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, n
     """
     c, m = subsets.shape
     r = m + 1
-    side = np.zeros((c, len(floats)))
-    certain = np.zeros(side.shape, dtype=bool)
     mag = np.abs(floats)
     lo, hi = np.log2(mag[mag > 0].min()), np.log2(mag.max())
-    if r * (lo - 53) >= -1000 and r * (hi + np.log2(r)) <= 1000:
-        A = floats[subsets]
-        # minors of the leading t rows of A, one per t-set T of columns
-        # (combinations order); row t - 1 pairs column T[s] with minor T - T[s]
-        det = per = np.ones((c, 1))
-        index = {(): 0}
-        for t in range(1, r):
-            sets = list(itertools.combinations(range(r), t))
-            sub = [[index[T[:s] + T[s + 1:]] for s in range(t)] for T in sets]
-            a = A[:, t - 1, np.array(sets)]
-            det = (a * det[:, sub] * (-1.0) ** (np.arange(t) + t - 1)).sum(axis=2)
-            per = (np.abs(a) * per[:, sub]).sum(axis=2)
-            index = {T: i for i, T in enumerate(sets)}
-        # the minor without column j is the (r - 1 - j)-th, and v_j its
-        # cofactor's multiplier
-        perm = np.zeros(side.shape)
-        for j in range(r):
-            side += (-1) ** (j + r - 1) * det[:, r - 1 - j, None] * floats[:, j]
-            perm += per[:, r - 1 - j, None] * mag[:, j]
-        certain = np.abs(side) > 2 * r**2 * 2.0**-53 * perm
-    return side, certain
+    if r * (lo - 53) < -1000 or r * (hi + np.log2(r)) > 1000:
+        return np.zeros((c, len(floats))), np.zeros((c, len(floats)), dtype=bool)
+    A = floats[subsets]
+    *levels, (_, last, sign) = _levels(r)
+    # minors of the leading t rows of A, one per t-set T of columns; row
+    # t - 1 pairs column T[s] with minor T - T[s]
+    det = per = np.ones((c, 1))
+    for t, (sets, sub, level_sign) in enumerate(levels, start=1):
+        a = A[:, t - 1, sets]
+        det = (a * det[:, sub] * level_sign).sum(axis=2)
+        per = (np.abs(a) * per[:, sub]).sum(axis=2)
+    # then v pairs column s with minor range(r) - s
+    side = (det[:, last[0]] * sign) @ floats.T
+    return side, np.abs(side) > 2 * r**2 * 2.0**-53 * (per[:, last[0]] @ mag.T)
 
 
 def pack_rows(bits) -> np.ndarray:

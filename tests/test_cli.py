@@ -852,6 +852,10 @@ BAD_INPUT_ROUTES = [
          "kind": "union_of_points", "capacity": 10, "domain": [[float(i)] for i in range(20)]}),
       "p.json": _spec_json(support=[[float(i)] for i in range(20)], probabilities=[0.05] * 20,
                            labels=[0] * 20)}, 3, "616666 traces exceed trace cap 200000"),
+    # a support the class's domain cannot contain
+    (["ucheck", "--class", UNION2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(**{**UNIT_DIST, "support": [[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]})},
+     2, "--dist support points have dimension 3; --class union_of_points_m2 takes dimension 1"),
 ]
 
 

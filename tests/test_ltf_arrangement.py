@@ -1,7 +1,8 @@
 """Properties of the exact LTF trace enumeration (hyperplane arrangement):
 agreement with the margin-LP sweep and with the recursive integer-only
 enumeration on degenerate, near-degenerate and scaled sets, the exact
-fallback of the filtered float predicate, scale invariance, complement
+fallback of the filtered float predicate and the float-only path of
+generic draws, the cached level tables, scale invariance, complement
 closure and Cover's count."""
 
 import itertools
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import lp_ltf_traces, ltf_tuples, recursive_ltf_traces
 from vclab import linsep
 from vclab.dichotomy import sauer_shelah_cap
-from vclab.pointsets import random_general_position
+from vclab.pointsets import random_general_position, random_points
 
 
 def cover_count(n, d):
@@ -159,3 +160,64 @@ def test_covers_count_at_scale(n, d):
     traces = ltf_tuples(pts)
     assert len(traces) == cover_count(n, d)
     assert traces == sorted(set(traces))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_generic_draws_take_no_integer_arithmetic(monkeypatch, d):
+    """Floats settle every sign of a uniform draw of more than d + 1 points,
+    rank included, so the enumeration runs with the integer lift and the
+    Bareiss elimination both unavailable."""
+    draws = [random_points(n, d, np.random.default_rng(100 * d + n)).as_array()
+             for n in range(d + 2, 21)]
+    want = [recursive_ltf_traces(pts) for pts in draws]
+
+    def unavailable(*args):
+        raise AssertionError("integer arithmetic on a generic draw")
+
+    monkeypatch.setattr(linsep, "_integer_lift", unavailable)
+    monkeypatch.setattr(linsep, "_bareiss", unavailable)
+    assert [ltf_tuples(pts) for pts in draws] == want
+
+
+@pytest.mark.parametrize("pts", [NEAR_COLLINEAR, *EXTREME_SETS, np.round(NEAR_COLLINEAR)],
+                         ids=["near_collinear", "extreme0", "extreme1", "extreme2",
+                              "collinear_grid"])
+def test_uncertain_signs_take_integer_arithmetic(monkeypatch, pts):
+    """A set with a sign the floats leave open builds its integers once per
+    call and runs Bareiss, and still gets the reference's rows."""
+    want = recursive_ltf_traces(pts)
+    calls = {"_integer_lift": 0, "_bareiss": 0}
+
+    def counted(name):
+        real = getattr(linsep, name)
+
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(linsep, name, counted(name))
+    assert ltf_tuples(pts) == want
+    assert calls["_integer_lift"] == 1 and calls["_bareiss"] > 0
+
+
+def test_cached_tables_are_right_and_read_only():
+    for r in range(1, 7):
+        levels = linsep._levels(r)
+        assert linsep._levels(r) is levels
+        index = {(): 0}
+        for t, (sets, sub, sign) in enumerate(levels, start=1):
+            fresh = list(itertools.combinations(range(r), t))
+            assert sets.tolist() == [list(T) for T in fresh]
+            assert sub.tolist() == [[index[T[:s] + T[s + 1:]] for s in range(t)] for T in fresh]
+            assert sign.tolist() == [(-1) ** (s + t - 1) for s in range(t)]
+            index = {T: i for i, T in enumerate(fresh)}
+            for table in (sets, sub, sign):
+                with pytest.raises(ValueError):
+                    table[...] = 0
+    for m in range(7):
+        patterns = linsep._all_patterns(m)
+        assert patterns.tolist() == [list(p) for p in itertools.product((0, 1), repeat=m)]
+        with pytest.raises(ValueError):
+            patterns[...] = 0
