@@ -156,7 +156,7 @@ def deviation_bound_rademacher(k: int, m: int, delta: float, c_prime: float = 2.
     if not (0 < delta < 1):
         raise ValueError("delta must be in (0, 1)")
     _check_constant("C_prime", c_prime)
-    first = math.sqrt(8.0 * m * math.log(c_prime * k) / k)
+    first = math.sqrt(8.0 * m * (math.log(c_prime) + math.log(k)) / k)
     second = math.sqrt(2.0 * math.log(4.0 / delta) / k)
     return first + second
 

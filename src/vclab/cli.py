@@ -222,8 +222,9 @@ def cmd_vcdim(args):
 
 def read_growth_csv(path) -> dch.GrowthEstimate:
     """Parse the growth CSV schema back into a GrowthEstimate. A non-UTF-8
-    file, a cell that is not an integer, a sample GrowthSample rejects, and an
-    n or count past the float range (the fit logs floats) are ConfigErrors."""
+    file, a cell that is not an integer, a sample GrowthSample rejects, an n
+    or count past the float range (the fit logs floats), and a class_id other
+    than data row 1's (the fit is of one class) are ConfigErrors."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -249,6 +250,10 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
             raise ConfigError(f"{where}: {e}") from None
         if max(r["n"], r["count"]) > sys.float_info.max:
             raise ConfigError(f"{where}: n and count must be within the float range")
+    for i, r in enumerate(rows[1:], start=2):
+        if r["class_id"] != rows[0]["class_id"]:
+            raise ConfigError(f"{path} data row {i}: class_id {_shown(r['class_id'])} differs "
+                              f"from data row 1's {_shown(rows[0]['class_id'])}")
     return dch.GrowthEstimate(samples=tuple(samples), class_id=rows[0]["class_id"],
                               seed=rows[0]["seed"])
 

@@ -5,6 +5,7 @@ this check and the exact counts walk."""
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,18 +24,9 @@ _TABLES = 16
 
 
 def subset_table(k: int, r: int) -> np.ndarray:
-    """The r-subsets of range(k) as one read-only (C(k, r), r) intp array, in
-    itertools.combinations order: (1, 0) for r = 0, (0, r) for r > k.
-
-    Built level by level: the (q+1)-prefixes are each q-prefix followed by
-    every larger index that leaves room for the r - q - 1 indices still to
-    come, in order, so a level is one np.repeat of the prefixes it extends
-    next to an arange-based last index. Every level row is a prefix of a
-    distinct final row, so no level is longer than the table; a level keeps
-    only its last indices and parent rows, and the table is filled a column
-    at a time by following parents back from the last level. The build thus
-    writes each table entry once and at most 2r * C(k, r) level entries. A
-    table of at most _TABLE_ROWS rows is built once per (k, r) and shared,
+    """The r-subsets of range(k) from itertools.combinations, in its order, as
+    one read-only (C(k, r), r) intp array: (1, 0) for r = 0, (0, r) for r > k.
+    A table of at most _TABLE_ROWS rows is built once per (k, r) and shared,
     since the same (k, r) comes back with every draw of a set."""
     if math.comb(k, r) <= _TABLE_ROWS:
         return _cached_table(k, r)
@@ -47,20 +39,9 @@ def _cached_table(k: int, r: int) -> np.ndarray:
 
 
 def _build_table(k: int, r: int) -> np.ndarray:
-    lasts, parents = [], []
-    last = np.array([-1], dtype=np.intp)  # the empty prefix
-    for q in range(r):
-        # prefix i is followed by last[i] + 1, ..., k - r + q: rows start[i], ...
-        counts = np.maximum(k - r + q - last, 0)
-        start = np.cumsum(counts) - counts
-        parents.append(np.repeat(np.arange(len(last)), counts))
-        last = np.arange(len(parents[-1])) + np.repeat(last + 1 - start, counts)
-        lasts.append(last)
-    table = np.empty((len(last), r), dtype=np.intp)
-    rows = np.arange(len(last))
-    for q in reversed(range(r)):
-        table[:, q] = lasts[q][rows]
-        rows = parents[q][rows]
+    rows = math.comb(k, r)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), r))
+    table = np.fromiter(flat, dtype=np.intp, count=rows * r).reshape(rows, r)
     table.flags.writeable = False
     return table
 

@@ -124,10 +124,15 @@ class TestFloatRange:
                 f(q)
 
     def test_k_rademacher_solver_beyond_float_range_is_a_cap(self):
-        # the search passes k ~ 1e308, where k no longer converts to a float
-        q = BoundQuery(m=100, eps=1e-151, delta=0.999)
-        with pytest.raises(CapExceededError, match="eps = 1e-151, delta = 0.999, m = 100"):
+        # the least k is about 5.7e309: the search passes k ~ 1e308, where k
+        # no longer converts to a float
+        q = BoundQuery(m=100, eps=1e-152, delta=0.999)
+        with pytest.raises(CapExceededError, match="eps = 1e-152, delta = 0.999, m = 100"):
             solve_k_rademacher(q)
+        # the least k is about 5.7e307, where C'k = 1.1e308 still fits a float
+        q = BoundQuery(m=100, eps=1e-151, delta=0.999)
+        k = solve_k_rademacher(q)
+        assert back_verify_rademacher(q, k) and not back_verify_rademacher(q, k - 1)
         # a little inside the float range the solver still answers, with an exact integer
         k = solve_k_rademacher(BoundQuery(m=100, eps=1e-140, delta=0.999))
         assert 1e280 < k < 1e308 and isinstance(k, int)
@@ -187,6 +192,13 @@ class TestDeviationRademacher:
         with pytest.raises(ValueError, match="C_prime must be finite and positive"):
             deviation_bound_rademacher(100, m=1, delta=0.1, c_prime=c_prime)
 
+    @pytest.mark.parametrize("k", [2, 10, 10**6, 10**300], ids=["2", "10", "1e6", "1e300"])
+    def test_finite_when_c_prime_times_k_passes_the_float_range(self, k):
+        val = deviation_bound_rademacher(k, m=1, delta=0.1, c_prime=1e308)
+        first = math.sqrt(8 * (math.log(1e308) + math.log(k)) / k)
+        assert math.isfinite(val)
+        assert val == pytest.approx(first + math.sqrt(2 * math.log(40) / k))
+
     def test_decreasing_in_k(self):
         vals = [
             deviation_bound_rademacher(k, m=3, delta=0.1) for k in range(10, 5000, 37)
@@ -242,6 +254,13 @@ class TestBackVerification:
         k = solve_k_rademacher(q)
         assert deviation_bound_rademacher(k, q.m, q.delta) <= q.eps
         assert deviation_bound_rademacher(k - 1, q.m, q.delta) > q.eps
+
+    def test_solver_minimality_rademacher_at_c_prime_near_float_max(self):
+        # C'k passes the float maximum at every k >= 2
+        q = BoundQuery(m=1, eps=0.1, delta=0.1, c_prime=1e308)
+        k = solve_k_rademacher(q)
+        assert back_verify_rademacher(q, k)
+        assert not back_verify_rademacher(q, k - 1)
 
 
 def exact_back_verify_elementary(q, k):

@@ -90,6 +90,13 @@ class TestBoundsCommand:
         assert rc == 0
         assert len(read_rows(out)) == 2
 
+    def test_c_prime_near_float_max_runs(self, tmp_path):
+        out = tmp_path / "bounds.csv"
+        rc = main(["bounds", "--m", "1", "--eps", "0.1", "--delta", "0.1",
+                   "--c-prime", "1e308", "--output", str(out)])
+        assert rc == 0
+        assert len(read_rows(out)) == 2
+
     @pytest.mark.parametrize("m", ["0", "1,-2"])
     def test_nonpositive_m_exits_2_naming_flag(self, tmp_path, capsys, m):
         out = tmp_path / "bounds.csv"
@@ -114,6 +121,10 @@ class TestBoundsCommand:
         # a ln a is finite, 4a ln(2a) is not: the solver's range check exits 3
         (["--m", "1", "--eps", "0.1", "--delta", "5e-152"],
          "k_elementary solver for eps = 0.1, delta = 5e-152, m = 1 exceeds the float range"),
+        # the elementary columns fit; the Rademacher solver's least k does not
+        (["--m", "1", "--eps", "1e-152", "--delta", "0.9999999", "--c-prime", "1e308",
+          "--c-hat", "1e-10"],
+         "the k_rademacher solver for eps = 1e-152, delta = 0.9999999, m = 1 exceeds"),
     ])
     def test_sample_size_beyond_float_range_exits_3(self, capsys, args, message):
         rc = main(["bounds", *args])
@@ -856,6 +867,10 @@ BAD_INPUT_ROUTES = [
     (["ucheck", "--class", UNION2_JSON, "--dist", "{d}/p.json", *UCHECK],
      {"p.json": _spec_json(**{**UNIT_DIST, "support": [[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]]})},
      2, "--dist support points have dimension 3; --class union_of_points_m2 takes dimension 1"),
+    # a growth CSV whose rows name two classes
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,a", "16,17,exact,0,a", "32,33,exact,0,b")}, 2,
+     "g.csv data row 3: class_id 'b' differs from data row 1's 'a'"),
 ]
 
 

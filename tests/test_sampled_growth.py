@@ -83,7 +83,7 @@ def test_flat_pack_equals_np_unique_rows_at_every_width(rows):
 
 
 @pytest.mark.parametrize("table_rows", [1, 7, pointsets._TABLE_ROWS])
-def test_subset_chunks_equal_itertools_combinations(monkeypatch, table_rows):
+def test_subset_table_equals_itertools_combinations(monkeypatch, table_rows):
     # subset tables built afresh past the cache cap (1, 7), cached below it
     # (_TABLE_ROWS holds every table here)
     monkeypatch.setattr(pointsets, "_TABLE_ROWS", table_rows)
@@ -151,7 +151,7 @@ def test_batched_general_position_equals_loop_on_integer_grids(d, k, seed):
     assert in_general_position(pts) == loop_in_general_position(pts)
 
 
-def test_dependent_subset_past_the_first_chunk():
+def test_dependent_last_subset_of_an_uncached_table():
     # k = 64, d = 2: C(64, 3) = 41664 subsets, more than a cached table
     # holds; the only dependent triple is the last row, (61, 62, 63)
     rng = np.random.default_rng(7)
