@@ -223,8 +223,9 @@ def cmd_vcdim(args):
 def read_growth_csv(path) -> dch.GrowthEstimate:
     """Parse the growth CSV schema back into a GrowthEstimate. A non-UTF-8
     file, a cell that is not an integer, a sample GrowthSample rejects, an n
-    or count past the float range (the fit logs floats), and a class_id other
-    than data row 1's (the fit is of one class) are ConfigErrors."""
+    or count past the float range (the fit logs floats), a class_id other
+    than data row 1's (the fit is of one class) and a row with more or fewer
+    cells than the header are ConfigErrors, in that order."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -254,6 +255,11 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
         if r["class_id"] != rows[0]["class_id"]:
             raise ConfigError(f"{path} data row {i}: class_id {_shown(r['class_id'])} differs "
                               f"from data row 1's {_shown(rows[0]['class_id'])}")
+    for i, r in enumerate(rows, start=1):
+        # csv.DictReader gives a short row's missing cells None, a long row's extras under None
+        cells = len(columns) - list(r.values()).count(None) + len(r.get(None, ()))
+        if cells != len(columns):
+            raise ConfigError(f"{path} data row {i}: {cells} cells, the header has {len(columns)}")
     return dch.GrowthEstimate(samples=tuple(samples), class_id=rows[0]["class_id"],
                               seed=rows[0]["seed"])
 

@@ -39,8 +39,8 @@ from .pointsets import (
 # exact LTF enumeration visits the C(n, d) hyperplanes through d of the
 # points at once: filtered float determinants give the n sides of each (an
 # integer Bareiss determinant decides the signs the float error bound cannot),
-# 2^(d+1) candidate rows per hyperplane are deduped, and up to
-# 2 * sum_{i<=d} C(n-1, i) traces remain, so n and d are capped
+# 2^d candidate rows per hyperplane and their complements are deduped, and
+# up to 2 * sum_{i<=d} C(n-1, i) traces remain, so n and d are capped
 EXACT_LTF_POINT_CAP = 20
 EXACT_LTF_DIM_CAP = 4
 SHATTER_CAP = 16

@@ -125,11 +125,9 @@ def _apply_activation_batch(act: ActivationSpec, t, out=None):
     if act.kind == "threshold":
         np.greater(t, 0, out=out)
     elif act.kind == "logistic":
-        # pos and ~pos are disjoint, so writing out[pos] leaves t[~pos] intact
-        pos = t >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-        e = np.exp(t[~pos])
-        out[~pos] = e / (1.0 + e)
+        # 1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below, which never overflow
+        e = np.exp(-np.abs(t))
+        np.divide(np.where(t >= 0, 1.0, e), 1.0 + e, out=out)
     elif act.kind == "tanh":
         np.tanh(t, out=out)
     elif act.kind == "relu":
@@ -290,7 +288,7 @@ class ExplicitFinite:
             if len(t) != len(self.domain):
                 raise ConfigError("trace length must match domain size")
             for b in t:
-                if b not in (0, 1):
+                if isinstance(b, bool) or b not in (0, 1):
                     raise ConfigError(f"trace entries must be 0 or 1, got {b!r}")
         object.__setattr__(self, "traces", tuple(dict.fromkeys(self.traces)))
 
@@ -373,7 +371,7 @@ def _parse_activation(obj) -> ActivationSpec:
 
 def parse_class_spec(doc: dict):
     """Parse an already-loaded JSON document into a NetworkSpec or baseline."""
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if isinstance(version := doc.get("schema_version"), bool) or version != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported or missing schema_version (expected {SCHEMA_VERSION})"
         )

@@ -153,26 +153,26 @@ def _rank_cells(
     (`_float_sides`) of the rows S of subsets = pointsets.subset_table(k,
     r - 1).
 
-    Every cell of this rank-r arrangement has a ray u_S in its closure,
-    where S is a set of r - 1 independent v's and u_S is normal to them.
-    Near u_S the v's off the plane of S keep the sign of u_S . v (or all
-    flip), and the v's on it (Z) take any sign vector of the arrangement of
-    Z alone, of rank r - 1. When Z is S itself those are all 2^(r-1)
-    patterns; only larger Z recurse (`_exact_cells`). A larger Z needs a
-    side certified zero, which only the integers give, so a set whose
-    signs the floats settle never recurses.
+    Every cell of this rank-r arrangement has a ray u_S or -u_S in its
+    closure, where S is a set of r - 1 independent v's and u_S is normal to
+    them. Near u_S the v's off the plane of S keep the sign of u_S . v, and
+    the v's on it (Z) take any sign vector of the arrangement of Z alone, of
+    rank r - 1. When Z is S itself those are all 2^(r-1) patterns; only
+    larger Z recurse (`_exact_cells`). A larger Z needs a side certified
+    zero, which only the integers give, so a set whose signs the floats
+    settle never recurses. The cells of a central arrangement, Z's among
+    them, are closed under u -> -u, so the cells near -u_S are the
+    complements of those near u_S: only the rows at u_S are built.
     """
     k, r = floats.shape
     sign = _side_signs(ints, subsets, side, certain)
     on = sign == 0
     n_on = on.sum(axis=1)
-    # simple planes (Z = S): the rays +-u_S with every pattern on S
-    simple = n_on == r - 1
-    S = np.concatenate([subsets[simple]] * 2)
-    base = np.concatenate([sign[simple] > 0, sign[simple] < 0]).astype(np.uint8)
+    # simple planes (Z = S): the ray u_S with every pattern on S
+    simple = np.flatnonzero(n_on == r - 1)
     patterns = _all_patterns(r - 1)
-    simple_rows = np.repeat(base[None], len(patterns), axis=0)
-    simple_rows[:, np.arange(len(S))[:, None], S] = patterns[:, None, :]
+    simple_rows = np.repeat((sign[simple] > 0)[None], len(patterns), axis=0)
+    simple_rows[:, np.arange(len(simple))[:, None], subsets[simple]] = patterns[:, None, :]
     found = [simple_rows.reshape(-1, k)]
     # degenerate planes (S < Z < all): recurse on Z, once per distinct Z;
     # rows with every sign 0 come from dependent S
@@ -184,18 +184,19 @@ def _rank_cells(
         planes.add(key)
         sub = np.unpackbits(_exact_cells(floats[z], [ints()[i] for i in z]), axis=1,
                             count=len(z))
-        rays = np.stack([sign[c] > 0, sign[c] < 0]).astype(np.uint8)
-        rows = np.repeat(rays, len(sub), axis=0)
-        rows[:, z] = np.tile(sub, (2, 1))
+        rows = np.repeat((sign[c] > 0)[None], len(sub), axis=0)
+        rows[:, z] = sub
         found.append(rows)
-    return unique_rows(pack_rows(np.concatenate(found)))
+    # the ray -u_S gives the complements
+    found = np.concatenate(found)
+    return unique_rows(pack_rows(np.concatenate([found, ~found])))
 
 
 @functools.cache
 def _all_patterns(m: int) -> np.ndarray:
     """All 2^m 0/1 rows of length m, in lexicographic order, as a read-only
-    uint8 array built once per m."""
-    return _frozen((np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1, np.uint8)
+    bool array built once per m."""
+    return _frozen((np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1, bool)
 
 
 def _frozen(values, dtype) -> np.ndarray:

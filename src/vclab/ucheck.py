@@ -49,7 +49,7 @@ class DiscreteDistribution:
         if abs(sum(self.probabilities) - 1.0) > PROB_TOL:
             raise ConfigError("probabilities must sum to 1")
         for b in self.true_labels:
-            if b not in (0, 1):
+            if isinstance(b, bool) or b not in (0, 1):
                 raise ConfigError(f"labels must be 0 or 1, got {b!r}")
 
 
@@ -170,7 +170,7 @@ def load_distribution(path) -> DiscreteDistribution:
     """Load a finite-support distribution from a versioned JSON file with
     fields support (list of points), probabilities, labels."""
     doc = read_json_object(path)
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if isinstance(version := doc.get("schema_version"), bool) or version != SCHEMA_VERSION:
         raise ConfigError(f"distribution spec needs schema_version = {SCHEMA_VERSION}")
     support, probabilities, labels = (
         read_list(read_field(doc, key, "distribution spec"), f"distribution field {key!r}")

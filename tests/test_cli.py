@@ -871,6 +871,28 @@ BAD_INPUT_ROUTES = [
     (["density", "--input", "{d}/g.csv"],
      {"g.csv": _growth_csv_text("8,9,exact,0,a", "16,17,exact,0,a", "32,33,exact,0,b")}, 2,
      "g.csv data row 3: class_id 'b' differs from data row 1's 'a'"),
+    # a JSON true where a number or a 0/1 entry belongs (True == 1 in Python)
+    (["growth", "--class", "{d}/c.json", "--n", "2", "--method", "oracle"],
+     {"c.json": json.dumps({"schema_version": True, "kind": "baseline", "baseline": {
+         "kind": "explicit_finite", "domain": [[0.0], [1.0]], "traces": FOUR_TRACES}})}, 2,
+     "unsupported or missing schema_version (expected 1)"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": json.dumps({**UNIT_DIST, "schema_version": True})}, 2,
+     "distribution spec needs schema_version = 1"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK],
+     {"p.json": _spec_json(**{**UNIT_DIST, "labels": [0, True, 1]})}, 2,
+     "labels must be 0 or 1, got True"),
+    (["growth", "--class", "{d}/c.json", "--n", "2", "--method", "oracle"],
+     {"c.json": _spec_json(kind="baseline", baseline={
+         "kind": "explicit_finite", "domain": [[0.0], [1.0]], "traces": [[True, 0]]})}, 2,
+     "trace entries must be 0 or 1, got True"),
+    # growth CSV rows with fewer or more cells than the header
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0", "16,17,exact,0", "32,33,exact,0")}, 2,
+     "g.csv data row 1: 4 cells, the header has 5"),
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,c", "16,17,exact,0,c,x", "32,33,exact,0,c")}, 2,
+     "g.csv data row 2: 6 cells, the header has 5"),
 ]
 
 

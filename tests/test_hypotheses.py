@@ -83,6 +83,26 @@ class TestApplyActivation:
         else:
             assert act_at(clamped, t) == 0.0
 
+    def test_logistic_bits_equal_the_two_branch_formula(self):
+        """1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) for t < 0, bit for
+        bit, over both zeros, subnormals, the exp underflow edge near 745,
+        huge magnitudes and a log-spaced sweep, on a new array and in place."""
+        sweep = np.geomspace(5e-324, 1e308, 200000)
+        edges = [0.0, 5e-324, 1e-300, 2.2250738585072014e-308, 0.5, 1.0, 36.0, 37.0, 709.0,
+                 709.8, 744.0, 745.0, 745.2, 746.0, 1e308, np.finfo(float).max]
+        t = np.concatenate([sweep, edges])
+        t = np.concatenate([t, -t])
+        want = np.empty_like(t)
+        pos = t >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        e = np.exp(t[~pos])
+        want[~pos] = e / (1.0 + e)
+        act = ActivationSpec(kind="logistic")
+        got = _apply_activation_batch(act, t)
+        assert got.tobytes() == want.tobytes()
+        buf = t.copy()
+        assert _apply_activation_batch(act, buf, out=buf).tobytes() == want.tobytes()
+
     def test_bad_restriction_rejected(self):
         with pytest.raises(ConfigError):
             ActivationSpec(kind="tanh", restriction=(1.0, 1.0))

@@ -162,6 +162,17 @@ def test_covers_count_at_scale(n, d):
     assert traces == sorted(set(traces))
 
 
+@pytest.mark.parametrize("w, count", [(2, 14), (3, 104), (4, 1882)])
+def test_cube_gives_the_threshold_function_count(w, count):
+    """The cube {0,1}^w, where every plane through w corners holds more of
+    them, has as many traces as there are threshold functions of w
+    variables (OEIS A000609)."""
+    cube = np.array(list(itertools.product((0.0, 1.0), repeat=w)))
+    assert len(linsep.enumerate_ltf_traces(cube)) == count
+    if w <= 3:
+        assert ltf_tuples(cube) == recursive_ltf_traces(cube)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_generic_draws_take_no_integer_arithmetic(monkeypatch, d):
     """Floats settle every sign of a uniform draw of more than d + 1 points,
