@@ -224,8 +224,9 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
     """Parse the growth CSV schema back into a GrowthEstimate. A non-UTF-8
     file, a cell that is not an integer, a sample GrowthSample rejects, an n
     or count past the float range (the fit logs floats), a class_id other
-    than data row 1's (the fit is of one class) and a row with more or fewer
-    cells than the header are ConfigErrors, in that order."""
+    than data row 1's (the fit is of one class; a row short of that cell is
+    left to the next check) and a row with more or fewer cells than the
+    header are ConfigErrors, in that order."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -251,10 +252,12 @@ def read_growth_csv(path) -> dch.GrowthEstimate:
             raise ConfigError(f"{where}: {e}") from None
         if max(r["n"], r["count"]) > sys.float_info.max:
             raise ConfigError(f"{where}: n and count must be within the float range")
+    first = rows[0]["class_id"]
     for i, r in enumerate(rows[1:], start=2):
-        if r["class_id"] != rows[0]["class_id"]:
+        # a row short of its class_id cell reads None there: the width check names it
+        if None not in (first, r["class_id"]) and r["class_id"] != first:
             raise ConfigError(f"{path} data row {i}: class_id {_shown(r['class_id'])} differs "
-                              f"from data row 1's {_shown(rows[0]['class_id'])}")
+                              f"from data row 1's {_shown(first)}")
     for i, r in enumerate(rows, start=1):
         # csv.DictReader gives a short row's missing cells None, a long row's extras under None
         cells = len(columns) - list(r.values()).count(None) + len(r.get(None, ()))

@@ -370,15 +370,21 @@ def growth_samples(
     sampling, lower bounds). 'auto' picks oracle for baselines, sampled for
     networks.
 
-    'exact' and 'sampled' take the largest trace count over `draws` random
-    point sets per size, mirroring the max over configurations in the growth
-    function's definition, and tag it with trace_set's exactness. 'sampled'
-    draws plain uniform points (random_points): a sampled count is a
-    certified lower bound on any point set. 'exact' is exact: each draw's
+    'exact' and 'sampled' take the largest trace count over `draws` (>= 1)
+    random point sets per size, mirroring the max over configurations in the
+    growth function's definition, and tag it with trace_set's exactness.
+    'sampled' draws plain uniform points (random_points): a sampled count is
+    a certified lower bound on any point set. 'exact' is exact: each draw's
     count is exact, and Cover's count, the most any n points have, is
     reached by every set in general position; so its draws alone come from
     random_general_position, checked for d <= 3 and in general position
     almost surely for d = 4.
+
+    No n points have more traces than a ceiling: Cover's count for a
+    LinearThreshold (exact or sampled), 2^n otherwise. Once a draw's count
+    reaches it, the remaining draws for that n are made but not counted, so
+    the generator stream, and every later count, is that of counting them
+    all.
     """
     if method == "auto":
         method = "sampled" if isinstance(cls, NetworkSpec) else "oracle"
@@ -395,14 +401,18 @@ def growth_samples(
             view, dim, draw = cls, cls.dim, random_general_position
         else:
             raise ConfigError("exact growth counting is only available for linear_threshold")
+        if draws < 1:
+            raise ValueError("draws must be >= 1")
         rng = np.random.default_rng(seed)
         samples = []
         for n in ns:
+            ceiling = growth_function_oracle(cls, n) if isinstance(cls, LinearThreshold) else 2**n
             best, exact = 0, True
             for j in range(draws):
                 B = draw(n, dim, rng)
-                rows, exact = trace_set(view, B, budget, seed + j)
-                best = max(best, len(rows))
+                if best < ceiling:
+                    rows, exact = trace_set(view, B, budget, seed + j)
+                    best = max(best, len(rows))
             tag = "exact" if exact else "lower_bound"
             samples.append(GrowthSample(n=n, count=best, exactness=tag))
     else:

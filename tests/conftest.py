@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vclab.dichotomy import DEFAULT_BUDGET
+from vclab.dichotomy import (DEFAULT_BUDGET, GrowthEstimate, GrowthSample, as_network, class_id,
+                             trace_set)
 from vclab.errors import CapExceededError
 from vclab.hypotheses import _apply_activation_batch
 from vclab.linsep import _bareiss, _integer_lift, enumerate_ltf_traces, is_realizable
-from vclab.pointsets import _GP_TOL, PointSet, in_general_position
+from vclab.pointsets import (_GP_TOL, PointSet, in_general_position, random_general_position,
+                             random_points)
 from vclab.ucheck import UCExperimentResult, _error_matrix
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -167,6 +169,27 @@ def loop_run_uc_experiment(cls, D, eps, k, trials, seed,
         sup_method=method,
         mean_sup_deviation=sup_sum / trials,
     )
+
+
+def loop_growth_samples(cls, n_values, method, draws=3, budget=DEFAULT_BUDGET,
+                        seed=0) -> GrowthEstimate:
+    """Exact or sampled growth samples with one trace count per draw: the
+    reference for dichotomy.growth_samples, which stops counting a size once
+    a draw reaches the most traces any point set of that size has."""
+    if method == "sampled":
+        view, draw = as_network(cls), random_points
+        dim = view.input_dim
+    else:
+        view, dim, draw = cls, cls.dim, random_general_position
+    rng = np.random.default_rng(seed)
+    samples = []
+    for n in sorted(set(n_values)):
+        best, exact = 0, True
+        for j in range(draws):
+            rows, exact = trace_set(view, draw(n, dim, rng), budget, seed + j)
+            best = max(best, len(rows))
+        samples.append(GrowthSample(n, best, "exact" if exact else "lower_bound"))
+    return GrowthEstimate(samples=tuple(samples), class_id=class_id(cls), seed=seed)
 
 
 @pytest.fixture

@@ -893,6 +893,13 @@ BAD_INPUT_ROUTES = [
     (["density", "--input", "{d}/g.csv"],
      {"g.csv": _growth_csv_text("8,9,exact,0,c", "16,17,exact,0,c,x", "32,33,exact,0,c")}, 2,
      "g.csv data row 2: 6 cells, the header has 5"),
+    # a row short of only its class_id cell is named by the width check
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0,c", "16,17,exact,0", "32,33,exact,0,c")}, 2,
+     "g.csv data row 2: 4 cells, the header has 5"),
+    (["density", "--input", "{d}/g.csv"],
+     {"g.csv": _growth_csv_text("8,9,exact,0", "16,17,exact,0,c", "32,33,exact,0,c")}, 2,
+     "g.csv data row 1: 4 cells, the header has 5"),
 ]
 
 
