@@ -22,7 +22,8 @@ from . import bounds as bnd
 from . import dichotomy as dch
 from . import ucheck as uc
 from .errors import CapExceededError, ConfigError
-from .hypotheses import LinearThreshold, NetworkSpec, UnionOfMPoints, load_class_spec
+from .hypotheses import (LinearThreshold, NetworkSpec, UnionOfMPoints, load_class_spec,
+                         shown_value)
 
 DEFAULT_SEED = 1729
 
@@ -92,7 +93,15 @@ def bounds_rows(ms, epss, deltas, c_prime=2.0, c_hat=64.0) -> list[list]:
 
 
 def growth_rows(estimate: dch.GrowthEstimate) -> list[list]:
-    """GROWTH_COLUMNS rows, one per growth sample."""
+    """GROWTH_COLUMNS rows, one per growth sample. A count with more digits
+    than Python prints (sys.get_int_max_str_digits(); 0 is no limit) is a
+    CapExceededError naming its n, raised before any row is printed."""
+    limit = sys.get_int_max_str_digits()
+    for s in estimate.samples:
+        # 10^limit has more than 3 limit bits: the bit length screens first
+        if limit and s.count.bit_length() > 3 * limit and s.count >= 10**limit:
+            raise CapExceededError(f"the count at n = {s.n} is {shown_value(s.count)}, over "
+                                   f"Python's {limit}-digit limit")
     return [
         [s.n, s.count, s.exactness, estimate.seed, estimate.class_id]
         for s in estimate.samples
@@ -136,19 +145,6 @@ def _shown(text) -> str:
     return repr(text)
 
 
-# longest integer an error message echoes in full
-_SHOWN_DIGITS = 40
-
-
-def _shown_value(v) -> str:
-    """str(v) for an error message; but an int of more than _SHOWN_DIGITS
-    digits is named by its sign and digit count."""
-    digits = len(str(abs(v))) if isinstance(v, int) else 0
-    if digits > _SHOWN_DIGITS:
-        return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
-    return str(v)
-
-
 # (test, phrase) rules for read_flag; NaN fails every test
 AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
 AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
@@ -176,7 +172,7 @@ def read_flag(args, dest: str, parse, *rules, many: bool = False):
     for test, phrase in rules:
         for v in values:
             if not test(v):
-                raise ConfigError(f"{flag} must be {phrase}, got {_shown_value(v)}")
+                raise ConfigError(f"{flag} must be {phrase}, got {shown_value(v)}")
     return values if many else values[0]
 
 

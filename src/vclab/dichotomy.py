@@ -230,7 +230,12 @@ def sauer_shelah_cap(d: int, n: int):
     dichotomies of an n-set for a class of VC-dimension d."""
     if d < 0 or n < 0:
         raise ValueError("d and n must be >= 0")
-    return sum(math.comb(n, i) for i in range(min(d, n) + 1))
+    # C(n, i + 1) = C(n, i) (n - i) / (i + 1), exactly, one term from the last
+    term = total = 1
+    for i in range(min(d, n)):
+        term = term * (n - i) // (i + 1)
+        total += term
+    return total
 
 
 # --------------------------------------------------------------------------

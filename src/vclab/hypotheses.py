@@ -12,6 +12,7 @@ parallelized freely.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,8 +88,8 @@ class NetworkSpec:
         if self.layers[-1].width != 1:
             raise ConfigError("network must have exactly one output node")
         if self.weight_count > WEIGHT_CAP:
-            raise CapExceededError(f"network weight count m = {self.weight_count} exceeds "
-                                   f"the weight cap {WEIGHT_CAP}")
+            raise CapExceededError(f"network weight count m = {shown_value(self.weight_count)} "
+                                   f"exceeds the weight cap {WEIGHT_CAP}")
 
     def fan_in(self, layer_index: int) -> int:
         return self.input_dim if layer_index == 0 else self.layers[layer_index - 1].width
@@ -312,6 +313,21 @@ def read_list(value, field: str) -> list:
     return value
 
 
+# longest integer an error message echoes in full
+_SHOWN_DIGITS = 40
+
+
+def shown_value(v) -> str:
+    """str(v) for an error message; but an int of more than _SHOWN_DIGITS
+    digits is named by its sign and digit count. The count is read off the
+    bit length, so an int past Python's int-to-str digit limit is named too."""
+    if not isinstance(v, int) or abs(v) < 10**_SHOWN_DIGITS:
+        return str(v)
+    digits = int(abs(v).bit_length() * math.log10(2)) + 1
+    digits -= abs(v) < 10 ** (digits - 1)
+    return f"{'a negative' if v < 0 else 'an'} integer of {digits} digits"
+
+
 def read_number(value, field: str, whole: bool = False):
     """A JSON number, never a bool, as a float; with whole=True one with a
     whole value (x % 1 == 0, so not inf or nan), as an int. JSON integers
@@ -434,7 +450,8 @@ def parse_class_spec(doc: dict):
 def read_json_object(path) -> dict:
     """The top-level object of a UTF-8 JSON file, else a ConfigError. An
     integer literal longer than int() reads (sys.get_int_max_str_digits())
-    is named by its digit count."""
+    is named by its digit count, and arrays or objects nested past the
+    recursion limit of Python's json decoder are refused."""
     def parse_int(literal: str) -> int:
         try:
             return int(literal)
@@ -448,6 +465,9 @@ def read_json_object(path) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_int=parse_int)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"invalid JSON in {path}: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to read "
+                          "(past Python's recursion limit)") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return doc

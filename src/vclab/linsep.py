@@ -110,61 +110,42 @@ def _integer_lift(pts: np.ndarray) -> list[tuple[int, ...]]:
 def _cells(floats: np.ndarray, ints) -> np.ndarray:
     """Sign vectors (1 for > 0, 0 for < 0) of u . v over all u that are
     nonzero on every v: the cells of the central arrangement of the k rows
-    v of `floats`, which live in R^c, as sorted distinct np.packbits rows.
+    v of `floats`, which live in R^r, as sorted distinct np.packbits rows.
     `ints()` returns the same v's up to one positive factor as integer
     tuples; it is called only when the floats leave a sign or the rank
     open.
 
-    For k > c the sides det[S; v] over the (c - 1)-subsets S come first
+    The float sides det[S; v] over the (r - 1)-subsets S come first
     (`_float_sides`): one certified nonzero side shows the v's have full
-    rank c, and the sides are then used as they are (`_rank_cells`), so a
-    set whose every sign the floats settle never builds its integers. Only
-    when none is certified, or for k <= c, does `_exact_cells` find the
-    rank by integer elimination.
-    """
-    k, c = floats.shape
-    if k > c:
-        subsets = subset_table(k, c - 1)
-        side, certain = _float_sides(floats, subsets)
-        if certain.any():
-            return _rank_cells(floats, ints, subsets, side, certain)
-    return _exact_cells(floats, ints())
+    rank r, so a set whose every sign the floats settle never builds its
+    integers. Only when none is certified does integer Bareiss elimination
+    find the rank. At rank k the cells are all 2^k patterns; below r they
+    are the cells of the v's projected onto the pivot columns (one-to-one
+    on the span, so the sign vectors are kept); at full rank r < k the
+    sides already taken are used.
 
-
-def _exact_cells(floats: np.ndarray, ints: list[tuple[int, ...]]) -> np.ndarray:
-    """`_cells` of the v's with the rank r from the integer Bareiss
-    elimination of `ints`: all 2^k patterns when r = k, else the cells of
-    the v's projected onto r independent coordinates. The projection is
-    one-to-one on the span, so the cells keep their sign vectors; the
-    dropped coordinates are the unit-vector completion C of det[S; v; C]."""
-    cols = _bareiss(ints)[0]
-    if len(cols) == len(ints):
-        return pack_rows(_all_patterns(len(ints)))
-    ints = [tuple(v[j] for j in cols) for v in ints]
-    floats = floats[:, cols]
-    subsets = subset_table(len(ints), len(cols) - 1)
-    return _rank_cells(floats, lambda: ints, subsets, *_float_sides(floats, subsets))
-
-
-def _rank_cells(
-    floats: np.ndarray, ints, subsets: np.ndarray, side: np.ndarray, certain: np.ndarray
-) -> np.ndarray:
-    """`_cells` of k v's of full rank r in R^r, from the float sides
-    (`_float_sides`) of the rows S of subsets = pointsets.subset_table(k,
-    r - 1).
-
-    Every cell of this rank-r arrangement has a ray u_S or -u_S in its
-    closure, where S is a set of r - 1 independent v's and u_S is normal to
-    them. Near u_S the v's off the plane of S keep the sign of u_S . v, and
-    the v's on it (Z) take any sign vector of the arrangement of Z alone, of
-    rank r - 1. When Z is S itself those are all 2^(r-1) patterns; only
-    larger Z recurse (`_exact_cells`). A larger Z needs a side certified
-    zero, which only the integers give, so a set whose signs the floats
-    settle never recurses. The cells of a central arrangement, Z's among
-    them, are closed under u -> -u, so the cells near -u_S are the
-    complements of those near u_S: only the rows at u_S are built.
+    At full rank every cell has a ray u_S or -u_S in its closure, where S
+    is a set of r - 1 independent v's and u_S is normal to them. Near u_S
+    the v's off the plane of S keep the sign of u_S . v, and the v's on it
+    (Z) take any sign vector of the arrangement of Z alone, of rank r - 1.
+    When Z is S itself those are all 2^(r-1) patterns; only larger Z
+    recurse, on the pivot columns of S, which are one-to-one on the plane
+    that Z spans. A larger Z needs a side certified zero, which only the
+    integers give, so a set whose signs the floats settle never recurses.
+    The cells of a central arrangement, Z's among them, are closed under
+    u -> -u, so the cells near -u_S are the complements of those near u_S:
+    only the rows at u_S are built.
     """
     k, r = floats.shape
+    subsets = subset_table(k, r - 1)
+    side, certain = _float_sides(floats, subsets)
+    # a certified nonzero side makes every column a pivot
+    cols = range(r) if certain.any() else _bareiss(ints())[0]
+    if len(cols) == k:
+        return pack_rows(_all_patterns(k))
+    if len(cols) < r:
+        projected = [tuple(v[j] for j in cols) for v in ints()]
+        return _cells(floats[:, cols], lambda: projected)
     sign = _side_signs(ints, subsets, side, certain)
     on = sign == 0
     n_on = on.sum(axis=1)
@@ -182,7 +163,10 @@ def _rank_cells(
         if (key := z.tobytes()) in planes:
             continue
         planes.add(key)
-        sub = np.unpackbits(_exact_cells(floats[z], [ints()[i] for i in z]), axis=1,
+        points = ints()
+        cols = _bareiss([points[i] for i in subsets[c]])[0]
+        projected = [tuple(points[i][j] for j in cols) for i in z]
+        sub = np.unpackbits(_cells(floats[z][:, cols], lambda: projected), axis=1,
                             count=len(z))
         rows = np.repeat((sign[c] > 0)[None], len(sub), axis=0)
         rows[:, z] = sub

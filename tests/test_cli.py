@@ -620,6 +620,12 @@ LONG_DIM_SPEC = ('{"schema_version": 1, "kind": "baseline", "baseline": '
 LONG_P_SPEC = ('{"schema_version": 1, "support": [[0.0, 0.0], [1.0, 1.0]], '
                '"probabilities": [-1' + "0" * 5000 + ', 0], "labels": [0, 1]}')
 HUGE_LTF_SPEC = _spec_json(kind="baseline", baseline={"kind": "linear_threshold", "dim": 10**30})
+# arrays nested 200000 deep, past the recursion limit of Python's json decoder
+DEEP_JSON = "[" * 200000 + "]" * 200000
+# input_dim of 4300 digits (int() reads it): m = 100000 (10^4299 + 1) + 100001
+LONG_DIM_NET_SPEC = ('{"schema_version": 1, "kind": "network", "network": {"input_dim": 1'
+                     + "0" * 4299 + ', "layers": [{"width": 100000, "activation": {"kind": '
+                     '"tanh"}}, {"width": 1, "activation": {"kind": "threshold"}}]}}')
 
 
 def _net_spec(input_dim, width) -> str:
@@ -900,6 +906,18 @@ BAD_INPUT_ROUTES = [
     (["density", "--input", "{d}/g.csv"],
      {"g.csv": _growth_csv_text("8,9,exact,0", "16,17,exact,0,c", "32,33,exact,0,c")}, 2,
      "g.csv data row 1: 4 cells, the header has 5"),
+    # JSON nested past the decoder's recursion limit
+    (["growth", "--class", "{d}/c.json", "--n", "4"], {"c.json": DEEP_JSON}, 2,
+     "c.json: JSON nested too deeply to read"),
+    (["ucheck", "--class", LTF2_JSON, "--dist", "{d}/p.json", *UCHECK], {"p.json": DEEP_JSON}, 2,
+     "p.json: JSON nested too deeply to read"),
+    # a weight count, and an oracle count, with more digits than str() converts
+    (["growth", "--class", "{d}/c.json", "--n", "4"], {"c.json": LONG_DIM_NET_SPEC}, 3,
+     "network weight count m = an integer of 4305 digits exceeds the weight cap 262144"),
+    (["growth", "--class", "{d}/c.json", "--n", "8,16000", "--method", "oracle"],
+     {"c.json": _spec_json(kind="baseline", baseline={"kind": "linear_threshold",
+                                                      "dim": 20000})}, 3,
+     "the count at n = 16000 is an integer of 4817 digits, over Python's 4300-digit limit"),
 ]
 
 
@@ -927,6 +945,23 @@ def test_long_integers_are_named_in_a_short_message(tmp_path, capsys, argv, file
     assert main([a.format(d=tmp_path) for a in argv]) == code
     err = capsys.readouterr().err
     assert len(err) < 200 and "0" * 100 not in err
+
+
+def test_digit_limit_0_prints_every_count(tmp_path, capsys):
+    # sys.set_int_max_str_digits(0) lifts Python's limit, and with it the cap
+    spec, out = tmp_path / "c.json", tmp_path / "out.csv"
+    spec.write_text(_spec_json(kind="baseline", baseline={"kind": "linear_threshold",
+                                                          "dim": 20000}))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rc = main(["growth", "--class", str(spec), "--n", "16000", "--method", "oracle",
+                   "--output", str(out)])
+        count = int(out.read_text().splitlines()[1].split(",")[1])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == 0 and count == 2**16000
+    assert capsys.readouterr().err == ""
 
 
 def test_too_wide_layer_is_refused_before_any_point_is_drawn(tmp_path, monkeypatch, capsys):

@@ -293,6 +293,10 @@ class TestSauerShelah:
         )
         assert sauer_shelah_cap(d, n) == expected
 
+    def test_matches_binomial_sum_at_large_n(self):
+        for d, n in ((7, 500), (250, 500), (499, 500), (600, 500)):
+            assert sauer_shelah_cap(d, n) == sum(math.comb(n, i) for i in range(min(d, n) + 1))
+
     def test_cap_binds_measured_classes(self):
         # exact counts never exceed the cap at the brute-forced VC-dimension
         for n in range(1, 9):

@@ -19,6 +19,7 @@ from vclab.hypotheses import (
     _apply_activation_batch,
     forward_batch,
     parse_class_spec,
+    shown_value,
 )
 from vclab.pointsets import PointSet
 
@@ -313,6 +314,20 @@ class TestWeightCap:
     def test_network_past_the_cap_is_refused(self):
         with pytest.raises(CapExceededError, match=f"m = {WEIGHT_CAP + 1} exceeds"):
             NetworkSpec(input_dim=WEIGHT_CAP - 2, layers=(LayerSpec(1, THR), LayerSpec(1, THR)))
+
+    def test_weight_count_past_the_digit_limit_is_named_by_its_digit_count(self):
+        # m = 100000 (10^4299 + 1) + 100001 has 4305 digits, more than str() converts
+        layers = (LayerSpec(100000, ActivationSpec(kind="tanh")), LayerSpec(1, THR))
+        with pytest.raises(CapExceededError, match="m = an integer of 4305 digits exceeds"):
+            NetworkSpec(input_dim=10**4299, layers=layers)
+
+
+@pytest.mark.parametrize("k", [40, 41, 100, 1233, 4299, 4300, 4301, 10**4])
+def test_shown_value_counts_digits_at_every_power_of_ten(k):
+    assert shown_value(10**k) == f"an integer of {k + 1} digits"
+    assert shown_value(-(10**k)) == f"a negative integer of {k + 1} digits"
+    assert shown_value(10**k - 1) == (str(10**k - 1) if k <= 40 else f"an integer of {k} digits")
+    assert shown_value(2.5) == "2.5" and shown_value(-7) == "-7"
 
 
 class TestConfigParsing:

@@ -175,11 +175,11 @@ def test_cube_gives_the_threshold_function_count(w, count):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_generic_draws_take_no_integer_arithmetic(monkeypatch, d):
-    """Floats settle every sign of a uniform draw of more than d + 1 points,
+    """Floats settle every sign of a uniform draw of d + 1 or more points,
     rank included, so the enumeration runs with the integer lift and the
     Bareiss elimination both unavailable."""
     draws = [random_points(n, d, np.random.default_rng(100 * d + n)).as_array()
-             for n in range(d + 2, 21)]
+             for n in range(d + 1, 21)]
     want = [recursive_ltf_traces(pts) for pts in draws]
 
     def unavailable(*args):
@@ -195,9 +195,10 @@ def test_generic_draws_take_no_integer_arithmetic(monkeypatch, d):
                               "collinear_grid"])
 def test_uncertain_signs_take_integer_arithmetic(monkeypatch, pts):
     """A set with a sign the floats leave open builds its integers once per
-    call and runs Bareiss, and still gets the reference's rows."""
+    call and runs Bareiss, takes the float sides once per cell call, and
+    still gets the reference's rows."""
     want = recursive_ltf_traces(pts)
-    calls = {"_integer_lift": 0, "_bareiss": 0}
+    calls = {"_integer_lift": 0, "_bareiss": 0, "_cells": 0, "_float_sides": 0}
 
     def counted(name):
         real = getattr(linsep, name)
@@ -211,6 +212,7 @@ def test_uncertain_signs_take_integer_arithmetic(monkeypatch, pts):
         monkeypatch.setattr(linsep, name, counted(name))
     assert ltf_tuples(pts) == want
     assert calls["_integer_lift"] == 1 and calls["_bareiss"] > 0
+    assert calls["_float_sides"] == calls["_cells"]
 
 
 def test_cached_tables_are_right_and_read_only():
