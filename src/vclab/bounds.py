@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import CapExceededError
+from .hypotheses import shown_value
 
 # least C_prime the Rademacher solver accepts: for C' >= 2 the deviation bound
 # strictly decreases in k on k >= 2, so its binary search applies
@@ -102,7 +103,7 @@ def _in_float_range(quantity: str, q: BoundQuery, compute, extra: str = ""):
             return value
     except (OverflowError, ZeroDivisionError):
         pass
-    m = q.m if q.m <= sys.float_info.max else f"an integer of {len(str(q.m))} digits"
+    m = q.m if q.m <= sys.float_info.max else shown_value(q.m)
     raise CapExceededError(f"{quantity} for eps = {q.eps}, delta = {q.delta}, m = {m}{extra} "
                            "exceeds the float range")
 

@@ -341,8 +341,7 @@ def read_number(value, field: str, whole: bool = False):
         return float(value)
     except OverflowError:
         raise ConfigError(
-            f"{field} must be a number within the float range, got an integer of "
-            f"{len(str(abs(value)))} digits"
+            f"{field} must be a number within the float range, got {shown_value(value)}"
         ) from None
 
 

@@ -9,15 +9,16 @@ realizable labelings are the sign vectors of the cells of that arrangement
 `enumerate_ltf_traces` lists those cells, as sorted distinct np.packbits
 rows (the trace-set format of `dichotomy.trace_set`, which `pack_rows` and
 `unique_rows` make of any 0/1 matrix), from the signs of determinants of
-the rows (x, 1), all hyperplanes at once. A batched float
-evaluation gives each determinant with its permanent P, and its sign
-counts where |det| > 2 r^2 2^-53 P for r x r determinants, twice its
-forward error bound (a filtered predicate; Shewchuk 1997). The remaining
-signs come from integer Bareiss determinants of the points scaled exactly
-to integers, which are built only when some sign is left open; the rank
-is read off a certified nonzero determinant. So a set in general position
-runs on floats alone, and the enumeration has no tolerance and does not
-depend on how the points are scaled.
+the rows (x, 1), all hyperplanes at once. One cofactor expansion
+(`_cofactors`) gives every side: in floats, where a sign counts when
+|det| > 2 r^2 2^-53 N for r x r determinants, N the product of the rows'
+1-norms, twice a forward error bound (a filtered predicate; Shewchuk
+1997); and, for the signs the floats leave open, over the points scaled
+exactly to integers, which are built only then. The rank is read off a
+certified nonzero determinant, and integer Bareiss elimination finds it
+only when none is certified. So a set in general position runs on floats
+alone, and the enumeration has no tolerance and does not depend on how the
+points are scaled.
 
 `max_margin`/`is_realizable` decide one labeling by LP: it is realizable
 iff the optimal separation margin, maximized over weight vectors in the
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 
 import numpy as np
 
@@ -95,57 +95,58 @@ def enumerate_ltf_traces(points: np.ndarray) -> np.ndarray:
         return np.zeros((1, 0), dtype=np.uint8)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    rows = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    return _cells(rows, functools.cache(lambda: _integer_lift(pts)))
+    return _cells(np.hstack([pts, np.ones((pts.shape[0], 1))]))
 
 
-def _integer_lift(pts: np.ndarray) -> list[tuple[int, ...]]:
-    """Rows (x, 1) times the largest denominator of the coordinates. Floats
-    are dyadic, so this is an exact positive rescaling to integers."""
-    ratios = [[v.as_integer_ratio() for v in row] for row in pts.tolist()]
+def _integer_lift(floats: np.ndarray) -> np.ndarray:
+    """`floats` times the largest denominator of its entries, as Python ints
+    in an object array. Floats are dyadic, so this is an exact positive
+    rescaling to integers."""
+    ratios = [[v.as_integer_ratio() for v in row] for row in floats.tolist()]
     scale = max(q for row in ratios for _, q in row)
-    return [tuple(p * (scale // q) for p, q in row) + (scale,) for row in ratios]
+    return np.array([[p * (scale // q) for p, q in row] for row in ratios], dtype=object)
 
 
-def _cells(floats: np.ndarray, ints) -> np.ndarray:
+def _cells(floats: np.ndarray) -> np.ndarray:
     """Sign vectors (1 for > 0, 0 for < 0) of u . v over all u that are
     nonzero on every v: the cells of the central arrangement of the k rows
     v of `floats`, which live in R^r, as sorted distinct np.packbits rows.
-    `ints()` returns the same v's up to one positive factor as integer
-    tuples; it is called only when the floats leave a sign or the rank
-    open.
+    The rows are lifted to integers (`_integer_lift`) at most once, and
+    only when the floats leave a sign or the rank open.
 
     The float sides det[S; v] over the (r - 1)-subsets S come first
     (`_float_sides`): one certified nonzero side shows the v's have full
-    rank r, so a set whose every sign the floats settle never builds its
-    integers. Only when none is certified does integer Bareiss elimination
-    find the rank. At rank k the cells are all 2^k patterns; below r they
-    are the cells of the v's projected onto the pivot columns (one-to-one
-    on the span, so the sign vectors are kept); at full rank r < k the
-    sides already taken are used.
+    rank r, so a set whose every sign the floats settle is never lifted.
+    Only when none is certified does integer Bareiss elimination find the
+    rank. At rank k the cells are all 2^k patterns; below r they are the
+    cells of the v's projected onto the pivot columns (one-to-one on the
+    span, so the sign vectors are kept); at full rank r < k the sides
+    already taken are used, and the open ones come from the same cofactor
+    expansion over the integers (`_side_signs`).
 
     At full rank every cell has a ray u_S or -u_S in its closure, where S
     is a set of r - 1 independent v's and u_S is normal to them. Near u_S
     the v's off the plane of S keep the sign of u_S . v, and the v's on it
     (Z) take any sign vector of the arrangement of Z alone, of rank r - 1.
     When Z is S itself those are all 2^(r-1) patterns; only larger Z
-    recurse, on the pivot columns of S, which are one-to-one on the plane
-    that Z spans. A larger Z needs a side certified zero, which only the
-    integers give, so a set whose signs the floats settle never recurses.
-    The cells of a central arrangement, Z's among them, are closed under
-    u -> -u, so the cells near -u_S are the complements of those near u_S:
-    only the rows at u_S are built.
+    recurse, with the one column dropped where S's exact normal (its
+    integer cofactors) is first nonzero: that projection is one-to-one on
+    the plane that Z spans. A larger Z needs a side certified zero, which
+    only the integers give, so a set whose signs the floats settle never
+    recurses. The cells of a central arrangement, Z's among them, are
+    closed under u -> -u, so the cells near -u_S are the complements of
+    those near u_S: only the rows at u_S are built.
     """
     k, r = floats.shape
     subsets = subset_table(k, r - 1)
+    ints = functools.cache(lambda: _integer_lift(floats))
     side, certain = _float_sides(floats, subsets)
     # a certified nonzero side makes every column a pivot
     cols = range(r) if certain.any() else _bareiss(ints())[0]
     if len(cols) == k:
         return pack_rows(_all_patterns(k))
     if len(cols) < r:
-        projected = [tuple(v[j] for j in cols) for v in ints()]
-        return _cells(floats[:, cols], lambda: projected)
+        return _cells(floats[:, cols])
     sign = _side_signs(ints, subsets, side, certain)
     on = sign == 0
     n_on = on.sum(axis=1)
@@ -163,11 +164,9 @@ def _cells(floats: np.ndarray, ints) -> np.ndarray:
         if (key := z.tobytes()) in planes:
             continue
         planes.add(key)
-        points = ints()
-        cols = _bareiss([points[i] for i in subsets[c]])[0]
-        projected = [tuple(points[i][j] for j in cols) for i in z]
-        sub = np.unpackbits(_cells(floats[z][:, cols], lambda: projected), axis=1,
-                            count=len(z))
+        normal = _cofactors(ints()[subsets[c]][None])[0]
+        cols = np.arange(r) != np.flatnonzero(normal)[0]
+        sub = np.unpackbits(_cells(floats[z][:, cols]), axis=1, count=len(z))
         rows = np.repeat((sign[c] > 0)[None], len(sub), axis=0)
         rows[:, z] = sub
         found.append(rows)
@@ -193,59 +192,71 @@ def _frozen(values, dtype) -> np.ndarray:
 def _side_signs(ints, subsets: np.ndarray, side: np.ndarray, certain: np.ndarray) -> np.ndarray:
     """The exact signs of det[S; v] for every row S of `subsets` (indices
     of r - 1 of the v's, which live in R^r) and every v, as an int8 matrix:
-    the sign of `side` wherever `certain` (from `_float_sides`) holds, else
-    the sign of the integer determinant (`_bareiss`) over the rows of
-    `ints()`. The sides of S's own v's are 0 by construction."""
+    the sign of `side` wherever `certain` (from `_float_sides`) holds. The
+    rows S with an open sign are taken again whole over the integer rows
+    `ints()`, by `_cofactors` and one matrix product. The sides of S's own
+    v's are 0 by construction."""
     sign = np.sign(side).astype(np.int8)
     rows = np.arange(len(subsets))[:, None]
     sign[rows, subsets] = 0
     certain[rows, subsets] = True
-    r = subsets.shape[1] + 1
-    normals = {}
-    for s, v in zip(*np.nonzero(~certain)):
-        if s not in normals:
-            S = [ints()[i] for i in subsets[s]]
-            # cofactors of the last row of det[S; v], so normal . v = det[S; v]
-            normals[s] = [
-                (-1) ** (j + r - 1) * _bareiss([row[:j] + row[j + 1:] for row in S])[1]
-                for j in range(r)
-            ]
-        det = sum(map(operator.mul, normals[s], ints()[v]))
-        sign[s, v] = (det > 0) - (det < 0)
+    open_rows = np.flatnonzero(~certain.all(axis=1))
+    if len(open_rows):
+        points = ints()
+        sign[open_rows] = np.sign(_cofactors(points[subsets[open_rows]]) @ points.T)
     return sign
 
 
 @functools.cache
 def _levels(r: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The level tables of `_float_sides` for r x r determinants, built once
+    """The level tables of `_cofactors` for r x r determinants, built once
     per r as read-only arrays: for t = 1, ..., r, the t-sets T of column
     indices (combinations order), for each T and s the position of T without
-    T[s] among the (t - 1)-sets, and the cofactor signs (-1)^(s + t - 1)."""
+    T[s] among the (t - 1)-sets, and the cofactor signs (-1)^(s + t - 1) as
+    ints, so that float products keep their bits and integer ones stay
+    exact."""
     levels, index = [], {(): 0}
     for t in range(1, r + 1):
         sets = list(itertools.combinations(range(r), t))
         sub = [[index[T[:s] + T[s + 1:]] for s in range(t)] for T in sets]
-        sign = [(-1.0) ** (s + t - 1) for s in range(t)]
-        levels.append((_frozen(sets, np.intp), _frozen(sub, np.intp), _frozen(sign, float)))
+        sign = [(-1) ** (s + t - 1) for s in range(t)]
+        levels.append((_frozen(sets, np.intp), _frozen(sub, np.intp), _frozen(sign, np.intp)))
         index = {T: i for i, T in enumerate(sets)}
     return tuple(levels)
+
+
+def _cofactors(A: np.ndarray) -> np.ndarray:
+    """For each (r - 1) x r matrix S in A, the r cofactors of the last row
+    of det[S; v], so that det[S; v] = cofactors . v, in A's own arithmetic:
+    float64, or Python ints in an object array, exactly.
+
+    Every minor of S comes from expansion along its last row, level by
+    level: row t - 1 pairs column T[s] with minor T - T[s], for each t-set
+    T of columns; then v pairs column s with minor range(r) - s."""
+    c, _, r = A.shape
+    *levels, (_, last, sign) = _levels(r)
+    det = np.ones((c, 1), dtype=A.dtype)
+    for t, (sets, sub, level_sign) in enumerate(levels, start=1):
+        det = (A[:, t - 1, sets] * det[:, sub] * level_sign).sum(axis=2)
+    return det[:, last[0]] * sign
 
 
 def _float_sides(floats: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det[S; v] in floats for every row S of `subsets` and every v, and
     where its sign is certain.
 
-    Every minor of S comes from expansion along its last row, level by
-    level, and the same sums over absolute values give the permanents;
-    det[S; v] is the last level, one matrix product, and P its permanent.
-    One monomial of it passes at most r^2 roundings, so the float value is
-    off by at most r^2 * 2^-53 * P / (1 - r^2 * 2^-53) (Shewchuk 1997),
-    whatever the order of the sums. That bound needs every step to stay
-    normal: while every nonzero |entry| lies in
-    [2^(53 - 1000/r), 2^(1000/r) / r], no sum or product overflows, and no
-    nonzero value falls below 2^-1000 even after a cancellation at every
-    level. There a sign is certain where |det| > 2 r^2 2^-53 P; for a set
-    outside that range, nowhere.
+    The sides are the float `_cofactors` of S times v, one matrix product.
+    One monomial of det[S; v] passes at most r^2 roundings, so the float
+    value is off by at most r^2 * 2^-53 * P / (1 - r^2 * 2^-53), whatever
+    the order of the sums (Shewchuk 1997), where P = per(|[S; v]|) is the
+    sum of the monomials' absolute values. P is at most N, the product of
+    the r rows' 1-norms, whose expansion holds every monomial of P. That
+    bound needs every step to stay normal: while every nonzero |entry| lies
+    in [2^(53 - 1000/r), 2^(1000/r) / r], no sum or product overflows
+    (N <= 2^1000), and no nonzero value falls below 2^-1000 even after a
+    cancellation at every level. There a sign is certain where
+    |det| > 2 r^2 2^-53 N, where the factor 2 also covers the fewer than
+    r^2 + 2r roundings in N itself; for a set outside that range, nowhere.
     """
     c, m = subsets.shape
     r = m + 1
@@ -254,17 +265,9 @@ def _float_sides(floats: np.ndarray, subsets: np.ndarray) -> tuple[np.ndarray, n
     if r * (lo - 53) < -1000 or r * (hi + np.log2(r)) > 1000:
         return np.zeros((c, len(floats))), np.zeros((c, len(floats)), dtype=bool)
     A = floats[subsets]
-    *levels, (_, last, sign) = _levels(r)
-    # minors of the leading t rows of A, one per t-set T of columns; row
-    # t - 1 pairs column T[s] with minor T - T[s]
-    det = per = np.ones((c, 1))
-    for t, (sets, sub, level_sign) in enumerate(levels, start=1):
-        a = A[:, t - 1, sets]
-        det = (a * det[:, sub] * level_sign).sum(axis=2)
-        per = (np.abs(a) * per[:, sub]).sum(axis=2)
-    # then v pairs column s with minor range(r) - s
-    side = (det[:, last[0]] * sign) @ floats.T
-    return side, np.abs(side) > 2 * r**2 * 2.0**-53 * (per[:, last[0]] @ mag.T)
+    side = _cofactors(A) @ floats.T
+    norms = np.abs(A).sum(axis=2).prod(axis=1)
+    return side, np.abs(side) > np.outer(2 * r**2 * 2.0**-53 * norms, mag.sum(axis=1))
 
 
 def pack_rows(bits) -> np.ndarray:

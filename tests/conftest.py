@@ -57,7 +57,8 @@ def recursive_ltf_traces(points) -> list[tuple[int, ...]]:
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] == 0:
         return [()]
-    return sorted(_recursive_cells(_integer_lift(pts)))
+    rows = np.hstack([pts, np.ones((len(pts), 1))])
+    return sorted(_recursive_cells(_integer_lift(rows).tolist()))
 
 
 def _recursive_cells(vs):

@@ -144,6 +144,12 @@ class TestFloatRange:
         with pytest.raises(CapExceededError, match="delta = 0.1, m = an integer of 400 digits"):
             f(q)
 
+    def test_m_past_the_digit_limit_is_a_cap_naming_its_digits(self):
+        # str() of this m would raise ValueError past Python's int-to-str limit
+        q = BoundQuery(m=10**5000, eps=0.1, delta=0.1)
+        with pytest.raises(CapExceededError, match="m = an integer of 5001 digits exceeds"):
+            k_elementary(q)
+
     @pytest.mark.parametrize("m,column", [
         (10**77, "classical_m4"),  # m^4 fits a float, m^4 / eps^2 does not
         (10**78, "classical_m4"),  # m^4 itself does not fit

@@ -373,3 +373,11 @@ class TestConfigParsing:
         })
         assert isinstance(base, UnionOfMPoints)
         assert base.capacity == 2
+
+    def test_coordinate_past_the_digit_limit_is_named_by_its_digit_count(self):
+        # str() of this coordinate would raise ValueError past Python's int-to-str limit
+        doc = {"schema_version": 1, "kind": "baseline",
+               "baseline": {"kind": "union_of_points", "capacity": 1,
+                            "domain": [[0.0], [10**5000]]}}
+        with pytest.raises(ConfigError, match="float range, got an integer of 5001 digits$"):
+            parse_class_spec(doc)

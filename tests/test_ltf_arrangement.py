@@ -2,8 +2,9 @@
 agreement with the margin-LP sweep and with the recursive integer-only
 enumeration on degenerate, near-degenerate and scaled sets, the exact
 fallback of the filtered float predicate and the float-only path of
-generic draws, the cached level tables, scale invariance, complement
-closure and Cover's count."""
+generic draws, the integer cofactors against Bareiss, the certified float
+signs against the exact ones, the cached level tables, scale invariance,
+complement closure and Cover's count."""
 
 import itertools
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import lp_ltf_traces, ltf_tuples, recursive_ltf_traces
 from vclab import linsep
 from vclab.dichotomy import sauer_shelah_cap
-from vclab.pointsets import random_general_position, random_points
+from vclab.pointsets import random_general_position, random_points, subset_table
 
 
 def cover_count(n, d):
@@ -190,13 +191,20 @@ def test_generic_draws_take_no_integer_arithmetic(monkeypatch, d):
     assert [ltf_tuples(pts) for pts in draws] == want
 
 
-@pytest.mark.parametrize("pts", [NEAR_COLLINEAR, *EXTREME_SETS, np.round(NEAR_COLLINEAR)],
-                         ids=["near_collinear", "extreme0", "extreme1", "extreme2",
-                              "collinear_grid"])
-def test_uncertain_signs_take_integer_arithmetic(monkeypatch, pts):
-    """A set with a sign the floats leave open builds its integers once per
-    call and runs Bareiss, takes the float sides once per cell call, and
-    still gets the reference's rows."""
+# a degenerate plane (the line x = y through four points) whose signs the
+# floats leave open
+DIAGONAL_TINY = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [1, 0], [3, 3]]) * 1e-300
+
+
+@pytest.mark.parametrize("pts, max_bareiss", [
+    (NEAR_COLLINEAR, 0), *((pts, None) for pts in EXTREME_SETS), (np.round(NEAR_COLLINEAR), 0),
+    (DIAGONAL_TINY, 2),
+], ids=["near_collinear", "extreme0", "extreme1", "extreme2", "collinear_grid", "diagonal_tiny"])
+def test_uncertain_signs_take_integer_arithmetic(monkeypatch, pts, max_bareiss):
+    """A set with a sign the floats leave open builds its integers at most
+    once per cell call and takes its open signs from the integer cofactors,
+    so Bareiss runs at most once per cell call, for a rank alone; the float
+    sides are taken once per cell call, and the rows are the reference's."""
     want = recursive_ltf_traces(pts)
     calls = {"_integer_lift": 0, "_bareiss": 0, "_cells": 0, "_float_sides": 0}
 
@@ -211,8 +219,39 @@ def test_uncertain_signs_take_integer_arithmetic(monkeypatch, pts):
     for name in calls:
         monkeypatch.setattr(linsep, name, counted(name))
     assert ltf_tuples(pts) == want
-    assert calls["_integer_lift"] == 1 and calls["_bareiss"] > 0
+    assert 1 <= calls["_integer_lift"] <= calls["_cells"]
+    assert calls["_bareiss"] <= (calls["_cells"] if max_bareiss is None else max_bareiss)
     assert calls["_float_sides"] == calls["_cells"]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+def test_integer_cofactors_give_the_bareiss_determinant(r):
+    """det[S; v] = _cofactors(S) . v over the integers, for independent and
+    dependent S alike."""
+    rng = np.random.default_rng(r)
+    for trial in range(40):
+        S = rng.integers(-3, 4, size=(r - 1, r))
+        if trial % 4 == 0 and r > 1:
+            S[-1] = 2 * S[0] if r > 2 else 0  # a dependent S
+        vs = rng.integers(-3, 4, size=(6, r))
+        cof = linsep._cofactors(S.astype(object)[None])[0]
+        for v in vs.tolist():
+            assert sum(map(int.__mul__, cof.tolist(), v)) == linsep._bareiss([*S.tolist(), v])[1]
+
+
+@given(pts=st.one_of(grid_sets(max_n=8, max_d=4), near_degenerate_sets(max_n=7)).filter(len),
+       factor=st.sampled_from([1.0, 2.0**-30, 2.0**30]))
+@example(pts=NEAR_COLLINEAR, factor=1.0)
+@settings(max_examples=60, deadline=None)
+def test_certified_float_signs_are_exact(pts, factor):
+    """Every sign `_float_sides` certifies is the sign of the exact side
+    from the integer cofactors of the lifted rows."""
+    rows = np.hstack([pts * factor, np.ones((len(pts), 1))])
+    subsets = subset_table(len(rows), pts.shape[1])
+    side, certain = linsep._float_sides(rows, subsets)
+    ints = linsep._integer_lift(rows)
+    exact = np.sign(linsep._cofactors(ints[subsets]) @ ints.T).astype(int)
+    assert (np.sign(side)[certain] == exact[certain]).all()
 
 
 def test_cached_tables_are_right_and_read_only():
