@@ -78,19 +78,6 @@ def _packed(bits) -> np.ndarray:
     return linsep.unique_rows(linsep.pack_rows(bits))
 
 
-def _distinct_per_subset(traces: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """len(_packed(traces[:, s])) for every row s of `idx`, from one dedupe:
-    each projected trace is packed behind its subset's row number as an
-    8-byte big-endian key, so distinct rows count distinct traces per
-    subset."""
-    t = traces.shape[0]
-    c, r = idx.shape
-    bits = traces[:, idx].transpose(1, 0, 2).reshape(c * t, r)
-    keys = np.repeat(np.arange(c, dtype=">u8").view(np.uint8).reshape(c, 8), t, axis=0)
-    rows = linsep.unique_rows(np.hstack([keys, linsep.pack_rows(bits)]))
-    return np.bincount(rows[:, :8].copy().view(">u8")[:, 0].astype(np.intp), minlength=c)
-
-
 def trace_set(
     cls, B: PointSet, budget: int = DEFAULT_BUDGET, seed: int = 0
 ) -> tuple[np.ndarray, bool]:
@@ -199,7 +186,11 @@ def _block_rows(net: NetworkSpec, n: int) -> int:
 
 
 def growth_function_oracle(c, n: int):
-    """Exact growth function value for a baseline class at set size n.
+    """Exact growth function value for a baseline class at set size n. An
+    explicit-finite class with t traces on k points walks the r-subsets of
+    its domain, r = min(n, k), one trace count each (at most
+    ORACLE_SUBSET_CAP of them), and stops at the first with min(t, 2^r)
+    traces, which no r-set exceeds.
 
     Python integers are unbounded, so no overflow guard is needed.
     """
@@ -217,11 +208,12 @@ def growth_function_oracle(c, n: int):
             raise CapExceededError(f"too many subsets for exhaustive growth count: "
                                    f"C({k}, {r}) = {subsets} exceeds cap {ORACLE_SUBSET_CAP}")
         traces = np.reshape(c.traces, (t, k)).astype(bool)
-        table = subset_table(k, r)
-        # subsets per dedupe, so one call packs about _BLOCK_ENTRIES bits
-        step = max(1, _BLOCK_ENTRIES // max(t * r, 1))
-        return max(int(_distinct_per_subset(traces, table[a : a + step]).max())
-                   for a in range(0, subsets, step))
+        ceiling, best = min(t, 2**r), 0
+        for s in subset_table(k, r):
+            best = max(best, len(_packed(traces[:, s])))
+            if best == ceiling:
+                break
+        return best
     raise ConfigError(f"oracle growth needs a baseline class, not {class_id(c)}")
 
 
@@ -294,16 +286,19 @@ def vc_dim_bruteforce(
     budget: int = DEFAULT_BUDGET,
 ) -> VcDimResult:
     """VC-dimension up to max_d. A baseline's is exact: the largest n <= max_d
-    (and <= |domain| for the finite-domain classes) with oracle(n) = 2^n,
-    stepping n up until growth_function_oracle falls below 2^n; growth at
-    most doubles per point, so no larger n is shattered. A network's is the
-    largest size at which one of `tries` candidate point sets is shattered
-    by `budget` sampled weights; a miss there is not a proof."""
+    (and <= |domain| for the finite-domain classes, <= log2 t for an
+    explicit one, as t traces shatter no more points) with oracle(n) =
+    2^n, stepping n up until growth_function_oracle falls below 2^n; growth
+    at most doubles per point, so no larger n is shattered. A network's is
+    the largest size at which one of `tries` candidate point sets is
+    shattered by `budget` sampled weights; a miss there is not a proof."""
     if max_d > SHATTER_CAP:
         raise CapExceededError(f"max_d {max_d} exceeds shattering cap {SHATTER_CAP}")
     best = 0
     if not isinstance(cls, NetworkSpec):
         top = max_d if isinstance(cls, LinearThreshold) else min(max_d, len(cls.domain))
+        if isinstance(cls, ExplicitFinite):
+            top = min(top, len(cls.traces).bit_length() - 1)
         while best < top and growth_function_oracle(cls, best + 1) == 2 ** (best + 1):
             best += 1
         return VcDimResult(value=best, saturated=(best == max_d))

@@ -90,6 +90,23 @@ def _recursive_cells(vs):
     return found
 
 
+def composed_threshold_traces(points, w) -> np.ndarray:
+    """Traces of every one-hidden-layer threshold net of width w on `points`,
+    from all tuples, as sorted np.packbits rows: with L the LTF traces of the
+    points and G those of the w-cube (vertices in itertools.product order),
+    each (t_1, ..., t_w) in L^w and g in G give x -> g[sum_i t_i(x) 2^(w-1-i)].
+    The reference for threshold nets composed from their LTF layers."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    L = np.unpackbits(enumerate_ltf_traces(pts), axis=1, count=n).astype(np.intp)
+    cube = np.array(list(itertools.product((0, 1), repeat=w)), dtype=float)
+    G = np.unpackbits(enumerate_ltf_traces(cube), axis=1, count=2**w)
+    corner = np.zeros((1, n), dtype=np.intp)  # cube vertex of each point, per tuple
+    for i in range(w):
+        corner = (corner[:, None] + (L << (w - 1 - i))).reshape(-1, n)
+    return unique_packed_rows(G[:, corner].reshape(-1, n))
+
+
 def loop_in_general_position(points) -> bool:
     """General position by one np.linalg.det call per (d+1)-subset: the
     reference for the batched check in pointsets.in_general_position."""

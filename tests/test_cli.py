@@ -366,15 +366,29 @@ class TestVcdimCommand:
         assert main(["vcdim", "--class", str(spec), "--max-d", "4", "--output", str(out)]) == 0
         assert read_rows(out)[1] == ["explicit_finite_8traces", "3", "0", "1729"]
 
-    def test_explicit_finite_past_subset_cap_exits_3(self, tmp_path, capsys):
-        # two traces on 500 points shatter one point; the walk then needs
-        # all C(500, 2) = 124750 pairs, above the 100001-subset cap
+    @staticmethod
+    def wide_spec(tmp_path, traces):
         spec = tmp_path / "wide.json"
-        traces = [[0] * 500, [1] + [0] * 499]
         spec.write_text(json.dumps({"schema_version": 1, "kind": "baseline", "baseline": {
             "kind": "explicit_finite", "domain": [[i] for i in range(500)], "traces": traces}}))
-        assert main(["vcdim", "--class", str(spec), "--max-d", "4"]) == 3
+        return str(spec)
+
+    def test_explicit_finite_past_subset_cap_exits_3(self, tmp_path, capsys):
+        # four traces (zero and three one-hot) on 500 points shatter one
+        # point, and log2 4 = 2 lets the walk go on to pairs: C(500, 2) =
+        # 124750 of them, above the 100001-subset cap
+        traces = [[0] * 500] + [[int(i == j) for i in range(500)] for j in range(3)]
+        assert main(["vcdim", "--class", self.wide_spec(tmp_path, traces), "--max-d", "4"]) == 3
         assert "too many subsets" in capsys.readouterr().err
+
+    def test_explicit_finite_stops_at_log2_traces(self, tmp_path):
+        # two traces shatter no pair, so the walk never visits the
+        # C(500, 2) pairs past the subset cap
+        out = tmp_path / "vc.csv"
+        traces = [[0] * 500, [1] + [0] * 499]
+        assert main(["vcdim", "--class", self.wide_spec(tmp_path, traces), "--max-d", "4",
+                     "--output", str(out)]) == 0
+        assert read_rows(out)[1] == ["explicit_finite_2traces", "1", "0", "1729"]
 
     @pytest.mark.parametrize("flag", ["--max-d", "--tries", "--budget"])
     def test_nonpositive_count_exits_2_naming_flag(self, tmp_path, capsys, flag):

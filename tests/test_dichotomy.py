@@ -179,6 +179,20 @@ class TestGrowthOracle:
         assert growth_function_oracle(c, 3) == 4
         assert growth_function_oracle(c, 1) == 2
 
+    def test_explicit_finite_walk_stops_at_first_full_subset(self, monkeypatch):
+        # points 0 and 1 carry all four labelings, so of the C(8, 2) pairs
+        # only the first is counted; two traces that differ at point 7 stop
+        # the walk at (0, 7), the seventh pair
+        counted = []
+        packed = dichotomy._packed
+        monkeypatch.setattr(dichotomy, "_packed", lambda bits: counted.append(1) or packed(bits))
+        domain = tuple((float(i),) for i in range(8))
+        c = ExplicitFinite(domain=domain, traces=tuple((a, b) + (0,) * 6
+                                                       for a in (0, 1) for b in (0, 1)))
+        assert growth_function_oracle(c, 2) == 4 and len(counted) == 1
+        c = ExplicitFinite(domain=domain, traces=((0,) * 8, (0,) * 7 + (1,)))
+        assert growth_function_oracle(c, 2) == 2 and len(counted) == 1 + 7
+
     @pytest.mark.parametrize("table_rows, entries", [(1 << 15, 1 << 16), (7, 5)])
     def test_explicit_finite_equals_per_subset_reference(self, monkeypatch, table_rows, entries):
         # subsets deduped a block at a time, from cached or fresh subset
