@@ -1,4 +1,6 @@
 import itertools
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import strategies as st
 from conftest import CONFIG_DIR, GP6, GP8, loop_run_uc_experiment
 from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import ExplicitFinite, LinearThreshold, UnionOfMPoints, load_class_spec
+from vclab import ucheck
 from vclab.pointsets import PointSet
 from vclab.ucheck import (
     _BLOCK_ENTRIES,
+    _CHUNK_BLOCKS,
     EXACT,
     MAX_K,
     SAMPLED,
@@ -234,6 +238,17 @@ UC_CASES = {
 }
 TRIAL_COUNTS = {"one": lambda b: 1, "block-1": lambda b: b - 1,
                 "block": lambda b: b, "block+1": lambda b: b + 1}
+# trial counts around a multinomial chunk of _CHUNK_BLOCKS blocks of b trials
+CHUNK_COUNTS = {"chunk-1": lambda c, b: c - 1, "chunk": lambda c, b: c,
+                "chunk+1": lambda c, b: c + 1, "chunks+partial": lambda c, b: 3 * c + b + 1}
+
+
+def _block(cls, D):
+    """Trials per Monte Carlo block of run_uc_experiment on cls and D."""
+    return max(1, _BLOCK_ENTRIES // len(_error_matrix(cls, D, 20000, 0)[0]))
+
+
+CHUNK8 = _block(LTF2, UNIFORM8) * _CHUNK_BLOCKS  # trials per chunk on ltf2_uniform8
 
 
 def assert_bitwise_equal(got, want):
@@ -269,6 +284,77 @@ class TestBlockedTrials:
         got = run_uc_experiment(cls, D, eps=eps, k=k, trials=trials, seed=seed)
         want = loop_run_uc_experiment(cls, D, eps=eps, k=k, trials=trials, seed=seed)
         assert_bitwise_equal(got, want)
+
+    # one_point and single_trace have 8192 and 16384 trials per block, too
+    # many for a quick per-trial reference run over several chunks
+    @pytest.mark.parametrize("count", sorted(CHUNK_COUNTS))
+    @pytest.mark.parametrize("case", ["ltf2_uniform8", "ltf2_uniform6", "union2_uniform6"])
+    def test_chunk_boundaries_match_per_trial_reference(self, case, count):
+        cls, D = UC_CASES[case]
+        block = _block(cls, D)
+        trials = CHUNK_COUNTS[count](block * _CHUNK_BLOCKS, block)
+        args = dict(eps=0.1, k=50, trials=trials, seed=1729)
+        got = run_uc_experiment(cls, D, **args)
+        assert_bitwise_equal(got, loop_run_uc_experiment(cls, D, **args))
+
+    # single_trace's 16384-trial block of counts already holds 8 blocks' worth
+    # of entries (one trace, 8 points), so its chunk is one block
+    @pytest.mark.parametrize("case,trials,threads", [
+        ("ltf2_uniform8", 1, 0), ("ltf2_uniform8", CHUNK8, 0), ("ltf2_uniform8", CHUNK8 + 1, 1),
+        ("single_trace", _BLOCK_ENTRIES, 0), ("single_trace", _BLOCK_ENTRIES + 1, 1)])
+    def test_worker_only_past_one_chunk(self, monkeypatch, case, trials, threads):
+        started = []
+
+        def thread(**kwargs):
+            started.append(threading.Thread(**kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(ucheck, "threading", SimpleNamespace(Thread=thread))
+        cls, D = UC_CASES[case]
+        run_uc_experiment(cls, D, eps=0.1, k=50, trials=trials, seed=0)
+        assert len(started) == threads
+        assert not any(t.is_alive() for t in started)
+
+    @pytest.mark.parametrize("fail", ["draw", "sup"])
+    def test_error_mid_run_propagates_and_joins_worker(self, monkeypatch, fail):
+        calls = []
+
+        def failing(real):
+            def call(*args, **kwargs):
+                calls.append(threading.current_thread())
+                if len(calls) == 2:  # the second chunk's draw, or a first-chunk block
+                    raise RuntimeError(f"{fail} failed")
+                return real(*args, **kwargs)
+            return call
+
+        if fail == "draw":
+            real_rng = np.random.default_rng
+
+            def rng(seed):
+                gen = real_rng(seed)
+                return SimpleNamespace(multinomial=failing(gen.multinomial))
+
+            monkeypatch.setattr(np.random, "default_rng", rng)
+        else:
+            monkeypatch.setattr(ucheck, "_sup_deviations", failing(ucheck._sup_deviations))
+        raised = []
+
+        def run():
+            try:
+                run_uc_experiment(LTF2, UNIFORM8, eps=0.1, k=50, trials=3 * CHUNK8, seed=0)
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        # run on a thread of its own, so a lost error fails the join's
+        # timeout instead of hanging the suite
+        baseline = threading.active_count()
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [str(e) for e in raised] == [f"{fail} failed"]
+        assert threading.active_count() == baseline
+        assert (calls[0] is not caller) == (fail == "draw")  # draws run on the worker
 
     def test_stock_near_tie_case(self):
         # dist8 at k = 50 puts 1851 of 40000 sups within 1e-12 of eps = 0.1,
