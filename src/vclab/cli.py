@@ -276,6 +276,8 @@ def cmd_ucheck(args):
     budget, seed = read_budget_seed(args)
     if k is None and m is None:
         raise ConfigError("ucheck needs either --k or --m (for k_elementary)")
+    if k is not None and m is not None:
+        raise ConfigError("ucheck takes --k or --m, not both")
     cls = load_class_spec(args.class_spec)
     dist = uc.load_distribution(args.dist)
     # a union class with an empty domain takes points of any dimension

@@ -26,14 +26,12 @@ from .pointsets import PointSet
 PROB_TOL = 1e-12
 # Generator.multinomial takes the sample size as a C long
 MAX_K = 2**63 - 1
-# trace-trial entries per Monte Carlo block (128 KB per float array); blocks
-# of 65536 entries were no faster and raised peak RSS by about 0.7 MB. Blocks
-# are scored on the calling thread; a run of more than one chunk of
-# _CHUNK_BLOCKS blocks draws its counts on a worker thread one chunk ahead
-_BLOCK_ENTRIES = 16384
-# blocks per multinomial chunk: on 2 cores, chunks of 2 to 32 blocks all cut
-# the stock ucheck jobs by about 30%, one block per hand-off by 0-15%
-_CHUNK_BLOCKS = 8
+# trace-trial entries per Monte Carlo chunk: a chunk of c trials is one
+# multinomial call and one _sup_deviations call, and c * max(traces,
+# |support|) <= 2^16 keeps each of its arrays within 512 KB, unless one
+# trial alone is larger. Each chunk costs one hand-off to the draw-ahead
+# worker: 2^15 made the stock ucheck jobs 6-14% slower than 2^16
+_CHUNK_ENTRIES = 1 << 16
 
 EXACT = "exact_trace_enumeration"
 SAMPLED = "sampled_hypotheses"
@@ -100,6 +98,10 @@ def _sup_deviations(errs, p, counts, k: int) -> np.ndarray:
     return np.abs(dv, out=dv).max(axis=1)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SupDeviation:
     value: float
@@ -113,29 +115,34 @@ def sup_deviation_exact(
     (misclassified probability mass) against the empirical loss
     (misclassified fraction of S).
 
-    S is a nonempty multiset of support indices, run through the same
-    kernel as one trial of run_uc_experiment. For sampled (network)
-    enumeration the value is a lower bound on the true supremum.
+    S is a nonempty multiset of support indices, ints in
+    range(len(D.support)), run through the same kernel as one trial of
+    run_uc_experiment. For sampled (network) enumeration the value is a
+    lower bound on the true supremum.
     """
     S = list(S)
     if not S:
         raise ValueError("sample must be nonempty")
+    n = len(D.support)
+    for i in S:
+        if not (_is_int(i) and 0 <= i < n):
+            raise ValueError(f"sample entries must be ints in range({n}), got {i!r}")
     errs, method = _error_matrix(cls, D, budget, seed)
     p = np.array(D.probabilities, dtype=float)
-    counts = np.bincount(np.asarray(S, dtype=int), minlength=len(D.support))
+    counts = np.bincount(np.asarray(S, dtype=int), minlength=n)
     value = float(_sup_deviations(errs, p, counts[None, :], len(S))[0])
     return SupDeviation(value=value, method=method)
 
 
 def _score_chunks(rng, k: int, p, trials: int, chunk: int, score) -> None:
-    """Call score on the multinomial count arrays of `trials` trials, `chunk`
-    rows each (the last may be shorter), drawn from rng in stream order. A
-    run of one chunk draws it inline. Past one chunk, a worker thread is
-    rng's only user: it draws each next chunk while score runs on the current
-    one, and multinomial releases the GIL, so on a second core the two
-    overlap. At most one chunk is in flight, so two chunks are alive at a
-    time. A draw that raises re-raises here, and the worker is joined on
-    every exit."""
+    """Call score once per chunk of `trials` trials, on that chunk's
+    multinomial count array of `chunk` rows (the last may be shorter), drawn
+    from rng in stream order. A run of one chunk draws it inline. Past one
+    chunk, a worker thread is rng's only user: it draws each next chunk while
+    score runs on the current one, and multinomial releases the GIL, so on a
+    second core the two overlap. At most one chunk is in flight, so two
+    chunks are alive at a time. A draw that raises re-raises here, and the
+    worker is joined on every exit."""
     if trials <= chunk:
         score(rng.multinomial(k, p, size=trials))
         return
@@ -181,14 +188,19 @@ def run_uc_experiment(
 ) -> UCExperimentResult:
     """Draw `trials` samples S ~ D^k and count trials whose supremum
     deviation exceeds eps. Only per-point sample counts enter the losses, so
-    each trial draws a multinomial count vector. Counts are drawn in chunks
-    of up to _CHUNK_BLOCKS blocks, one multinomial call per chunk from the
-    same generator stream, and scored a block at a time. Past one chunk, a
-    worker thread draws the next chunk while this thread scores the current
-    one; a run of one chunk starts no thread. This needs no flag, and every
-    result field is bitwise the same as drawing one trial at a time, on any
-    number of cores. Bit-reproducible for a fixed seed. k above 2^63 - 1, the
-    sampler's range, raises CapExceededError."""
+    each trial draws a multinomial count vector. Trials run in chunks of
+    _CHUNK_ENTRIES // max(traces, |support|) trials (at least one): one
+    multinomial call from the one generator stream draws a chunk and one
+    _sup_deviations call scores it, so memory is bounded by the chunk, not
+    by `trials`. Past one chunk, a worker thread draws the next chunk while
+    this thread scores the current one; a run of one chunk starts no thread.
+    This needs no flag, and every result field is bitwise the same as
+    drawing one trial at a time, on any number of cores. Bit-reproducible
+    for a fixed seed. k and trials must be ints >= 1 (ValueError); k above
+    2^63 - 1, the sampler's range, raises CapExceededError."""
+    for name, v in (("k", k), ("trials", trials)):
+        if not _is_int(v):
+            raise ValueError(f"{name} must be an int, got {v!r}")
     if trials < 1 or k < 1:
         raise ValueError("trials and k must be >= 1")
     if k > MAX_K:
@@ -196,24 +208,20 @@ def run_uc_experiment(
     errs, method = _error_matrix(cls, D, budget, seed)
     p = np.array(D.probabilities, dtype=float)
     rng = np.random.default_rng(seed)
-    block = max(1, _BLOCK_ENTRIES // len(errs))
     failures = 0
     sup_sum = 0.0
 
     def score(counts):
         nonlocal failures, sup_sum
-        for start in range(0, len(counts), block):
-            sups = _sup_deviations(errs, p, counts[start:start + block], k)
-            failures += int(np.count_nonzero(sups > eps))
-            # np.cumsum adds left to right like a scalar running sum; np.sum
-            # adds pairwise and can round differently
-            sups[0] += sup_sum
-            sup_sum = float(np.cumsum(sups)[-1])
+        sups = _sup_deviations(errs, p, counts, k)
+        failures += int(np.count_nonzero(sups > eps))
+        # np.cumsum adds left to right like a scalar running sum; np.sum
+        # adds pairwise and can round differently
+        sups[0] += sup_sum
+        sup_sum = float(np.cumsum(sups)[-1])
 
-    # at most _CHUNK_BLOCKS * _BLOCK_ENTRIES counts (1 MB) per chunk, but at
-    # least one block: few traces on a large support make long count rows
-    blocks = min(_CHUNK_BLOCKS, _CHUNK_BLOCKS * _BLOCK_ENTRIES // (block * len(p)))
-    _score_chunks(rng, k, p, trials, block * max(1, blocks), score)
+    chunk = max(1, _CHUNK_ENTRIES // max(len(errs), len(p)))
+    _score_chunks(rng, k, p, trials, chunk, score)
     return UCExperimentResult(
         k=k,
         trials=trials,

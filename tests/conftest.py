@@ -166,7 +166,7 @@ def _require_finite(plane, stage):
 def loop_run_uc_experiment(cls, D, eps, k, trials, seed,
                            budget=DEFAULT_BUDGET) -> UCExperimentResult:
     """One multinomial draw and one `errs @ v` per trial, summed in a Python
-    float: the reference for the blocked trials of ucheck.run_uc_experiment."""
+    float: the reference for the chunked trials of ucheck.run_uc_experiment."""
     errs, method = _error_matrix(cls, D, budget, seed)
     p = np.array(D.probabilities, dtype=float)
     rng = np.random.default_rng(seed)

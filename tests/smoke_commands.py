@@ -26,8 +26,8 @@ def calls(out: Path) -> list[list[str]]:
         ["density", "--input", growth, "--output", str(out / "density.csv")],
         ["vcdim", "--class", net, "--max-d", "2", "--tries", "2", "--budget", "200",
          "--output", str(out / "vcdim.csv")],
-        # 5000 trials are more than one multinomial chunk (2256 on dist8), so
-        # ucheck's draw-ahead worker thread runs
+        # 5000 trials are more than one Monte Carlo chunk (1129 trials on
+        # dist8's 58 traces), so ucheck's draw-ahead worker thread runs
         ["ucheck", "--class", ltf2, "--dist", dist, "--eps", "0.25", "--delta", "0.2",
          "--m", "3", "--trials", "5000", "--output", str(out / "uc.csv")],
         ["run_bounds_table.py", "--output-dir", str(out)],

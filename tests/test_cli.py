@@ -662,6 +662,9 @@ BAD_INPUT_ROUTES = [
      "--seed must be >= 0, got -1"),
     (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *UCHECK, "--seed", "-1"], {}, 2,
      "--seed must be >= 0, got -1"),
+    # --k and --m are two routes to one sample size
+    (["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON, *UCHECK, "--m", "3"], {}, 2,
+     "ucheck takes --k or --m, not both"),
     # growth CSV cells, then the density fit checks
     (["density", "--input", "{d}/g.csv"], {"g.csv": _growth_csv_text("8,x,exact,0,c")}, 2,
      "g.csv data row 1: count must be an integer, got 'x'"),

@@ -1,5 +1,6 @@
 import itertools
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,8 +14,7 @@ from vclab.hypotheses import ExplicitFinite, LinearThreshold, UnionOfMPoints, lo
 from vclab import ucheck
 from vclab.pointsets import PointSet
 from vclab.ucheck import (
-    _BLOCK_ENTRIES,
-    _CHUNK_BLOCKS,
+    _CHUNK_ENTRIES,
     EXACT,
     MAX_K,
     SAMPLED,
@@ -93,6 +93,12 @@ class TestLosses:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             sup_deviation_exact(single_trace_class(UNIFORM6), UNIFORM6, [])
+
+    # np.asarray(S, dtype=int) would read 0.5 as index 0
+    @pytest.mark.parametrize("bad", [0.5, 8, -1, True])
+    def test_sample_entry_outside_the_support_indices_rejected(self, bad):
+        with pytest.raises(ValueError, match=rf"ints in range\(8\), got {bad!r}$"):
+            sup_deviation_exact(single_trace_class(UNIFORM8), UNIFORM8, [0, bad])
 
 
 class TestDistributionValidation:
@@ -236,19 +242,17 @@ UC_CASES = {
     "one_point": (LTF2, ONE_POINT),
     "union2_uniform6": (UnionOfMPoints(capacity=2, domain=GP6.points), UNIFORM6),
 }
-TRIAL_COUNTS = {"one": lambda b: 1, "block-1": lambda b: b - 1,
-                "block": lambda b: b, "block+1": lambda b: b + 1}
-# trial counts around a multinomial chunk of _CHUNK_BLOCKS blocks of b trials
-CHUNK_COUNTS = {"chunk-1": lambda c, b: c - 1, "chunk": lambda c, b: c,
-                "chunk+1": lambda c, b: c + 1, "chunks+partial": lambda c, b: 3 * c + b + 1}
+# trial counts around run_uc_experiment's Monte Carlo chunk of c trials
+TRIAL_COUNTS = {"one": lambda c: 1, "chunk-1": lambda c: c - 1, "chunk": lambda c: c,
+                "chunk+1": lambda c: c + 1, "chunks+partial": lambda c: 3 * c + c // 2}
 
 
-def _block(cls, D):
-    """Trials per Monte Carlo block of run_uc_experiment on cls and D."""
-    return max(1, _BLOCK_ENTRIES // len(_error_matrix(cls, D, 20000, 0)[0]))
+def _chunk(cls, D):
+    """Trials per Monte Carlo chunk of run_uc_experiment on cls and D."""
+    return max(1, _CHUNK_ENTRIES // max(_error_matrix(cls, D, 20000, 0)[0].shape))
 
 
-CHUNK8 = _block(LTF2, UNIFORM8) * _CHUNK_BLOCKS  # trials per chunk on ltf2_uniform8
+CHUNK8 = _chunk(LTF2, UNIFORM8)  # trials per chunk on ltf2_uniform8
 
 
 def assert_bitwise_equal(got, want):
@@ -257,9 +261,9 @@ def assert_bitwise_equal(got, want):
     assert got.mean_sup_deviation.hex() == want.mean_sup_deviation.hex()
 
 
-class TestBlockedTrials:
+class TestChunkedTrials:
     """run_uc_experiment against the one-trial-at-a-time reference, every
-    field bitwise, across the block boundaries of its trial loop."""
+    field bitwise, across the chunk boundaries of its trial loop."""
 
     @given(
         case=st.sampled_from(sorted(UC_CASES)),
@@ -269,40 +273,35 @@ class TestBlockedTrials:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(case="ltf2_uniform8", trials="one", k=50, eps=0.1, seed=1729)
-    @example(case="ltf2_uniform8", trials="block-1", k=50, eps=0.1, seed=1729)
-    @example(case="ltf2_uniform8", trials="block", k=50, eps=0.1, seed=1729)
-    @example(case="ltf2_uniform8", trials="block+1", k=50, eps=0.1, seed=1729)
-    @example(case="single_trace", trials="block+1", k=5, eps=0.01, seed=1)
-    @example(case="one_point", trials="block+1", k=3, eps=0.1, seed=2)
-    @example(case="union2_uniform6", trials="block+1", k=1, eps=0.5, seed=3)
+    @example(case="ltf2_uniform8", trials="chunk-1", k=50, eps=0.1, seed=1729)
+    @example(case="ltf2_uniform8", trials="chunk", k=50, eps=0.1, seed=1729)
+    @example(case="ltf2_uniform8", trials="chunk+1", k=50, eps=0.1, seed=1729)
+    @example(case="single_trace", trials="chunk+1", k=5, eps=0.01, seed=1)
+    @example(case="one_point", trials="chunk+1", k=3, eps=0.1, seed=2)
+    @example(case="union2_uniform6", trials="chunk+1", k=1, eps=0.5, seed=3)
     @settings(max_examples=40, deadline=None)
     def test_matches_per_trial_reference(self, case, trials, k, eps, seed):
         cls, D = UC_CASES[case]
         if trials in TRIAL_COUNTS:
-            rows = len(_error_matrix(cls, D, 20000, seed)[0])
-            trials = TRIAL_COUNTS[trials](max(1, _BLOCK_ENTRIES // rows))
+            trials = TRIAL_COUNTS[trials](_chunk(cls, D))
         got = run_uc_experiment(cls, D, eps=eps, k=k, trials=trials, seed=seed)
         want = loop_run_uc_experiment(cls, D, eps=eps, k=k, trials=trials, seed=seed)
         assert_bitwise_equal(got, want)
 
-    # one_point and single_trace have 8192 and 16384 trials per block, too
-    # many for a quick per-trial reference run over several chunks
-    @pytest.mark.parametrize("count", sorted(CHUNK_COUNTS))
-    @pytest.mark.parametrize("case", ["ltf2_uniform8", "ltf2_uniform6", "union2_uniform6"])
+    @pytest.mark.parametrize("count", sorted(TRIAL_COUNTS))
+    @pytest.mark.parametrize("case", sorted(UC_CASES))
     def test_chunk_boundaries_match_per_trial_reference(self, case, count):
         cls, D = UC_CASES[case]
-        block = _block(cls, D)
-        trials = CHUNK_COUNTS[count](block * _CHUNK_BLOCKS, block)
-        args = dict(eps=0.1, k=50, trials=trials, seed=1729)
+        args = dict(eps=0.1, k=50, trials=TRIAL_COUNTS[count](_chunk(cls, D)), seed=1729)
         got = run_uc_experiment(cls, D, **args)
         assert_bitwise_equal(got, loop_run_uc_experiment(cls, D, **args))
 
-    # single_trace's 16384-trial block of counts already holds 8 blocks' worth
-    # of entries (one trace, 8 points), so its chunk is one block
-    @pytest.mark.parametrize("case,trials,threads", [
-        ("ltf2_uniform8", 1, 0), ("ltf2_uniform8", CHUNK8, 0), ("ltf2_uniform8", CHUNK8 + 1, 1),
-        ("single_trace", _BLOCK_ENTRIES, 0), ("single_trace", _BLOCK_ENTRIES + 1, 1)])
-    def test_worker_only_past_one_chunk(self, monkeypatch, case, trials, threads):
+    # single_trace's chunk is set by its 8 support points, not its one trace
+    @pytest.mark.parametrize("case,count,threads", [
+        ("ltf2_uniform8", "one", 0), ("ltf2_uniform8", "chunk", 0),
+        ("ltf2_uniform8", "chunk+1", 1), ("ltf2_uniform8", "chunks+partial", 1),
+        ("single_trace", "chunk", 0), ("single_trace", "chunk+1", 1)])
+    def test_worker_only_past_one_chunk(self, monkeypatch, case, count, threads):
         started = []
 
         def thread(**kwargs):
@@ -311,6 +310,7 @@ class TestBlockedTrials:
 
         monkeypatch.setattr(ucheck, "threading", SimpleNamespace(Thread=thread))
         cls, D = UC_CASES[case]
+        trials = TRIAL_COUNTS[count](_chunk(cls, D))
         run_uc_experiment(cls, D, eps=0.1, k=50, trials=trials, seed=0)
         assert len(started) == threads
         assert not any(t.is_alive() for t in started)
@@ -322,7 +322,7 @@ class TestBlockedTrials:
         def failing(real):
             def call(*args, **kwargs):
                 calls.append(threading.current_thread())
-                if len(calls) == 2:  # the second chunk's draw, or a first-chunk block
+                if len(calls) == 2:  # the second chunk's draw, or its score
                     raise RuntimeError(f"{fail} failed")
                 return real(*args, **kwargs)
             return call
@@ -387,3 +387,29 @@ class TestBlockedTrials:
     def test_k_beyond_sampler_limit_is_cap(self):
         with pytest.raises(CapExceededError, match=r"k = 9223372036854775808 .*2\^63 - 1"):
             run_uc_experiment(LTF2, UNIFORM8, eps=0.1, k=MAX_K + 1, trials=1, seed=0)
+
+    # the sampler would truncate k = 5.5 to 5 while the losses divide by 5.5
+    @pytest.mark.parametrize("name,bad", [("k", 5.5), ("trials", 2.5), ("k", True)])
+    def test_non_int_k_or_trials_rejected(self, name, bad):
+        args = {"k": 5, "trials": 3, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be an int, got {bad!r}"):
+            run_uc_experiment(LTF2, UNIFORM8, eps=0.1, seed=0, **args)
+
+    @pytest.mark.parametrize("points", [256, 1000])
+    def test_chunk_memory_is_bounded_on_a_large_support(self, points):
+        # one trace on many points: a chunk sized by traces alone would be
+        # 2^16 trials x |support| counts, 128 MiB per array at 256 points
+        D = DiscreteDistribution(
+            support=PointSet(points=tuple((float(i),) for i in range(points))),
+            probabilities=(1 / points,) * points,
+            true_labels=(0,) * points,
+        )
+        cls = single_trace_class(D)
+        trials = 40 * _chunk(cls, D)
+        tracemalloc.start()
+        try:
+            run_uc_experiment(cls, D, eps=0.1, k=50, trials=trials, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
