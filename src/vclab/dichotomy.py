@@ -152,7 +152,15 @@ def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
     or m. The generator fills each block row by row, one double at a time,
     so the weights, and hence the traces, are the same for any block size.
     Each weight is lo + (hi - lo) * u for the generator's next double u,
-    which is how rng.uniform(lo, hi) computes it, bit for bit."""
+    which is how rng.uniform(lo, hi) computes it, bit for bit.
+
+    Each block's traces come from forward_batch(net, W, X, traces=True),
+    looked up as `dichotomy.forward_batch`: the bits v > 0 of the real
+    outputs, with no float output copied. Past a plain threshold hidden
+    layer of width w with 2^w < |B| that pass may run the later layers on
+    the layer's 2^w cube corners alone and compose each point's bit by
+    Shannon steps; it gives the same bits and raises only where the full
+    pass on the points would (see forward_batch)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     net = as_network(cls)
@@ -167,7 +175,7 @@ def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
         W = rng.random((min(rows, budget - drawn), net.weight_count))
         W *= hi - lo
         W += lo
-        found.append(_packed(forward_batch(net, W, X) > 0))
+        found.append(_packed(forward_batch(net, W, X, traces=True)))
     return linsep.unique_rows(np.concatenate(found))
 
 

@@ -2,11 +2,15 @@
 activations, and exact baseline classes used as oracles.
 
 A network with weight vector w defines the classifier x -> [v(x, w) > 0],
-where v is its real output. `forward_batch` is the one evaluation path: it
-computes v for a batch of weight vectors on a batch of points. The baseline
-classes carry no evaluator; `dichotomy.trace_set` lists their traces
-directly. Everything here is immutable and pure, so evaluation can be
-parallelized freely.
+where v is its real output. `forward_batch` is the one evaluation path: one
+layer loop computes v for a batch of weight vectors on a batch of points,
+or, with traces=True, the traces [v > 0] themselves. A trace pass may run
+the layers after a plain threshold hidden layer of width w on the 2^w
+corners of {0,1}^w alone, where that layer's outputs lie, and read each
+point's bit off the corner table with `shannon_compose`, bitwise Shannon
+cofactor steps. The baseline classes carry no evaluator;
+`dichotomy.trace_set` lists their traces directly. Everything here is
+immutable and pure, so evaluation can be parallelized freely.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ SCHEMA_VERSION = 1
 WEIGHT_CAP = 1 << 18
 # numpy's ufunc buffer (elements) inside forward_batch's layer loop; see there
 _UFUNC_BUFFER = 1024
+# cost of a bool plane pass as a share of a float one; see _cut_layer
+_BOOL_PASS_SHARE = 0.125
 
 
 @dataclass(frozen=True)
@@ -148,12 +154,15 @@ def _apply_activation_batch(act: ActivationSpec, t, out=None):
     return out
 
 
-def forward_batch(network: NetworkSpec, W, X):
+def forward_batch(network: NetworkSpec, W, X, *, traces: bool = False):
     """Forward pass for a batch of weight vectors on a batch of points.
 
     W: (n_samples, m) weight matrix, each row a flat weight vector in layer
     order, within each node [w_1..w_fanin, bias]; X: (n_points, input_dim).
-    Returns (n_samples, n_points) real outputs of the single output node.
+    Returns (n_samples, n_points) real outputs of the single output node,
+    C-contiguous. With traces=True it returns the traces instead: the
+    (n_samples, n_points) bool array v > 0, bit for bit what comparing the
+    real outputs with 0 gives, without copying or transposing a float plane.
 
     Activations are carried node-major and point-major, as a (width,
     n_points, n_samples) array per layer: numpy runs a ufunc's inner loop
@@ -169,6 +178,21 @@ def forward_batch(network: NetworkSpec, W, X):
     operations in the same order in any layout, so the values do not depend
     on it.
 
+    Trace mode cuts the pass at the first plain threshold hidden layer (no
+    restriction) of width w that _cut_layer finds worth it: 2^w < n_points,
+    and the Shannon steps cost less than the float passes they replace.
+    The layers up to the cut run on the points, the cut layer writing its
+    bits as bool planes np.greater(pre, 0); the layers after it run, through
+    the same loop, on the 2^w corners of {0,1}^w (_corners) in place of the
+    points, giving a (2^w, n_samples) corner table of output bits, and
+    `shannon_compose` reads each point's bit off it through the bit planes.
+    The bits are those of the full pass: a plain threshold layer outputs
+    exactly 0.0 or 1.0, so each point's hidden outputs are one of the
+    corners, and each later layer applies the same float operations in the
+    same order to the same operands there. Without a cut, the output plane
+    is read as bool on the points. The traces come back as the transpose
+    of a (n_points, n_samples) bool plane, not C-contiguous.
+
     W and X must be finite (else a ValueError, before any plane is
     allocated). An overflow is then a CapExceededError, without numpy
     warnings. The layer loop runs under np.errstate with overflow, invalid
@@ -180,8 +204,12 @@ def forward_batch(network: NetworkSpec, W, X):
     inside the output node's activation (a polynomial, the one activation
     that can map finite inputs to a non-finite output) it reads "network
     output must be finite", anywhere else "activation input must be
-    finite". Underflow is ignored: a subnormal or zero result is a finite
-    value. The caller's np.errstate is back on return and on every raise.
+    finite". A corner that no point realizes may overflow where no point
+    does (a polynomial after the cut, say); when the corner pass raises,
+    the whole pass is run again on the points without a cut, which raises
+    exactly the error above or returns the traces. Underflow is ignored: a
+    subnormal or zero result is a finite value. The caller's np.errstate is
+    back on return and on every raise.
 
     The layer loop runs with numpy's ufunc buffer at _UFUNC_BUFFER = 1024
     elements instead of the default 8192. At 8192 the buffered iterator
@@ -197,41 +225,121 @@ def forward_batch(network: NetworkSpec, W, X):
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
-    s, m = W.shape
+    _, m = W.shape
     if m != network.weight_count:
         raise ValueError("weight matrix width != network weight count")
     if X.ndim != 2 or X.shape[1] != network.input_dim:
         raise ValueError(f"points must be (n, input_dim = {network.input_dim}), got {X.shape}")
     if not (np.isfinite(W).all() and np.isfinite(X).all()):
         raise ValueError("weights and points must be finite")
-    n = X.shape[0]
     Wt = np.ascontiguousarray(W.T)  # (m, n_samples)
-    values = X.T[:, :, None]  # (input_dim, n_points, 1)
-    output_layer = len(network.layers) - 1
-    stage = "activation input"
-    pos = 0
+    points = X.T[:, :, None]  # (input_dim, n_points, 1)
+    depth = len(network.layers)
+    cut = _cut_layer(network, X.shape[0]) if traces else None
     old_bufsize = np.setbufsize(_UFUNC_BUFFER)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
-            for i, layer in enumerate(network.layers):
-                fan_in = network.fan_in(i)
-                out = np.empty((layer.width, n, s))
-                scratch = np.empty((n, s)) if fan_in > 1 else None
-                for node in range(layer.width):
-                    pre = np.multiply(values[0], Wt[pos], out=out[node])
-                    for j in range(1, fan_in):
-                        pre += np.multiply(values[j], Wt[pos + j], out=scratch)
-                    pre += Wt[pos + fan_in]
-                    pos += fan_in + 1
-                    if i == output_layer:
-                        stage = "network output"
-                    _apply_activation_batch(layer.activation, pre, out=pre)
-                values = out
-    except FloatingPointError:
-        raise CapExceededError(f"{stage} must be finite: the forward pass overflowed") from None
+            if cut is not None:
+                bits = _layers(network, Wt, points, 0, cut + 1, bits=True)
+                try:
+                    table = _layers(network, Wt, _corners(len(bits)), cut + 1, depth)[0] > 0
+                except CapExceededError:  # perhaps at a corner no point realizes
+                    cut = None
+                else:
+                    return shannon_compose(bits, table[:, None, :]).T
+            out = _layers(network, Wt, points, 0, depth)[0]
     finally:
         np.setbufsize(old_bufsize)
-    return values[0].T.copy()
+    return (out > 0).T if traces else out.T.copy()
+
+
+def _layers(network: NetworkSpec, Wt, values, first: int, stop: int, bits: bool = False):
+    """Layers first..stop-1 of forward_batch's layer loop on `values`, the
+    (fan_in, rows, 1 or n_samples) outputs of layer first - 1 (for first = 0,
+    the inputs as columns) on `rows` points or corners. Returns the last
+    layer's (width, rows, n_samples) float plane; with bits=True that layer
+    is a plain threshold layer and the plane is bool, np.greater(pre, 0),
+    whose 1/0 is the 1.0/0.0 threshold writes. An overflow under the
+    caller's np.errstate is a CapExceededError naming its stage."""
+    s = Wt.shape[1]
+    rows = values.shape[1]
+    pos = sum(network.layers[i].width * (network.fan_in(i) + 1) for i in range(first))
+    stage = "activation input"
+    try:
+        for i in range(first, stop):
+            layer = network.layers[i]
+            fan_in = network.fan_in(i)
+            as_bits = bits and i == stop - 1
+            out = np.empty((layer.width, rows, s), dtype=bool if as_bits else float)
+            pre_plane = np.empty((rows, s)) if as_bits else None
+            scratch = np.empty((rows, s)) if fan_in > 1 else None
+            for node in range(layer.width):
+                pre = np.multiply(values[0], Wt[pos], out=pre_plane if as_bits else out[node])
+                for j in range(1, fan_in):
+                    pre += np.multiply(values[j], Wt[pos + j], out=scratch)
+                pre += Wt[pos + fan_in]
+                pos += fan_in + 1
+                if i == len(network.layers) - 1:
+                    stage = "network output"
+                if as_bits:
+                    np.greater(pre, 0, out=out[node])
+                else:
+                    _apply_activation_batch(layer.activation, pre, out=pre)
+            values = out
+    except FloatingPointError:
+        raise CapExceededError(f"{stage} must be finite: the forward pass overflowed") from None
+    return values
+
+
+def _corners(w: int) -> np.ndarray:
+    """The 2^w corners of {0,1}^w as (w, 2^w, 1) float columns: corner k has
+    coordinate j = (k >> j) & 1."""
+    k = np.arange(2**w)
+    return ((k >> np.arange(w)[:, None]) & 1).astype(float)[:, :, None]
+
+
+def shannon_compose(bits, table):
+    """Compose a corner table through hidden bit planes: out[e] =
+    table[k][e] where k = sum_j bits[j][e] << j, for every entry e.
+
+    bits: (w, ...) planes t_0..t_{w-1}; table: (2^w, ...) with table[k]
+    the output at the corner whose coordinate j is (k >> j) & 1, both
+    broadcasting to one plane shape. Each step is Shannon's cofactor step
+    on the top variable, new = (t & hi) | (~t & lo) over the table's two
+    halves, written lo ^ (t & (hi ^ lo)); it halves the table, and w steps
+    leave one plane. Only bitwise operators are used, so bool planes and
+    planes of packed uint64 words compose alike."""
+    for t in bits[::-1]:
+        half = len(table) // 2
+        lo, hi = table[:half], table[half:]
+        table = lo ^ (t & (hi ^ lo))
+    return table[0]
+
+
+def _cut_layer(network: NetworkSpec, n: int):
+    """The hidden layer forward_batch's trace mode cuts at on n points: the
+    first plain threshold layer (no restriction) of width w with 2^w < n
+    whose Shannon steps cost less than the float passes they save, else
+    None. The steps take 2^w + 3 (2^(w-1) - 1) bool plane passes; a layer
+    after the cut takes at least width x (2 fan_in + 1) float passes
+    (products, sums, bias, activation) on every point, of which the corner
+    pass still runs the 2^w / n share. A bool pass (and, xor: one byte an
+    entry) counts as _BOOL_PASS_SHARE = 1/8 of a float pass (eight bytes an
+    entry). With numpy 2.4 on x86-64 an and takes about 3 us per 65536
+    entries against 17 for a multiply, and an activation is one float pass
+    (relu) to about ten (tanh), so the float side is a lower bound: on 1-w-1
+    threshold nets (w = 2, 3, 4) the cut trace pass measured 0.2-0.9 of
+    the uncut one wherever this rule cuts."""
+    for c, layer in enumerate(network.layers[:-1]):
+        act, w = layer.activation, layer.width
+        if act.kind != "threshold" or act.restriction is not None or 2**w >= n:
+            continue
+        after = sum(network.layers[i].width * (2 * network.fan_in(i) + 1)
+                    for i in range(c + 1, len(network.layers)))
+        steps = 2**w + 3 * (2 ** (w - 1) - 1)
+        if steps * _BOOL_PASS_SHARE * n < after * (n - 2**w):
+            return c
+    return None
 
 
 # --------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from conftest import (
     recursive_ltf_traces,
     unique_packed_rows,
 )
-from vclab import dichotomy, pointsets
+from vclab import dichotomy, hypotheses, pointsets
 from vclab.dichotomy import is_shattered, sampled_trace_set, trace_set, vc_dim_bruteforce
 from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import (
@@ -259,6 +259,10 @@ STOCK_NET = load_class_spec(CONFIG_DIR / "net_1hidden_threshold.json")
 TANH_2D_NET = NetworkSpec(
     2, (LayerSpec(3, ActivationSpec("tanh")), LayerSpec(1, ActivationSpec("threshold")))
 )
+PLAIN_THRESHOLD = ActivationSpec("threshold")
+# a width-2 threshold hidden layer, which trace mode cuts at from n = 5 points
+TWO_BIT_NET = NetworkSpec(1, (LayerSpec(2, PLAIN_THRESHOLD), LayerSpec(3, ActivationSpec("tanh")),
+                              LayerSpec(1, PLAIN_THRESHOLD)))
 
 
 @pytest.mark.parametrize("net", [STOCK_NET, TANH_2D_NET], ids=["stock", "tanh2d"])
@@ -309,11 +313,19 @@ def test_forward_sums_each_node_in_the_documented_order():
 def test_sampled_trace_set_same_rows_as_einsum_pass(monkeypatch, cls, n, dim):
     B = random_general_position(n, dim, np.random.default_rng(11))
     rows = sampled_trace_set(cls, B, budget=20000, seed=5)
-    monkeypatch.setattr(dichotomy, "forward_batch", einsum_forward_batch)
+    modes = []
+
+    def einsum_pass(net, W, X, *, traces=False):
+        modes.append(traces)
+        v = einsum_forward_batch(net, W, X)
+        return v > 0 if traces else v
+
+    monkeypatch.setattr(dichotomy, "forward_batch", einsum_pass)
     assert np.array_equal(rows, sampled_trace_set(cls, B, budget=20000, seed=5))
+    assert modes and all(modes)
 
 
-@pytest.mark.parametrize("cls, dim", [(STOCK_NET, 1), (TANH_2D_NET, 2)])
+@pytest.mark.parametrize("cls, dim", [(STOCK_NET, 1), (TANH_2D_NET, 2), (TWO_BIT_NET, 1)])
 @pytest.mark.parametrize("n", [0, 1, 128])
 def test_sampled_rows_do_not_depend_on_block_size(monkeypatch, cls, dim, n):
     # the reference draws all `budget` weight rows at once; a block of one
@@ -342,9 +354,9 @@ def test_block_weights_are_one_uniform_call(monkeypatch, cls, dim, scale):
     lo, hi = dichotomy.default_weight_box(B)
     blocks = []
 
-    def capture(net, W, X):
+    def capture(net, W, X, *, traces=False):
         blocks.append(np.array(W))
-        return forward_batch(net, W, X)
+        return forward_batch(net, W, X, traces=traces)
 
     monkeypatch.setattr(dichotomy, "forward_batch", capture)
     for budget, count in ((1, 1), (8191, 1), (8193, 2), (20000, 3)):
@@ -444,3 +456,152 @@ def test_forward_pass_restores_the_callers_fp_error_state(caller):
             forward_batch(overflow, [[1e300, 0.0, 1.0, 0.0]], [[1e10]])
         assert np.geterr() == state
     assert 0.0 < out[0, 0] < 2.0**-1022 and out[0, 1] == 0.0
+
+
+# --------------------------------------------------------------------------
+# forward_batch(..., traces=True): the bits of v > 0, cut at a threshold layer
+# --------------------------------------------------------------------------
+
+
+def _assert_trace_mode_bits(net, s, n, seed):
+    """Trace mode gives the bytes of forward_batch(...) > 0 and of the einsum
+    reference > 0, as an (s, n) bool array."""
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(-3.0, 3.0, size=(s, net.weight_count))
+    X = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+    got = forward_batch(net, W, X, traces=True)
+    assert got.shape == (s, n) and got.dtype == bool
+    want = forward_batch(net, W, X) > 0
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == (einsum_forward_batch(net, W, X) > 0).tobytes()
+
+
+def _threshold_at(w, first):
+    """A width-w plain threshold hidden layer, first or after a tanh layer,
+    followed by six relu units and an identity output: enough float passes
+    after it that trace mode cuts there on 40 points."""
+    before = () if first else (LayerSpec(3, ActivationSpec("tanh")),)
+    return NetworkSpec(2, before + (
+        LayerSpec(w, PLAIN_THRESHOLD),
+        LayerSpec(6, ActivationSpec("relu")),
+        LayerSpec(1, ActivationSpec("identity")),
+    ))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "middle"])
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_trace_mode_cut_at_threshold_layer_gives_the_same_bits(w, first):
+    net = _threshold_at(w, first)
+    cut = 0 if first else 1
+    # the corner table must be smaller than the point set
+    assert hypotheses._cut_layer(net, 2**w) is None
+    assert hypotheses._cut_layer(net, 40) == cut
+    for n in sorted({0, 1, 2**w - 1, 2**w, 2**w + 1, 40}):
+        for s in (1, 9, 300):
+            _assert_trace_mode_bits(net, s, n, seed=100 * w + n + s)
+
+
+@pytest.mark.parametrize("act", [
+    ActivationSpec("threshold", restriction=(-0.5, 0.5)),
+    ActivationSpec("threshold", restriction=(-0.5, 0.5), clamp_outside=True),
+], ids=["restricted", "clamped"])
+@pytest.mark.parametrize("n", [0, 1, 3, 40])
+def test_trace_mode_never_cuts_restricted_thresholds(act, n):
+    net = NetworkSpec(2, (LayerSpec(2, act), LayerSpec(6, ActivationSpec("relu")),
+                          LayerSpec(1, act)))
+    assert hypotheses._cut_layer(net, 40) is None
+    _assert_trace_mode_bits(net, 50, n, seed=n)
+
+
+def _every_kind():
+    for kind in ACTIVATION_KINDS:
+        coefficients = (0.5, -1.0, 0.25) if kind == "polynomial" else ()
+        yield ActivationSpec(kind, coefficients)
+        yield ActivationSpec(kind, coefficients, restriction=(-0.5, 1.5), clamp_outside=True)
+
+
+@pytest.mark.parametrize("act", list(_every_kind()),
+                         ids=lambda a: a.kind + ("_clamped" if a.clamp_outside else ""))
+def test_trace_mode_gives_the_same_bits_for_every_kind_after_the_cut(act):
+    net = NetworkSpec(1, (LayerSpec(2, PLAIN_THRESHOLD), LayerSpec(4, act), LayerSpec(1, act)))
+    assert hypotheses._cut_layer(net, 40) == 0
+    for n in (0, 1, 4, 5, 40):
+        _assert_trace_mode_bits(net, 200, n, seed=n)
+
+
+@given(net=networks(), s=st.integers(1, 6), n=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+@example(net=_threshold_at(2, first=False), s=5, n=40, seed=0)
+@settings(max_examples=100, deadline=None)
+def test_trace_mode_is_the_sign_of_the_real_outputs(net, s, n, seed):
+    rng = np.random.default_rng(seed)
+    W = rng.uniform(-3.0, 3.0, size=(s, net.weight_count))
+    X = rng.uniform(-2.0, 2.0, size=(n, net.input_dim))
+    try:
+        want = forward_batch(net, W, X) > 0
+    except CapExceededError as e:
+        with pytest.raises(CapExceededError, match=f"^{e}$"):
+            forward_batch(net, W, X, traces=True)
+    else:
+        assert forward_batch(net, W, X, traces=True).tobytes() == want.tobytes()
+
+
+# two threshold bits of x, then 1e308 t^2 of a * bit_0 + b * bit_1, which
+# overflows wherever that input is 10 or 20; its output feeds a threshold
+# (the polynomial is a hidden layer) or is the output itself
+OVERFLOW_POLY = ActivationSpec("polynomial", coefficients=(0.0, 0.0, 1e308))
+OVERFLOW_NETS = {
+    "hidden": NetworkSpec(1, (LayerSpec(2, PLAIN_THRESHOLD), LayerSpec(1, OVERFLOW_POLY),
+                              LayerSpec(1, PLAIN_THRESHOLD))),
+    "output": NetworkSpec(1, (LayerSpec(2, PLAIN_THRESHOLD), LayerSpec(1, OVERFLOW_POLY))),
+}
+# both bits are [x > 0], so the points realize only the corners (0, 0) and (1, 1)
+OVERFLOW_X = np.linspace(-1.0, 1.0, 8)[:, None]
+
+
+def _overflow_weights(net, a, b):
+    tail = [1.0, -0.5] if len(net.layers) == 3 else []
+    return np.array([[1.0, 0.0, 1.0, 0.0, a, b, 0.0] + tail])
+
+
+@pytest.mark.parametrize("where", OVERFLOW_NETS)
+def test_trace_mode_ignores_an_overflow_at_a_corner_no_point_realizes(where):
+    # a = 10, b = -10: the polynomial overflows at (1, 0) and (0, 1) alone
+    net = OVERFLOW_NETS[where]
+    W = _overflow_weights(net, 10.0, -10.0)
+    assert hypotheses._cut_layer(net, len(OVERFLOW_X)) == 0
+    Wt = np.ascontiguousarray(W.T)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(CapExceededError):
+            hypotheses._layers(net, Wt, hypotheses._corners(2), 1, len(net.layers))
+    got = forward_batch(net, W, OVERFLOW_X, traces=True)
+    want = forward_batch(net, W, OVERFLOW_X) > 0
+    assert got.tobytes() == want.tobytes() == np.zeros((1, 8), dtype=bool).tobytes()
+
+
+@pytest.mark.parametrize("where, stage", [("hidden", "activation input"),
+                                          ("output", "network output")])
+def test_trace_mode_raises_the_real_pass_error_at_a_realized_corner(where, stage):
+    # a = b = 10: the polynomial overflows at (1, 1), the corner of x > 0
+    net = OVERFLOW_NETS[where]
+    W = _overflow_weights(net, 10.0, 10.0)
+    message = f"^{stage} must be finite: the forward pass overflowed$"
+    with pytest.raises(CapExceededError, match=message):
+        forward_batch(net, W, OVERFLOW_X)
+    with pytest.raises(CapExceededError, match=message):
+        forward_batch(net, W, OVERFLOW_X, traces=True)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_shannon_compose_reads_the_corner_of_each_entry(w):
+    # bool planes and packed uint64 words compose alike: out = table[k],
+    # k = sum_j bits[j] << j, entry by entry and bit by bit
+    rng = np.random.default_rng(w)
+    bits = rng.random((w, 5, 64)) > 0.5
+    table = rng.random((2**w, 5, 64)) > 0.5
+    k = sum(bits[j].astype(int) << j for j in range(w))
+    want = np.take_along_axis(table, k[None], axis=0)[0]
+    assert np.array_equal(hypotheses.shannon_compose(bits, table), want)
+    words = hypotheses.shannon_compose(np.packbits(bits, axis=-1).view(np.uint64),
+                                       np.packbits(table, axis=-1).view(np.uint64))
+    assert np.array_equal(words, np.packbits(want, axis=-1).view(np.uint64))
