@@ -156,8 +156,8 @@ def sampled_trace_set(cls, B: PointSet, budget: int, seed: int) -> np.ndarray:
 
     Each block's traces come from forward_batch(net, W, X, traces=True),
     looked up as `dichotomy.forward_batch`: the bits v > 0 of the real
-    outputs, with no float output copied. Past a plain threshold hidden
-    layer of width w with 2^w < |B| that pass may run the later layers on
+    outputs, with no float output copied. Past a threshold hidden layer
+    of width w with 2^w < |B| that pass may run the later layers on
     the layer's 2^w cube corners alone and compose each point's bit by
     Shannon steps; it gives the same bits and raises only where the full
     pass on the points would (see forward_batch)."""

@@ -5,8 +5,8 @@ A network with weight vector w defines the classifier x -> [v(x, w) > 0],
 where v is its real output. `forward_batch` is the one evaluation path: one
 layer loop computes v for a batch of weight vectors on a batch of points,
 or, with traces=True, the traces [v > 0] themselves. A trace pass may run
-the layers after a plain threshold hidden layer of width w on the 2^w
-corners of {0,1}^w alone, where that layer's outputs lie, and read each
+the layers after a threshold hidden layer of width w on the 2^w corners
+of {0,1}^w alone, where that layer's outputs lie, and read each
 point's bit off the corner table with `shannon_compose`, bitwise Shannon
 cofactor steps. The baseline classes carry no evaluator;
 `dichotomy.trace_set` lists their traces directly. Everything here is
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +43,14 @@ _BOOL_PASS_SHARE = 0.125
 class ActivationSpec:
     """A scalar activation, optionally restricted to a closed interval.
 
-    With ``restriction=(a, b)`` and ``clamp_outside=True`` the function is
-    forced to 0 outside [a, b]; inside it agrees with the unrestricted kind.
-    ``coefficients`` (ascending degree) are only used for kind='polynomial'.
+    With ``restriction=(a, b)`` the function is 0 outside [a, b]; inside it
+    agrees with the unrestricted kind. ``coefficients`` (ascending degree)
+    are only used for kind='polynomial'.
     """
 
     kind: str
     coefficients: tuple[float, ...] = ()
     restriction: tuple[float, float] | None = None
-    clamp_outside: bool = False
 
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
@@ -111,18 +110,19 @@ class NetworkSpec:
 def _apply_activation_batch(act: ActivationSpec, t, out=None):
     """Evaluate the activation elementwise on a float array.
 
-    The result goes to `out`, a float array shaped like `t`, which may be
-    `t` itself; with out=None a new array is returned. Outside the
-    restriction interval a clamped activation gives exactly 0: the clamp
-    mask is taken from `t` before `out` is written, and where it is set the
-    activation is evaluated at 0 instead, so an input forced to 0 raises no
-    floating-point error under the caller's np.errstate (a polynomial that
-    would overflow there, say). Threshold breaks the tie at 0 downward
+    The result goes to `out`, shaped like `t`: a float array, which may be
+    `t` itself, or for a threshold a bool one (True/False for 1.0/0.0);
+    with out=None a new float array is returned. Outside the restriction
+    interval the activation gives exactly 0: the clamp mask is taken from
+    `t` before `out` is written, and where it is set the activation is
+    evaluated at 0 instead, so an input forced to 0 raises no floating-point
+    error under the caller's np.errstate (a polynomial that would overflow
+    there, say). Threshold breaks the tie at 0 downward
     (threshold(0) = 0). Non-finite inputs are not checked for: they give
     what numpy's float arithmetic gives.
     """
     clamp = None
-    if act.restriction is not None and act.clamp_outside:
+    if act.restriction is not None:
         a, b = act.restriction
         clamp = (t < a) | (t > b)
         if clamp.any():
@@ -178,15 +178,15 @@ def forward_batch(network: NetworkSpec, W, X, *, traces: bool = False):
     operations in the same order in any layout, so the values do not depend
     on it.
 
-    Trace mode cuts the pass at the first plain threshold hidden layer (no
-    restriction) of width w that _cut_layer finds worth it: 2^w < n_points,
-    and the Shannon steps cost less than the float passes they replace.
-    The layers up to the cut run on the points, the cut layer writing its
-    bits as bool planes np.greater(pre, 0); the layers after it run, through
-    the same loop, on the 2^w corners of {0,1}^w (_corners) in place of the
-    points, giving a (2^w, n_samples) corner table of output bits, and
-    `shannon_compose` reads each point's bit off it through the bit planes.
-    The bits are those of the full pass: a plain threshold layer outputs
+    Trace mode cuts the pass at the first threshold hidden layer of width w
+    that _cut_layer finds worth it: 2^w < n_points, and the Shannon steps
+    cost less than the float passes they replace. The layers up to the cut
+    run on the points, the cut layer writing its activation into bool
+    planes; the layers after it run, through the same loop, on the 2^w
+    corners of {0,1}^w (_corners) in place of the points, giving a
+    (2^w, n_samples) corner table of output bits, and `shannon_compose`
+    reads each point's bit off it through the bit planes. The bits are
+    those of the full pass: a threshold layer, restricted or not, outputs
     exactly 0.0 or 1.0, so each point's hidden outputs are one of the
     corners, and each later layer applies the same float operations in the
     same order to the same operands there. Without a cut, the output plane
@@ -258,8 +258,8 @@ def _layers(network: NetworkSpec, Wt, values, first: int, stop: int, bits: bool 
     (fan_in, rows, 1 or n_samples) outputs of layer first - 1 (for first = 0,
     the inputs as columns) on `rows` points or corners. Returns the last
     layer's (width, rows, n_samples) float plane; with bits=True that layer
-    is a plain threshold layer and the plane is bool, np.greater(pre, 0),
-    whose 1/0 is the 1.0/0.0 threshold writes. An overflow under the
+    is a threshold layer and the plane is bool. _apply_activation_batch
+    writes every activation, into either plane. An overflow under the
     caller's np.errstate is a CapExceededError naming its stage."""
     s = Wt.shape[1]
     rows = values.shape[1]
@@ -274,17 +274,15 @@ def _layers(network: NetworkSpec, Wt, values, first: int, stop: int, bits: bool 
             pre_plane = np.empty((rows, s)) if as_bits else None
             scratch = np.empty((rows, s)) if fan_in > 1 else None
             for node in range(layer.width):
-                pre = np.multiply(values[0], Wt[pos], out=pre_plane if as_bits else out[node])
+                plane = out[node]
+                pre = np.multiply(values[0], Wt[pos], out=pre_plane if as_bits else plane)
                 for j in range(1, fan_in):
                     pre += np.multiply(values[j], Wt[pos + j], out=scratch)
                 pre += Wt[pos + fan_in]
                 pos += fan_in + 1
                 if i == len(network.layers) - 1:
                     stage = "network output"
-                if as_bits:
-                    np.greater(pre, 0, out=out[node])
-                else:
-                    _apply_activation_batch(layer.activation, pre, out=pre)
+                _apply_activation_batch(layer.activation, pre, out=plane)
             values = out
     except FloatingPointError:
         raise CapExceededError(f"{stage} must be finite: the forward pass overflowed") from None
@@ -318,21 +316,20 @@ def shannon_compose(bits, table):
 
 def _cut_layer(network: NetworkSpec, n: int):
     """The hidden layer forward_batch's trace mode cuts at on n points: the
-    first plain threshold layer (no restriction) of width w with 2^w < n
-    whose Shannon steps cost less than the float passes they save, else
-    None. The steps take 2^w + 3 (2^(w-1) - 1) bool plane passes; a layer
-    after the cut takes at least width x (2 fan_in + 1) float passes
-    (products, sums, bias, activation) on every point, of which the corner
-    pass still runs the 2^w / n share. A bool pass (and, xor: one byte an
-    entry) counts as _BOOL_PASS_SHARE = 1/8 of a float pass (eight bytes an
-    entry). With numpy 2.4 on x86-64 an and takes about 3 us per 65536
-    entries against 17 for a multiply, and an activation is one float pass
-    (relu) to about ten (tanh), so the float side is a lower bound: on 1-w-1
-    threshold nets (w = 2, 3, 4) the cut trace pass measured 0.2-0.9 of
-    the uncut one wherever this rule cuts."""
+    first threshold layer of width w with 2^w < n whose Shannon steps cost
+    less than the float passes they save, else None. The steps take 2^w + 3
+    (2^(w-1) - 1) bool plane passes; a layer after the cut takes at least
+    width x (2 fan_in + 1) float passes (products, sums, bias, activation)
+    on every point, of which the corner pass still runs the 2^w / n share. A
+    bool pass (and, xor: one byte an entry) counts as _BOOL_PASS_SHARE = 1/8
+    of a float pass (eight bytes an entry). With numpy 2.4 on x86-64 an and
+    takes about 3 us per 65536 entries against 17 for a multiply, and an
+    activation is one float pass (relu) to about ten (tanh), so the float
+    side is a lower bound: on 1-w-1 threshold nets (w = 2, 3, 4) the cut
+    trace pass measured 0.2-0.9 of the uncut one wherever this rule cuts."""
     for c, layer in enumerate(network.layers[:-1]):
-        act, w = layer.activation, layer.width
-        if act.kind != "threshold" or act.restriction is not None or 2**w >= n:
+        w = layer.width
+        if layer.activation.kind != "threshold" or 2**w >= n:
             continue
         after = sum(network.layers[i].width * (2 * network.fan_in(i) + 1)
                     for i in range(c + 1, len(network.layers)))
@@ -483,13 +480,14 @@ def _parse_activation(obj) -> ActivationSpec:
     clamp_outside = obj.get("clamp_outside", False)
     if not isinstance(clamp_outside, bool):
         raise ConfigError(f"activation field 'clamp_outside' must be a bool, got {clamp_outside!r}")
-    return ActivationSpec(
+    act = ActivationSpec(
         kind=obj["kind"],
         coefficients=tuple(_read_finite(c, "activation field 'coefficients' entry")
                            for c in coefficients),
         restriction=restriction,
-        clamp_outside=clamp_outside,
     )
+    # a restriction is checked either way, and kept only with "clamp_outside": true
+    return act if clamp_outside else replace(act, restriction=None)
 
 
 def parse_class_spec(doc: dict):

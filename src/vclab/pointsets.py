@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import CapExceededError, ConfigError
 
 # affine-dependence determinant tolerance; points drawn from O(1)-sized boxes
 _GP_TOL = 1e-9
@@ -21,6 +21,8 @@ _GP_MAX_TRIES = 200
 # reuse, for the _TABLES most recent (k, r)
 _TABLE_ROWS = 1 << 15
 _TABLES = 16
+# the most (d+1)-subsets in_general_position checks (a 50 MB point gather at d = 3)
+_GP_SUBSET_CAP = 1 << 19
 
 
 def subset_table(k: int, r: int) -> np.ndarray:
@@ -50,7 +52,8 @@ def in_general_position(points: np.ndarray) -> bool:
     """True if the points are affinely independent: no d+1 of them have
     |det(p_1 - p_0, ..., p_d - p_0)| <= _GP_TOL, and k <= d points span a
     (k-1)-dimensional volume above tolerance (Gram determinant). Supported
-    for dimension d <= 3.
+    for dimension d <= 3 and at most _GP_SUBSET_CAP (d+1)-subsets, checked
+    before any table is built.
 
     All (d+1)-subsets of subset_table go through one batched np.linalg.det
     call, which is bitwise equal to one call per subset, so the decision is
@@ -62,6 +65,9 @@ def in_general_position(points: np.ndarray) -> bool:
     if k <= d:
         M = pts[1:] - pts[:1]
         return bool(np.sqrt(max(np.linalg.det(M @ M.T), 0.0)) > _GP_TOL)
+    if (subsets := math.comb(k, d + 1)) > _GP_SUBSET_CAP:
+        raise CapExceededError(f"general-position check of {k} points in R^{d} needs C({k}, "
+                               f"{d + 1}) = {subsets} subsets, over the cap {_GP_SUBSET_CAP}")
     sub = pts[subset_table(k, d + 1)]
     return not (np.abs(np.linalg.det(sub[:, 1:] - sub[:, :1])) <= _GP_TOL).any()
 

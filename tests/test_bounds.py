@@ -343,3 +343,20 @@ class TestReport:
             BoundQuery(m=1, eps=1.5, delta=0.1)
         with pytest.raises(ValueError):
             BoundQuery(m=1, eps=0.1, delta=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: deviation_bound_growth(4, 0, 0.1), "k must be >= 1"),
+    (lambda: deviation_bound_growth(4, 1, 1.0), "delta must be in (0, 1)"),
+    (lambda: rademacher_cap(1, 1), "k must be >= 2"),
+    (lambda: rademacher_cap(2, 1, C=0.1), "need C * k^m >= 1"),
+    (lambda: deviation_bound_rademacher(1, 1, 0.1), "k must be >= 2"),
+    (lambda: deviation_bound_rademacher(2, 1, 0.0), "delta must be in (0, 1)"),
+    (lambda: classical_reference_bounds(BoundQuery(m=1, eps=0.1, delta=0.1), 0),
+     "vcdim must be >= 1"),
+], ids=["growth_k", "growth_delta", "cap_k", "cap_size", "rademacher_k", "rademacher_delta",
+        "classical_vcdim"])
+def test_bad_argument_raises_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

@@ -259,6 +259,9 @@ class TestGrowthCommand:
          "activation field 'restriction' must have two entries, got [0, 1, 2]"),
         ("activation", "clamp_outside", "no",
          "activation field 'clamp_outside' must be a bool, got 'no'"),
+        # checked though, without "clamp_outside": true, it takes no effect
+        ("activation", "restriction", [1, 1],
+         "restriction interval must satisfy a < b, got [1.0, 1.0]"),
     ])
     def test_bad_network_scalar_exits_2_naming_field(
         self, tmp_path, capsys, part, key, value, message
@@ -605,6 +608,24 @@ class TestUcheckCommand:
         rc = main(["ucheck", "--class", LTF2_JSON, "--dist", DIST_JSON,
                    "--eps", "0.3", "--delta", "0.2"])
         assert rc == 2
+
+    @pytest.mark.parametrize("baseline", ["explicit_finite", "empty_union"])
+    def test_class_of_no_dimension_runs(self, tmp_path, baseline):
+        # an explicit_finite class and a union with an empty domain name no
+        # dimension, so the support's is not checked against one
+        support = json.loads(Path(DIST_JSON).read_text())["support"]
+        base = {
+            "explicit_finite": {"kind": "explicit_finite", "domain": support,
+                                "traces": [[1, 0, 1, 0, 1, 1, 0, 0], [0] * 8]},
+            "empty_union": {"kind": "union_of_points", "capacity": 1, "domain": []},
+        }[baseline]
+        spec, out = tmp_path / "c.json", tmp_path / "uc.csv"
+        spec.write_text(_spec_json(kind="baseline", baseline=base))
+        rc = main(["ucheck", "--class", str(spec), "--dist", DIST_JSON, "--eps", "0.3",
+                   "--delta", "0.2", "--k", "20", "--trials", "10", "--output", str(out)])
+        assert rc == 0
+        rows = read_rows(out)
+        assert len(rows) == 2 and rows[1][6] == "exact_trace_enumeration"
 
 
 def _spec_json(**doc) -> str:
@@ -1065,6 +1086,22 @@ def test_clamped_forward_overflow_is_no_error(tmp_path):
                    "--output", str(out)])
     assert rc == 0
     assert read_rows(out)[1][:3] == ["4", "2", "lower_bound"]
+
+
+@pytest.mark.parametrize("clamp", [{}, {"clamp_outside": False}], ids=["absent", "false"])
+def test_restriction_takes_effect_only_with_clamp_outside(tmp_path, clamp):
+    def growth_csv(act) -> bytes:
+        spec, out = tmp_path / "c.json", tmp_path / "out.csv"
+        spec.write_text(_spec_json(kind="network", network={"input_dim": 1, "layers": [
+            {"width": 2, "activation": act}, {"activation": {"kind": "threshold"}}]}))
+        assert main(["growth", "--class", str(spec), "--n", "2,4,8", "--budget", "300",
+                     "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    tanh = {"kind": "tanh"}
+    restricted = {**tanh, "restriction": [-0.1, 0.1]}
+    assert growth_csv({**restricted, **clamp}) == growth_csv(tanh)
+    assert growth_csv({**restricted, "clamp_outside": True}) != growth_csv(tanh)
 
 
 @pytest.mark.parametrize("m", ["1000000", "10000000"])

@@ -21,7 +21,7 @@ from vclab.dichotomy import (
     trace_set,
     vc_dim_bruteforce,
 )
-from vclab.errors import CapExceededError
+from vclab.errors import CapExceededError, ConfigError
 from vclab.hypotheses import (
     ActivationSpec,
     ExplicitFinite,
@@ -390,3 +390,24 @@ def test_sampled_count_on_gp8_respects_cover_bound():
     # exact planar arrangement count
     sampled = sampled_count(GP8, budget=30000, seed=1)
     assert sampled <= growth_function_oracle(LTF2, 8) == 58
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: trace_set(LinearThreshold(2), PointSet(((0.0,),))), ValueError,
+     "point dim 1 != class dim 2"),
+    (lambda: trace_set("x", PointSet(())), TypeError, "no trace set for 'x'"),
+    (lambda: sampled_trace_set(LinearThreshold(1), PointSet(((0.0,),)), 0, 0), ValueError,
+     "budget must be >= 1"),
+    (lambda: growth_function_oracle(UnionOfMPoints(1, ()), -1), ValueError, "n must be >= 0"),
+    (lambda: sauer_shelah_cap(-1, 3), ValueError, "d and n must be >= 0"),
+    # class_id names a class of no known kind by its type
+    (lambda: as_network("x"), ConfigError,
+     "sampled counting needs a network or linear_threshold class, not str"),
+    (lambda: growth_samples(LinearThreshold(1), [2], method="bogus"), ConfigError,
+     "unknown growth method 'bogus'"),
+], ids=["ltf_dim", "unknown_class", "budget", "oracle_n", "sauer_shelah", "class_id_fallback",
+        "growth_method"])
+def test_bad_argument_raises(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -63,7 +63,7 @@ class TestApplyActivation:
         assert act_at(THR, 0.0) == 0.0
 
     def test_clamp_outside_interval(self):
-        act = ActivationSpec(kind="tanh", restriction=(-1.0, 1.0), clamp_outside=True)
+        act = ActivationSpec(kind="tanh", restriction=(-1.0, 1.0))
         assert act_at(act, 2.0) == 0.0
 
     def test_tanh_reference_value(self):
@@ -78,7 +78,7 @@ class TestApplyActivation:
     @given(st.floats(-50, 50))
     def test_clamped_agrees_inside_zero_outside(self, t):
         plain = ActivationSpec(kind="logistic")
-        clamped = ActivationSpec(kind="logistic", restriction=(-2.0, 3.0), clamp_outside=True)
+        clamped = ActivationSpec(kind="logistic", restriction=(-2.0, 3.0))
         if -2.0 <= t <= 3.0:
             assert act_at(clamped, t) == act_at(plain, t)
         else:
@@ -142,7 +142,6 @@ def _activation(kind, clamp):
         kind,
         coefficients=(0.5, -1.0, 0.25) if kind == "polynomial" else (),
         restriction=(-0.5, 0.75) if clamp else None,
-        clamp_outside=clamp,
     )
 
 
@@ -259,7 +258,7 @@ class TestOutputOverflow:
         # polynomial overflows; clamped to [-0.001, 0.001] it is 0 there, so
         # the pass returns; the second sees t = 5e-4 and gives 2.5e301
         act = ActivationSpec("polynomial", coefficients=(0.0, 0.0, 1e308),
-                             restriction=(-0.001, 0.001), clamp_outside=clamp)
+                             restriction=(-0.001, 0.001) if clamp else None)
         net = NetworkSpec(1, (LayerSpec(2, act), LayerSpec(1, THR)))
         w = [[2.0, 0.0, 0.0, 5e-4, 1.0, 1.0, -1.0]]
         if clamp:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ltf_tuples
 from vclab.errors import IndeterminateLabelingError
-from vclab.linsep import is_realizable, max_margin
+from vclab.linsep import enumerate_ltf_traces, is_realizable, max_margin
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -48,3 +48,10 @@ def test_enumerate_square_traces():
     assert len(set(traces)) == 14
     assert (1, 0, 0, 1) not in traces
     assert (0, 1, 1, 0) not in traces
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_raise_value_error(bad):
+    with pytest.raises(ValueError) as info:
+        enumerate_ltf_traces([[0.0, 1.0], [bad, 0.0]])
+    assert type(info.value) is ValueError and str(info.value) == "points must be finite"

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from vclab import pointsets
+from vclab.errors import CapExceededError, ConfigError
 from vclab.pointsets import in_general_position, random_general_position
 
 
@@ -66,3 +68,30 @@ def test_affinely_dependent_small_sets_rejected():
     assert rng.draws == []
     assert in_general_position(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert in_general_position(np.array([[0.5, -0.5]]))
+
+
+def _never_in_general_position(monkeypatch):
+    monkeypatch.setattr(pointsets, "in_general_position", lambda points: False)
+    return random_general_position(4, 2, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda monkeypatch: in_general_position(np.zeros((5, 4))), ConfigError,
+     "general-position check only implemented for d <= 3"),
+    (_never_in_general_position, RuntimeError, "failed to draw a general-position point set"),
+    (lambda monkeypatch: in_general_position(np.zeros((148, 2))), CapExceededError,
+     "general-position check of 148 points in R^2 needs C(148, 3) = 529396 subsets, "
+     "over the cap 524288"),
+], ids=["dimension", "draws", "subset_cap"])
+def test_bad_call_raises(monkeypatch, call, error, message):
+    with pytest.raises(error) as info:
+        call(monkeypatch)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_subset_cap_raises_before_any_table():
+    # C(2048, 3), about 1.4e9 subsets, is refused on the first draw
+    rng = CountingRng(0)
+    with pytest.raises(CapExceededError, match=r"C\(2048, 3\) = 1429559296 subsets"):
+        random_general_position(2048, 2, rng)
+    assert rng.draws == 1

@@ -1,3 +1,4 @@
+import hashlib
 import runpy
 import sys
 from pathlib import Path
@@ -37,6 +38,30 @@ def test_scripts_write_their_csvs(tmp_path, monkeypatch):
     assert main(["bounds", "--m", "1,2,4,8", "--eps", "0.05,0.1,0.2",
                  "--delta", "0.05,0.1,0.2", "--output", str(cli_grid)]) == 0
     assert (out / "bounds_grid.csv").read_bytes() == cli_grid.read_bytes()
+
+
+# SHA-256 of each CSV the three scripts write at their default arguments
+SCRIPT_CSV_DIGESTS = {
+    "bounds_grid.csv": "26f7bb7694c93fdcc3348bc8c6bfbb68fa6fa6b75b2b724cdc09473f7fccfb31",
+    "bounds_vs_delta_plotdata.csv":
+        "7d4481e332ce18b2eeaac372c8c04dcec5ceb7396b9ebba001de121a46735b72",
+    "density_summary.csv": "b118e83037f4bbd2f98701197211afcb1da8e5af8546482e6097e6f1cc1625e1",
+    "growth_curves_plotdata.csv":
+        "1df11fe06d0e357bc68b94d38e20d9dba4fec5368820a8b0c4399e30097c89ed",
+    "growth_ltf2.csv": "c6a255e8186ab935f957bffd6966530539a2b7027c303b9dde4d0ae3f9dd616f",
+    "growth_net_m4.csv": "1fc3232ab82569494da94f931d92622c45aceb25e211382d9afa7914e2c6012c",
+    "growth_union2.csv": "dc649f4dc5a2b019f64b4d81bd5dc068364fd8dd7f2266a0a3c77180f71a87d1",
+    "uc_result.csv": "0a1503ebeb26972b5607319d5cf42b51b3164296099c04f51b4c41a01bd61697",
+}
+
+
+def test_scripts_at_default_arguments_keep_their_csvs(tmp_path, monkeypatch):
+    monkeypatch.delenv("VCLAB_OUTPUT_DIR", raising=False)
+    for name in ("run_bounds_table.py", "run_growth_curves.py", "run_uc_experiment.py"):
+        assert run_script(monkeypatch, name, "--output-dir", str(tmp_path)) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == SCRIPT_CSV_DIGESTS
 
 
 @pytest.mark.parametrize("name, flag, value, message", [

@@ -200,7 +200,7 @@ def activations(draw):
     if draw(st.booleans()):
         a = draw(st.floats(-3.0, 1.0))
         restriction = (a, a + draw(st.floats(0.5, 4.0)))
-    return ActivationSpec(kind, coefficients, restriction, draw(st.booleans()))
+    return ActivationSpec(kind, coefficients, restriction)
 
 
 @st.composite
@@ -212,14 +212,14 @@ def networks(draw, max_width=5):
     return NetworkSpec(input_dim=draw(st.integers(1, max_width)), layers=layers)
 
 
-# every kind, one per hidden layer, with a clamped and an unclamped restriction
+# every kind, one per hidden layer, one of them restricted
 ALL_KINDS_NET = NetworkSpec(
     input_dim=2,
     layers=tuple(LayerSpec(2, act) for act in (
         ActivationSpec("threshold"),
-        ActivationSpec("tanh", restriction=(-0.5, 0.5), clamp_outside=True),
+        ActivationSpec("tanh", restriction=(-0.5, 0.5)),
         ActivationSpec("logistic"),
-        ActivationSpec("identity", restriction=(-1.0, 1.0)),
+        ActivationSpec("identity"),
         ActivationSpec("polynomial", coefficients=(0.5, -1.0, 0.25)),
         ActivationSpec("relu"),
     )) + (LayerSpec(1, ActivationSpec("tanh")),),
@@ -250,7 +250,7 @@ def test_node_major_forward_matches_einsum_reference(net, s, n, seed):
 # the polynomial overflows at |t| > 1.34, where the clamp forces it to 0
 CLAMPED_POLY_NET = NetworkSpec(1, (
     LayerSpec(2, ActivationSpec("polynomial", coefficients=(0.0, 0.0, 1e308),
-                                restriction=(-0.001, 0.001), clamp_outside=True)),
+                                restriction=(-0.001, 0.001))),
     LayerSpec(1, ActivationSpec("threshold")),
 ))
 
@@ -260,6 +260,7 @@ TANH_2D_NET = NetworkSpec(
     2, (LayerSpec(3, ActivationSpec("tanh")), LayerSpec(1, ActivationSpec("threshold")))
 )
 PLAIN_THRESHOLD = ActivationSpec("threshold")
+RESTRICTED_THRESHOLD = ActivationSpec("threshold", restriction=(-0.5, 0.5))
 # a width-2 threshold hidden layer, which trace mode cuts at from n = 5 points
 TWO_BIT_NET = NetworkSpec(1, (LayerSpec(2, PLAIN_THRESHOLD), LayerSpec(3, ActivationSpec("tanh")),
                               LayerSpec(1, PLAIN_THRESHOLD)))
@@ -476,13 +477,13 @@ def _assert_trace_mode_bits(net, s, n, seed):
     assert got.tobytes() == (einsum_forward_batch(net, W, X) > 0).tobytes()
 
 
-def _threshold_at(w, first):
-    """A width-w plain threshold hidden layer, first or after a tanh layer,
+def _threshold_at(w, first, act=PLAIN_THRESHOLD):
+    """A width-w threshold hidden layer `act`, first or after a tanh layer,
     followed by six relu units and an identity output: enough float passes
     after it that trace mode cuts there on 40 points."""
     before = () if first else (LayerSpec(3, ActivationSpec("tanh")),)
     return NetworkSpec(2, before + (
-        LayerSpec(w, PLAIN_THRESHOLD),
+        LayerSpec(w, act),
         LayerSpec(6, ActivationSpec("relu")),
         LayerSpec(1, ActivationSpec("identity")),
     ))
@@ -491,25 +492,24 @@ def _threshold_at(w, first):
 @pytest.mark.parametrize("first", [True, False], ids=["first", "middle"])
 @pytest.mark.parametrize("w", [1, 2, 3, 4])
 def test_trace_mode_cut_at_threshold_layer_gives_the_same_bits(w, first):
-    net = _threshold_at(w, first)
-    cut = 0 if first else 1
-    # the corner table must be smaller than the point set
-    assert hypotheses._cut_layer(net, 2**w) is None
-    assert hypotheses._cut_layer(net, 40) == cut
-    for n in sorted({0, 1, 2**w - 1, 2**w, 2**w + 1, 40}):
-        for s in (1, 9, 300):
-            _assert_trace_mode_bits(net, s, n, seed=100 * w + n + s)
+    # a restricted threshold outputs only 0.0 and 1.0 too, so it is cut alike
+    for act in (PLAIN_THRESHOLD, RESTRICTED_THRESHOLD):
+        net = _threshold_at(w, first, act)
+        cut = 0 if first else 1
+        # the corner table must be smaller than the point set
+        assert hypotheses._cut_layer(net, 2**w) is None
+        assert hypotheses._cut_layer(net, 40) == cut
+        for n in sorted({0, 1, 2**w - 1, 2**w, 2**w + 1, 40}):
+            for s in (1, 9, 300):
+                _assert_trace_mode_bits(net, s, n, seed=100 * w + n + s)
 
 
-@pytest.mark.parametrize("act", [
-    ActivationSpec("threshold", restriction=(-0.5, 0.5)),
-    ActivationSpec("threshold", restriction=(-0.5, 0.5), clamp_outside=True),
-], ids=["restricted", "clamped"])
 @pytest.mark.parametrize("n", [0, 1, 3, 40])
-def test_trace_mode_never_cuts_restricted_thresholds(act, n):
+def test_trace_mode_cuts_restricted_thresholds(n):
+    act = RESTRICTED_THRESHOLD
     net = NetworkSpec(2, (LayerSpec(2, act), LayerSpec(6, ActivationSpec("relu")),
                           LayerSpec(1, act)))
-    assert hypotheses._cut_layer(net, 40) is None
+    assert hypotheses._cut_layer(net, 40) == 0
     _assert_trace_mode_bits(net, 50, n, seed=n)
 
 
@@ -517,11 +517,11 @@ def _every_kind():
     for kind in ACTIVATION_KINDS:
         coefficients = (0.5, -1.0, 0.25) if kind == "polynomial" else ()
         yield ActivationSpec(kind, coefficients)
-        yield ActivationSpec(kind, coefficients, restriction=(-0.5, 1.5), clamp_outside=True)
+        yield ActivationSpec(kind, coefficients, restriction=(-0.5, 1.5))
 
 
 @pytest.mark.parametrize("act", list(_every_kind()),
-                         ids=lambda a: a.kind + ("_clamped" if a.clamp_outside else ""))
+                         ids=lambda a: a.kind + ("_clamped" if a.restriction else ""))
 def test_trace_mode_gives_the_same_bits_for_every_kind_after_the_cut(act):
     net = NetworkSpec(1, (LayerSpec(2, PLAIN_THRESHOLD), LayerSpec(4, act), LayerSpec(1, act)))
     assert hypotheses._cut_layer(net, 40) == 0

@@ -413,3 +413,21 @@ class TestChunkedTrials:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+DIST8 = load_distribution(CONFIG_DIR / "dist8_uniform.json")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ucheck.UCExperimentResult(k=1, trials=1, failures=2, empirical_rate=2.0, seed=0,
+                                       sup_method=EXACT, mean_sup_deviation=0.0),
+     "failures cannot exceed trials"),
+    (lambda: run_uc_experiment(LinearThreshold(2), DIST8, eps=0.1, k=1, trials=0, seed=0),
+     "trials and k must be >= 1"),
+    (lambda: run_uc_experiment(LinearThreshold(2), DIST8, eps=0.1, k=0, trials=1, seed=0),
+     "trials and k must be >= 1"),
+], ids=["failures", "trials", "k"])
+def test_bad_argument_raises_value_error(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message
