@@ -492,10 +492,10 @@ def _threshold_at(w, first, act=PLAIN_THRESHOLD):
 @pytest.mark.parametrize("first", [True, False], ids=["first", "middle"])
 @pytest.mark.parametrize("w", [1, 2, 3, 4])
 def test_trace_mode_cut_at_threshold_layer_gives_the_same_bits(w, first):
+    cut = 0 if first else 1
     # a restricted threshold outputs only 0.0 and 1.0 too, so it is cut alike
     for act in (PLAIN_THRESHOLD, RESTRICTED_THRESHOLD):
         net = _threshold_at(w, first, act)
-        cut = 0 if first else 1
         # the corner table must be smaller than the point set
         assert hypotheses._cut_layer(net, 2**w) is None
         assert hypotheses._cut_layer(net, 40) == cut
